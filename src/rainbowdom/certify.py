@@ -28,7 +28,9 @@ solves over a corpus of small first factors.
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -514,28 +516,28 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
     def violate(msg: str):
         violations.append(f"{name}: {msg}")
 
-    gamma_g = min_dominating_set(g, node_budget=node_budget).value
-    if run_g_checks:
-        for k in (1, 2):
-            direct = min_rainbow(g, k, node_budget=node_budget).value
-            via = min_rainbow_via_cartesian(g, k, node_budget=node_budget).value
-            bump("rainbow_vs_cartesian")
-            if direct != via:
-                violate(f"k={k}: direct {direct} != cartesian route {via}")
-        if min_rainbow(g, 1, node_budget=node_budget).value != gamma_g:
-            violate("1-rainbow number differs from domination number")
-        for k in (2, 3):
-            lo, hi = general_bounds(g, k, node_budget=node_budget)
-            val = min_rainbow(g, k, node_budget=node_budget).value
-            bump("general_bounds")
-            if not (lo <= val <= hi):
-                violate(f"k={k}: value {val} outside general bounds [{lo},{hi}]")
-
-    if g.n * h.n > product_cap:
-        skips.append(f"{name}: product has {g.n * h.n} > {product_cap} vertices")
-        return checks, violations, notes, skips
-
     try:
+        gamma_g = min_dominating_set(g, node_budget=node_budget).value
+        if run_g_checks:
+            for k in (1, 2):
+                direct = min_rainbow(g, k, node_budget=node_budget).value
+                via = min_rainbow_via_cartesian(g, k, node_budget=node_budget).value
+                bump("rainbow_vs_cartesian")
+                if direct != via:
+                    violate(f"k={k}: direct {direct} != cartesian route {via}")
+            if min_rainbow(g, 1, node_budget=node_budget).value != gamma_g:
+                violate("1-rainbow number differs from domination number")
+            for k in (2, 3):
+                lo, hi = general_bounds(g, k, node_budget=node_budget)
+                val = min_rainbow(g, k, node_budget=node_budget).value
+                bump("general_bounds")
+                if not (lo <= val <= hi):
+                    violate(f"k={k}: value {val} outside general bounds [{lo},{hi}]")
+
+        if g.n * h.n > product_cap:
+            skips.append(f"{name}: product has {g.n * h.n} > {product_cap} vertices")
+            return checks, violations, notes, skips
+
         prod, idx = lexicographic(g, h)
         exact = min_rainbow(prod, 2, node_budget=node_budget)
         hcls = classify_h(h, node_budget=node_budget)
@@ -613,6 +615,13 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
                 skips.append(f"{name}: more than {enum_cap} minimum labelings")
     except BudgetError as exc:
         skips.append(f"{name}: budget exhausted ({exc})")
+    except Exception as exc:
+        # a fault in one task is that task's violation, not the end of the run
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        violate(
+            f"raised {type(exc).__name__}: {exc} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno})"
+        )
     return checks, violations, notes, skips
 
 

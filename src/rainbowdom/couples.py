@@ -6,12 +6,20 @@ because in the product construction their whole layer carries a self-contained
 rainbow labeling, while every other layer relies on an adjacent layer for its
 colors. The two degenerate cases recover classical notions: (A, empty) works
 iff A is a total dominating set, (empty, B) works iff B is a dominating set.
+
+Equivalently, (A, B) is a dominating couple iff the open neighborhoods N(u)
+of u in A and the closed neighborhoods N[u] of u in B together cover V. So
+the couple optimum min(a|A| + b|B|), the value of the RdH3NoPair case, is a
+minimum-weight cover of V by {N(u) at cost a} and {N[u] at cost b}, and
+min_couple_cost solves it with the same exact cover engine as the domination
+and total domination numbers. No optimal cover takes both N(u) and N[u]:
+N(u) lies inside N[u], so dropping N(u) would leave a cheaper cover. That is
+why A and B come out disjoint without a constraint in the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     CapacityError,
@@ -27,11 +35,9 @@ from .products import ProductIndex
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     SOLVER_VERTEX_CAP,
-    _min_cover,
+    _min_weighted_cover,
     _rainbow_fixed,
-    min_dominating_set,
     min_rainbow,
-    min_total_dominating_set,
 )
 
 
@@ -65,11 +71,14 @@ def min_couple_cost(
 ) -> tuple[int, DominatingCouple]:
     """Minimum of cost_a*|A| + cost_b*|B| over all dominating couples of g.
 
-    B is enumerated by increasing size (its unit cost is the larger one in
-    every use here), and the cheapest completion A is an exact set cover of
-    the vertices left without a neighbor in B. Two closed-form seeds, a
-    minimum dominating set as B and a minimum total dominating set as A,
-    give the initial bound.
+    (A, B) is a dominating couple exactly when the open neighborhoods N(u),
+    u in A, and the closed neighborhoods N[u], u in B, cover V, so the
+    optimum is a minimum-weight cover of V by {N(u) at cost_a} and {N[u] at
+    cost_b}: one search of solvers._min_weighted_cover over 2n sets, all
+    under one node_budget. Every N[u] is indexed before every N(u); that
+    order decides which of several optimal couples is returned. A and B come
+    out disjoint because N(u) lies inside N[u]: a cover holding both could
+    drop N(u) and would not be the cheapest.
     """
     if cost_a < 1 or cost_b < 1:
         raise PreconditionError("costs must be at least 1")
@@ -77,51 +86,14 @@ def min_couple_cost(
         raise CapacityError(
             f"couple search handles at most {SOLVER_VERTEX_CAP} vertices, got {g.n}"
         )
-    ds = min_dominating_set(g, node_budget=node_budget)
-    best = cost_b * ds.value
-    best_couple = DominatingCouple(frozenset(), ds.witness)
-    if all(g.adj[v] for v in range(g.n)):
-        tds = min_total_dominating_set(g, node_budget=node_budget)
-        if cost_a * tds.value < best:
-            best = cost_a * tds.value
-            best_couple = DominatingCouple(tds.witness, frozenset())
-
-    stats = [0]
-    verts = range(g.n)
-    for size_b in range(g.n + 1):
-        base = cost_b * size_b
-        if base >= best:
-            break
-        for bset in combinations(verts, size_b):
-            maskb = to_mask(bset)
-            nb = 0
-            for v in bset:
-                nb |= g.adj[v]
-            rem = g.full_mask & ~maskb & ~nb  # needs a neighbor in A
-            if rem == 0:
-                if base < best:
-                    best = base
-                    best_couple = DominatingCouple(frozenset(), frozenset(bset))
-                continue
-            allowed = g.full_mask & ~maskb
-            cover = list(g.adj)
-            maxcov = max(
-                ((cover[u] & rem).bit_count() for u in verts if (allowed >> u) & 1),
-                default=0,
-            )
-            if maxcov == 0:
-                continue
-            if base + cost_a * -(-rem.bit_count() // maxcov) >= best:
-                continue
-            chosen = _min_cover(rem, cover, allowed, stats, node_budget)
-            if chosen is None:
-                # some remaining vertex has no potential A-neighbor
-                continue
-            total = base + cost_a * len(chosen)
-            if total < best:
-                best = total
-                best_couple = DominatingCouple(frozenset(chosen), frozenset(bset))
-    return best, best_couple
+    cover = [g.closed(u) for u in range(g.n)] + list(g.adj)
+    cost = [cost_b] * g.n + [cost_a] * g.n
+    chosen = _min_weighted_cover(g.full_mask, cover, cost, [0], node_budget)
+    couple = DominatingCouple(
+        frozenset(u - g.n for u in chosen if u >= g.n),
+        frozenset(u for u in chosen if u < g.n),
+    )
+    return couple.cost(cost_a, cost_b), couple
 
 
 def couple_labeling(

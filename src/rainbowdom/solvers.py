@@ -1,11 +1,18 @@
 """Exact solvers for domination, total domination, and k-rainbow domination.
 
-Both engines follow the same scheme: a cheap greedy pass gives an upper bound,
-then iterative deepening on the objective runs a depth-first search whose
-branching targets the lowest-index vertex that is not yet satisfied. Pruning
-combines an infeasibility test (a vertex that can no longer be fixed by any
-future decision) with an admissible remaining-cost bound. Searches count branch
-nodes against an explicit budget and raise instead of approximating.
+Two exact engines. The weighted cover engine (_min_weighted_cover) finds the
+cheapest family of vertex sets, each with an integer cost, whose union is the
+whole vertex set: closed neighborhoods at unit cost give the domination
+number, open neighborhoods at unit cost the total domination number, and
+couples.min_couple_cost mixes both at two costs. The rainbow engine
+(_rainbow_fixed) assigns color sets vertex by vertex.
+
+Each engine starts from a greedy solution as the upper bound, then runs
+iterative deepening on the objective: each level is a depth-first search that
+branches on the lowest-index element (vertex) not yet satisfied, and prunes
+with an admissible bound on the remaining cost and, in the rainbow engine, an
+infeasibility test (a vertex that no future decision can fix). Searches count
+branch nodes against an explicit budget and raise instead of approximating.
 
 Disconnected inputs are decomposed into components and the per-component
 results are merged, so every invariant is the sum over components.
@@ -59,18 +66,20 @@ def _check_cap(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# set-cover style engine (domination, total domination, couple completion)
+# weighted cover engine (domination, total domination, dominating couples)
 
 
-def _greedy_cover(full: int, cover: list[int], allowed: int):
+def _greedy_cover(full: int, cover: list[int], cost: list[int]):
+    """Repeatedly take the set with the best new-coverage/cost ratio, lowest
+    index on ties. Returns the chosen set indices, or None when infeasible."""
     covered = 0
     chosen = []
     while covered & full != full:
-        best_u, best_c = -1, 0
-        for u in iter_bits(allowed):
-            c = (cover[u] & full & ~covered).bit_count()
-            if c > best_c:
-                best_u, best_c = u, c
+        best_u, best_c, best_w = -1, 0, 1
+        for u, s in enumerate(cover):
+            c = (s & full & ~covered).bit_count()
+            if c * best_w > best_c * cost[u]:
+                best_u, best_c, best_w = u, c, cost[u]
         if best_u < 0:
             return None
         chosen.append(best_u)
@@ -78,58 +87,81 @@ def _greedy_cover(full: int, cover: list[int], allowed: int):
     return chosen
 
 
-def _min_cover(full: int, cover: list[int], allowed: int, stats: list[int], budget: int):
-    """Smallest S within `allowed` with union of cover[u] over S covering `full`.
+def _min_weighted_cover(
+    full: int, cover: list[int], cost: list[int], stats: list[int], budget: int
+):
+    """Cheapest choice of sets cover[u], each at integer cost[u] >= 1, whose
+    union covers `full`.
 
-    Returns a list of chosen vertices, or None when infeasible.
+    Iterative deepening on the total cost, from an admissible bound up to the
+    greedy cost. Each level is a depth-first search that branches on the
+    lowest-index uncovered element over its coverers in set-index order, and
+    bans each set once its branch is explored. Sets are grouped by cost; a
+    class of cost c whose best set still covers maxcov_c uncovered elements
+    needs at least |rem|*c/maxcov_c more cost on its own, so the minimum of
+    that over the classes bounds what any completion pays. Returns the chosen
+    set indices, or None when infeasible.
     """
     if full == 0:
         return []
-    greedy = _greedy_cover(full, cover, allowed)
+    greedy = _greedy_cover(full, cover, cost)
     if greedy is None:
         return None
-    cover_by = [0] * len(cover)
-    for u in iter_bits(allowed):
-        for v in iter_bits(cover[u] & full):
-            cover_by[v] |= 1 << u
+    by_cost: dict[int, int] = {}  # cost -> mask of the sets at that cost
+    cover_by = [0] * full.bit_length()
+    for u, s in enumerate(cover):
+        bit = 1 << u
+        by_cost[cost[u]] = by_cost.get(cost[u], 0) | bit
+        for v in iter_bits(s & full):
+            cover_by[v] |= bit
+    classes = list(by_cost.items())
 
-    maxcov_all = max((cover[u] & full).bit_count() for u in iter_bits(allowed))
-    lb = -(-full.bit_count() // maxcov_all)
+    def bound(rem: int, banned: int):
+        """Lower bound on the cost of covering rem without the banned sets,
+        or None when they cannot cover it."""
+        need = rem.bit_count()
+        best = None
+        for c, members in classes:
+            maxcov = 0
+            for u in iter_bits(members & ~banned):
+                k = (cover[u] & rem).bit_count()
+                if k > maxcov:
+                    maxcov = k
+            if maxcov:
+                b = -(-need * c // maxcov)
+                if best is None or b < best:
+                    best = b
+        return best
 
-    def dfs(covered: int, banned: int, chosen: list[int], cap: int):
+    def dfs(covered: int, banned: int, spent: int, chosen: list[int], cap: int):
         stats[0] += 1
         if stats[0] > budget:
             raise BudgetError(f"node budget {budget} exhausted")
         if covered & full == full:
             return list(chosen)
-        if len(chosen) == cap:
+        if spent >= cap:
             return None
         rem = full & ~covered
-        avail = allowed & ~banned
-        maxcov = 0
-        for u in iter_bits(avail):
-            c = (cover[u] & rem).bit_count()
-            if c > maxcov:
-                maxcov = c
-        if maxcov == 0:
-            return None
-        if len(chosen) + -(-rem.bit_count() // maxcov) > cap:
+        lb = bound(rem, banned)
+        if lb is None or spent + lb > cap:
             return None
         v = (rem & -rem).bit_length() - 1
-        opts = cover_by[v] & ~banned
         local_ban = banned
-        for u in iter_bits(opts):
-            chosen.append(u)
-            r = dfs(covered | cover[u], local_ban, chosen, cap)
-            chosen.pop()
-            if r is not None:
-                return r
-            # sets containing u were fully explored in this branch
+        for u in iter_bits(cover_by[v] & ~banned):
+            w = spent + cost[u]
+            if w <= cap:
+                chosen.append(u)
+                r = dfs(covered | cover[u], local_ban, w, chosen, cap)
+                chosen.pop()
+                if r is not None:
+                    return r
+            # covers containing u were fully explored in this branch
             local_ban |= 1 << u
         return None
 
-    for cap in range(lb, len(greedy)):
-        r = dfs(0, 0, [], cap)
+    ub = sum(cost[u] for u in greedy)
+    for cap in range(bound(full, 0), ub):
+        r = dfs(0, 0, 0, [], cap)
         if r is not None:
             return r
     return greedy
@@ -143,7 +175,7 @@ def min_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> S
     for comp in components(g):
         sub, back = induced_subgraph(g, comp)
         cover = [sub.closed(v) for v in range(sub.n)]
-        chosen = _min_cover(sub.full_mask, cover, sub.full_mask, stats, node_budget)
+        chosen = _min_weighted_cover(sub.full_mask, cover, [1] * sub.n, stats, node_budget)
         witness.update(back[u] for u in chosen)
     return SolveResult(len(witness), frozenset(witness), stats[0])
 
@@ -159,7 +191,7 @@ def min_total_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
     for comp in components(g):
         sub, back = induced_subgraph(g, comp)
         cover = list(sub.adj)
-        chosen = _min_cover(sub.full_mask, cover, sub.full_mask, stats, node_budget)
+        chosen = _min_weighted_cover(sub.full_mask, cover, [1] * sub.n, stats, node_budget)
         witness.update(back[u] for u in chosen)
     return SolveResult(len(witness), frozenset(witness), stats[0])
 
@@ -283,7 +315,7 @@ def _rainbow_fixed(
 def _rainbow_greedy(g: Graph, k: int) -> tuple[int, ...]:
     # full label on a greedy dominating set is always valid
     cover = [g.closed(v) for v in range(g.n)]
-    chosen = _greedy_cover(g.full_mask, cover, g.full_mask) or []
+    chosen = _greedy_cover(g.full_mask, cover, [1] * g.n) or []
     masks = [0] * g.n
     for v in chosen:
         masks[v] = (1 << k) - 1

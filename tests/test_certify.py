@@ -21,6 +21,7 @@ from rainbowdom import (
     min_rainbow,
     min_total_dominating_set,
     projection_property,
+    to_graph6,
     verify_corpus,
 )
 
@@ -262,3 +263,22 @@ class TestVerifyCorpus:
         rep = verify_corpus(3, [gen_cycle(4)], 8)
         assert rep.skips  # the 3-vertex factors exceed an 8-vertex product cap
         assert rep.ok
+
+    def test_task_fault_is_a_violation(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        real = certify_mod.min_couple_cost
+
+        def faulty(g, *args, **kwargs):
+            if g.n == 2:
+                raise RuntimeError("injected fault")
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "min_couple_cost", faulty)
+        rep = verify_corpus(3, [gen_cycle(4)], 20)
+        assert rep.tasks == 4
+        assert len(rep.violations) == 1
+        name = f"{to_graph6(gen_path(2))} o {to_graph6(gen_cycle(4))}"
+        assert rep.violations[0].startswith(f"{name}: raised RuntimeError: injected fault")
+        # the other tasks still ran their checks
+        assert rep.checks["upper_couple"] == 3

@@ -1,6 +1,7 @@
 import pytest
 
 from rainbowdom import (
+    BudgetError,
     DominatingCouple,
     HTooSmallError,
     NotDisjointError,
@@ -154,3 +155,28 @@ class TestCoupleLabeling:
         assert used == 3
         prod, _ = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
+
+
+class TestCoupleCoverSearch:
+    """The couple optimum as one weighted cover search."""
+
+    def test_agrees_with_oracle_corpus6(self, corpus6):
+        for g in corpus6:
+            for ca, cb in [(2, 3), (2, 2), (2, 4), (3, 2)]:
+                value, couple = min_couple_cost(g, ca, cb)
+                assert value == brute_min_couple_cost(g, ca, cb), (g, ca, cb)
+                assert is_dominating_couple(g, couple.a, couple.b)
+                assert couple.cost(ca, cb) == value
+
+    @pytest.mark.parametrize("gen", [gen_path, gen_cycle])
+    def test_64_vertices_within_small_budget(self, gen):
+        g = gen(64)
+        value, couple = min_couple_cost(g, 2, 3, node_budget=10_000)
+        assert is_dominating_couple(g, couple.a, couple.b)
+        assert couple.cost(2, 3) == value
+
+    def test_one_budget_for_the_whole_search(self):
+        # the couple search on P64 needs a few dozen nodes, all counted
+        # against the caller's node_budget
+        with pytest.raises(BudgetError):
+            min_couple_cost(gen_path(64), 2, 3, node_budget=5)

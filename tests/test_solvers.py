@@ -84,6 +84,43 @@ class TestDominationSolvers:
         assert min_dominating_set(BRANCHY).value >= 1
 
 
+# (value, nodes_explored, sorted witness) of gamma and gamma_t. The search is
+# deterministic, so a changed count means the unit-cost cover search now
+# explores a different tree: a search regression even when the value holds
+NODE_PINS = {
+    "P10": (gen_path(10), (4, 0, (1, 4, 7, 8)), (6, 8, (1, 2, 5, 6, 7, 8))),
+    "C12": (gen_cycle(12), (4, 0, (0, 3, 6, 9)), (6, 0, (0, 1, 4, 5, 8, 9))),
+    "DC4": (gen_double_c4(), (3, 6, (0, 1, 4)), (3, 5, (0, 1, 4))),
+    "K1,5": (gen_star(6), (1, 0, (0,)), (2, 0, (0, 1))),
+    "dense16": (from_edge_list(16, [
+        (0, 3), (0, 5), (0, 8), (0, 11), (1, 2), (1, 3), (1, 4), (1, 11),
+        (1, 12), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (2, 11), (2, 14),
+        (3, 5), (3, 7), (3, 10), (3, 11), (3, 12), (3, 14), (3, 15), (4, 10),
+        (4, 12), (4, 15), (5, 8), (5, 9), (5, 12), (5, 15), (6, 8), (6, 13),
+        (6, 14), (7, 13), (7, 15), (8, 10), (8, 12), (8, 13), (8, 15), (9, 11),
+        (10, 11), (10, 14), (12, 14), (13, 14), (13, 15),
+    ]), (3, 41, (11, 12, 13)), (4, 33, (2, 3, 5, 6))),
+    "sparse16": (from_edge_list(16, [
+        (0, 1), (0, 10), (0, 11), (1, 2), (1, 3), (1, 5), (1, 9), (2, 4),
+        (2, 9), (3, 11), (4, 8), (4, 15), (5, 6), (5, 7), (5, 14), (6, 12),
+        (6, 14), (7, 12), (11, 13),
+    ]), (6, 162, (0, 1, 4, 5, 6, 11)), (6, 96, (0, 2, 4, 5, 6, 11))),
+    "branchy18": (BRANCHY, (5, 79, (0, 2, 6, 15, 17)), (6, 111, (0, 1, 4, 6, 11, 12))),
+    "P5+C7": (from_edge_list(12, [
+        (0, 1), (1, 2), (2, 3), (3, 4),
+        (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (5, 11),
+    ]), (5, 0, (1, 3, 5, 8, 9)), (7, 0, (1, 2, 3, 5, 6, 8, 9))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_PINS))
+def test_pinned_node_counts(name):
+    g, gamma_pin, gamma_t_pin = NODE_PINS[name]
+    for solve, pin in ((min_dominating_set, gamma_pin), (min_total_dominating_set, gamma_t_pin)):
+        res = solve(g)
+        assert (res.value, res.nodes_explored, tuple(sorted(res.witness))) == pin, solve.__name__
+
+
 class TestMinRainbow:
     def test_matches_oracle_k2(self, corpus5):
         for g in corpus5:
