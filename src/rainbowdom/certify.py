@@ -17,10 +17,18 @@ The case tags:
   couple optimum min(2|A| + 3|B|).
 * RdH3Pair: 2-rainbow number 3 with a {1,2} minimum labeling; interval
   [2 * gamma(g), best known construction], except that gamma(g) = gamma_t(g)
-  forces the exact value 2 * gamma(g) (tag GammaEqGammaT).
+  forces the exact value 2 * gamma(g) (tag GammaEqGammaT). With refine=True
+  and a product of at most 64 vertices the interval is refined to the exact
+  value by the layer reduction (solvers._min_rainbow_lex): a layer of the
+  product meets the others only through its color union, so the value is a
+  weighted cover of V(g) x {1, 2} whose set costs are small weighted covers
+  of h. A refine that runs out of budget keeps the interval and says so in
+  the certificate's notes.
 * ComponentSum: first factor disconnected; per-component sum.
 * ComponentSum-NA: second factor disconnected; no closed-form case applies,
-  the value is an exact solve (refused when strict=True).
+  the value is exact by the same layer reduction, which never uses the
+  connectivity of h (refused when strict=True; the first factor is capped
+  at 64 vertices, the product is not).
 
 verify_corpus replays every claim above against brute-force-scale exact
 solves over a corpus of small first factors.
@@ -48,7 +56,6 @@ from .constructions import (
 from .errors import (
     BudgetError,
     CapExceededError,
-    CapacityError,
     DisconnectedError,
     PreconditionError,
     RainbowDomError,
@@ -70,6 +77,7 @@ from .solvers import (
     DEFAULT_NODE_BUDGET,
     SOLVER_VERTEX_CAP,
     PairWitness,
+    _min_rainbow_lex,
     enumerate_min_2rdfs,
     min_dominating_set,
     min_rainbow,
@@ -100,6 +108,7 @@ class Certificate:
     refined_exact: int | None = None
     refined_labeling: RainbowLabeling | None = None
     parts: tuple[tuple[tuple[int, ...], "Certificate"], ...] | None = None
+    notes: tuple[str, ...] = ()  # events worth reporting, e.g. a refine that gave up
 
     @property
     def exact(self) -> bool:
@@ -322,12 +331,12 @@ def _certify_connected(
             citations[1] = "upper bound: path tiling of weight path_upper_bound(n)"
     refined_exact = None
     refined_labeling = None
+    notes = ()
     if refine and idx.size <= SOLVER_VERTEX_CAP:
-        prod, _ = lexicographic(g, h)
         try:
-            res = min_rainbow(prod, 2, node_budget=node_budget)
+            res = _min_rainbow_lex(g, h, node_budget=node_budget)
         except BudgetError:
-            pass
+            notes = (f"refine exhausted the node budget {node_budget}; interval kept",)
         else:
             if not (2 * ds.value <= res.value <= hi):
                 raise RainbowDomError(
@@ -344,6 +353,7 @@ def _certify_connected(
         lower=LowerWitness("gamma", ds.value, vertices=ds.witness),
         refined_exact=refined_exact,
         refined_labeling=refined_labeling,
+        notes=notes,
     ))
 
 
@@ -379,21 +389,14 @@ def certify_rd_lex(
             raise DisconnectedError(
                 "the case theorems assume a connected second factor"
             )
-        size = g.n * h.n
-        if size > SOLVER_VERTEX_CAP:
-            raise CapacityError(
-                f"disconnected second factor falls back to an exact solve, "
-                f"but the product has {size} > {SOLVER_VERTEX_CAP} vertices"
-            )
-        prod, _ = lexicographic(g, h)
-        res = min_rainbow(prod, 2, node_budget=node_budget)
+        res = _min_rainbow_lex(g, h, node_budget=node_budget)
         return _self_check(g, h, Certificate(
             lo=res.value,
             hi=res.value,
             case="ComponentSum-NA",
             citations=(
                 "second factor disconnected: no closed-form case applies; "
-                "value by exact solve",
+                "value by exact layer cover over the first factor",
             ),
             upper_labeling=res.witness,
             lower=LowerWitness("exact_solve", res.value),
@@ -428,6 +431,9 @@ def certify_rd_lex(
         upper_labeling=RainbowLabeling(2, tuple(masks)),
         lower=None,
         parts=tuple(parts),
+        notes=tuple(
+            f"component {list(back)}: {note}" for back, part in parts for note in part.notes
+        ),
     ))
 
 

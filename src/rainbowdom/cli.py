@@ -149,6 +149,8 @@ def _cmd_certify(args) -> int:
     print("citations:")
     for c in cert.citations:
         print(f"  - {c}")
+    for note in cert.notes:
+        print(f"note: {note}")
     if cert.parts:
         print("components:")
         for back, part in cert.parts:

@@ -1,11 +1,13 @@
 """Exact solvers for domination, total domination, and k-rainbow domination.
 
 Two exact engines. The weighted cover engine (_min_weighted_cover) finds the
-cheapest family of vertex sets, each with an integer cost, whose union is the
-whole vertex set: closed neighborhoods at unit cost give the domination
+cheapest family of sets, each with an integer cost, whose union covers a
+given set of elements: closed neighborhoods at unit cost give the domination
 number, open neighborhoods at unit cost the total domination number, and
-couples.min_couple_cost mixes both at two costs. The rainbow engine
-(_rainbow_fixed) assigns color sets vertex by vertex.
+couples.min_couple_cost mixes both at two costs. It also gives the
+2-rainbow number of a lexicographic product g o h (_min_rainbow_lex) as one
+cover of V(g) x {1, 2} whose set costs are twelve small covers of h. The
+rainbow engine (_rainbow_fixed) assigns color sets vertex by vertex.
 
 Each engine starts from a greedy solution as the upper bound, then runs
 iterative deepening on the objective: each level is a depth-first search that
@@ -66,7 +68,8 @@ def _check_cap(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# weighted cover engine (domination, total domination, dominating couples)
+# weighted cover engine (domination, total domination, dominating couples,
+# lexicographic products)
 
 
 def _greedy_cover(full: int, cover: list[int], cost: list[int]):
@@ -386,6 +389,104 @@ def min_rainbow_via_cartesian(
     res = min_dominating_set(prod, node_budget=node_budget)
     labeling = dominating_set_to_rdf(g, k, res.witness)
     return SolveResult(res.value, labeling, res.nodes_explored)
+
+
+# ---------------------------------------------------------------------------
+# 2-rainbow domination of lexicographic products, layer by layer
+
+
+def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
+    """cost_h(C, R) for every nonempty color mask C and every color mask R,
+    with one witness labeling of h each, as {(C, R): (cost, masks)}.
+
+    cost_h(C, R) is the least weight of a 2-labeling of h whose labels use
+    exactly the colors of C and in which every empty vertex sees, among its
+    own neighbors in h, each color outside R. Each entry is one weighted
+    cover: the elements are (x, c) for each vertex x and color c outside R,
+    plus one "c is used" element per color of C; putting color c of C on x
+    is a unit-cost set that covers every element of x, covers (y, c) for
+    the neighbors y of x, and covers "c is used". Every entry is feasible
+    for nonempty h, since the sets of x alone cover every element of x.
+    """
+    n = h.n
+    table = {}
+    for cmask in (1, 2, 3):
+        for r in range(4):
+            need = 3 & ~r
+            full = cmask << (2 * n)
+            for x in range(n):
+                full |= need << (2 * x)
+            cover, owner = [], []
+            for x in range(n):
+                for c in iter_bits(cmask):
+                    s = (3 << (2 * x)) | (1 << (2 * n + c))
+                    if need >> c & 1:
+                        for y in iter_bits(h.adj[x]):
+                            s |= 1 << (2 * y + c)
+                    cover.append(s)
+                    owner.append((x, c))
+            chosen = _min_weighted_cover(full, cover, [1] * len(cover), stats, budget)
+            masks = [0] * n
+            for u in chosen:
+                x, c = owner[u]
+                masks[x] |= 1 << c
+            table[cmask, r] = (len(chosen), tuple(masks))
+    return table
+
+
+def _min_rainbow_lex(
+    g: Graph, h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
+) -> SolveResult:
+    """Exact 2-rainbow domination number of the lexicographic product g o h,
+    with a witness labeling in the product's row-major index.
+
+    Each vertex of the layer {a} x V(h) sees every vertex of each
+    neighboring layer, so a layer meets the rest of the product only through
+    its color union C(a). The layer is valid iff each of its empty vertices
+    sees, inside its own copy of h, the colors missing from R(a), the union
+    of C(b) over the neighbors b of a. Hence the value is the least
+    sum over a of cost_h(C(a), R(a)) (see _layer_costs): a minimum-weight
+    cover of the elements (a, c), a in V(g), c in {1, 2}, by the sets
+    S(a, C, R) = {(a, c) : c not in R} | {(b, c) : b ~ a, c in C} at cost
+    cost_h(C, R). An option whose set lies inside another's at no higher
+    cost is dropped (on ties the first in (C, R) order stays). Two options
+    chosen at one layer merge by OR-ing their layer labelings, which costs
+    no more, so the witness is exact. h need not be connected. The table
+    solves and the cover share one node budget.
+    """
+    _check_cap(g)
+    _check_cap(h)
+    if g.n == 0 or h.n == 0:
+        return SolveResult(0, RainbowLabeling(2, ()), 0)
+    stats = [0]
+    table = _layer_costs(h, stats, node_budget)
+    cover, cost, owner = [], [], []
+    for a in range(g.n):
+        # one bit per neighbor layer; times C it marks (b, c) for c in C
+        nbr = 0
+        for b in iter_bits(g.adj[a]):
+            nbr |= 1 << (2 * b)
+        options = [
+            (((3 & ~r) << (2 * a)) | nbr * cmask, w, (cmask, r))
+            for (cmask, r), (w, _) in table.items()
+        ]
+        for i, (s, w, key) in enumerate(options):
+            if not any(
+                s & ~t == 0 and v <= w and (j < i or (t, v) != (s, w))
+                for j, (t, v, _) in enumerate(options)
+                if j != i
+            ):
+                cover.append(s)
+                cost.append(w)
+                owner.append((a, key))
+    chosen = _min_weighted_cover((1 << (2 * g.n)) - 1, cover, cost, stats, node_budget)
+    masks = [0] * (g.n * h.n)
+    for u in chosen:
+        a, key = owner[u]
+        for x, m in enumerate(table[key][1]):
+            masks[a * h.n + x] |= m
+    labeling = RainbowLabeling(2, tuple(masks))
+    return SolveResult(labeling.weight, labeling, stats[0])
 
 
 def enumerate_min_2rdfs(

@@ -87,6 +87,38 @@ def brute_min_rainbow(g: Graph, k: int) -> int:
     return best
 
 
+def brute_layer_costs(g: Graph) -> dict[tuple[int, int], int]:
+    """{(C, R): least weight} over all 4^n 2-labelings of g, C and R as color
+    masks (color c is bit c-1): the labels use exactly the colors of C, and
+    every empty vertex sees each color outside R among its neighbors."""
+    nb = nbrs(g)
+
+    def mask(colors) -> int:
+        return sum(1 << (c - 1) for c in colors)
+
+    best: dict[tuple[int, int], int] = {}
+    for labels in _all_labelings(g.n, 2):
+        used = set()
+        for lab in labels:
+            used |= lab
+        if not used:
+            continue
+        need = set()  # colors some empty vertex does not see
+        for v in range(g.n):
+            if labels[v]:
+                continue
+            seen = set()
+            for w in nb[v]:
+                seen |= labels[w]
+            need |= {1, 2} - seen
+        w = sum(len(c) for c in labels)
+        for r in (set(), {1}, {2}, {1, 2}):
+            if need <= r:
+                key = (mask(used), mask(r))
+                best[key] = min(best.get(key, w), w)
+    return best
+
+
 def brute_min_2rdfs(g: Graph) -> list[tuple[int, ...]]:
     """All minimum 2-rainbow labelings as mask tuples, sorted."""
     best = brute_min_rainbow(g, 2)

@@ -37,8 +37,10 @@ def announce(capfd):
     return _print
 
 
-def _finish(announce, num: int, budget: float, start: float, detail: str):
-    elapsed = time.monotonic() - start
+def _finish(announce, num: int, budget: float, start: float, detail: str,
+            fixture_seconds: float = 0.0):
+    # fixture_seconds: time spent in session fixtures before the test's clock started
+    elapsed = time.monotonic() - start + fixture_seconds
     assert elapsed < budget, f"criterion {num} exceeded {budget}s ({elapsed:.1f}s)"
     announce(f"CRITERION {num}: PASS ({detail}; {elapsed:.1f}s < {budget:.0f}s)")
 
@@ -153,11 +155,11 @@ def test_criterion_6_case_theorems_vs_oracle(report_main, announce):
         assert rep.violations == [], rep.violations
         for key in ("case_value", "lower_2gamma", "upper_total_dom", "upper_couple"):
             assert rep.checks.get(key, 0) > 0, key
-        assert rep.wall_seconds < 600.0
         _finish(announce, 6, 600.0, start,
                 f"corpus replay clean: {rep.tasks} tasks, "
                 f"{sum(rep.checks.values())} checks, zero violations, "
-                f"corpus wall time {rep.wall_seconds:.1f}s")
+                f"corpus wall time {rep.wall_seconds:.1f}s",
+                rep.wall_seconds)
 
 
 def test_criterion_7_projection_lemma(report_main, report_k2, announce):
@@ -168,12 +170,12 @@ def test_criterion_7_projection_lemma(report_main, report_k2, announce):
         assert report_main.violations == []
         assert report_k2.checks.get("projection_exists", 0) > 0
         assert report_k2.violations == [], report_k2.violations
-        assert report_main.wall_seconds + report_k2.wall_seconds < 300.0
         _finish(announce, 7, 300.0, start,
                 f"{report_main.checks['projection_all_minima']} all-minima "
                 f"projection checks and "
                 f"{report_k2.checks['projection_exists']} existence checks, "
-                "zero violations")
+                "zero violations",
+                report_main.wall_seconds + report_k2.wall_seconds)
 
 
 def test_criterion_8_glued_family(announce):

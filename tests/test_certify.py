@@ -1,6 +1,7 @@
 import pytest
 
 from rainbowdom import (
+    BudgetError,
     DisconnectedError,
     Graph,
     ProductIndex,
@@ -24,6 +25,7 @@ from rainbowdom import (
     to_graph6,
     verify_corpus,
 )
+from rainbowdom.solvers import _min_rainbow_lex
 
 from conftest import brute_min_dominating, brute_min_rainbow
 
@@ -139,6 +141,44 @@ class TestCertifyCases:
         assert all(isinstance(c, str) and c for c in cert.citations)
 
 
+# the P4 refines of the benchmark ladder: (value, layer-cover nodes)
+LADDER_REFINES = {
+    "P8": (gen_path(8), 8, 124),
+    "C8": (gen_cycle(8), 8, 455),
+    "C10": (gen_cycle(10), 9, 126),
+    "P12": (gen_path(12), 11, 1609),
+    "C12": (gen_cycle(12), 11, 1110),
+    "P16": (gen_path(16), 15, 3638),
+}
+
+
+class TestRefine:
+    @pytest.mark.parametrize("name", sorted(LADDER_REFINES))
+    def test_ladder_refine_pinned(self, name):
+        g, value, nodes = LADDER_REFINES[name]
+        cert = certify_rd_lex(g, gen_path(4), node_budget=20000)
+        assert cert.case == "RdH3Pair" and cert.refined_exact == value
+        assert cert.notes == ()
+        assert _min_rainbow_lex(g, gen_path(4), node_budget=20000).nodes_explored == nodes
+
+    def test_refine_out_of_budget_says_so(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        def exhausted(g, h, *, node_budget):
+            raise BudgetError(f"node budget {node_budget} exhausted")
+
+        monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)
+        note = "refine exhausted the node budget 777; interval kept"
+        cert = certify_rd_lex(gen_path(5), gen_path(4), node_budget=777)
+        assert cert.describe() == "interval [4,5], case RdH3Pair"
+        assert cert.refined_exact is None and cert.notes == (note,)
+        g = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
+        cert = certify_rd_lex(g, gen_path(4), node_budget=777)
+        assert cert.case == "ComponentSum"
+        assert cert.notes == (f"component [0, 1, 2, 3, 4]: {note}",
+                              f"component [5, 6, 7, 8, 9]: {note}")
+
+
 class TestComponentSum:
     def test_disconnected_g(self):
         g = from_edge_list(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
@@ -162,6 +202,17 @@ class TestComponentSum:
         assert cert.case == "ComponentSum-NA"
         prod, _ = lexicographic(g, h)
         assert cert.value == min_rainbow(prod, 2).value
+
+    def test_disconnected_h_beyond_product_cap(self):
+        # 80 product vertices: only the first factor is held to the 64 cap
+        g = gen_path(20)
+        h = from_edge_list(4, [(0, 1), (2, 3)])
+        cert = certify_rd_lex(g, h)
+        assert cert.case == "ComponentSum-NA" and cert.value == 20
+        prod, _ = lexicographic(g, h)
+        assert prod.n == 80
+        assert cert.upper_labeling.weight == 20
+        assert is_k_rainbow_dominating(prod, cert.upper_labeling)
 
     def test_disconnected_h_strict_raises(self):
         g = gen_path(3)

@@ -109,6 +109,19 @@ class TestCertify:
         assert "certificate: interval [4,5], case RdH3Pair" in out
         assert "refined" not in out
 
+    def test_refine_note_printed(self, capsys, monkeypatch):
+        import rainbowdom.certify as certify_mod
+        from rainbowdom import BudgetError
+
+        def exhausted(g, h, *, node_budget):
+            raise BudgetError(f"node budget {node_budget} exhausted")
+
+        monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)
+        rc, out, _ = run(capsys, "certify", "P5", "P4", "--budget", "777")
+        assert rc == 0
+        assert "certificate: interval [4,5], case RdH3Pair\n" in out
+        assert "note: refine exhausted the node budget 777; interval kept" in out
+
     def test_labeling_out(self, capsys, tmp_path):
         dest = tmp_path / "lab.txt"
         rc, out, _ = run(capsys, "certify", "P5", "P4",

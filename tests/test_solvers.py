@@ -6,6 +6,7 @@ from rainbowdom import (
     BudgetError,
     CapExceededError,
     CapacityError,
+    Graph,
     IsolatedVertexError,
     RainbowLabeling,
     enumerate_min_2rdfs,
@@ -18,14 +19,17 @@ from rainbowdom import (
     is_dominating_set,
     is_k_rainbow_dominating,
     is_total_dominating_set,
+    lexicographic,
     min_dominating_set,
     min_rainbow,
     min_rainbow_via_cartesian,
     min_total_dominating_set,
     pair_witness,
 )
+from rainbowdom.solvers import _layer_costs, _min_rainbow_lex
 
 from conftest import (
+    brute_layer_costs,
     brute_min_2rdfs,
     brute_min_dominating,
     brute_min_rainbow,
@@ -253,3 +257,62 @@ class TestPairWitness:
                 assert pw.labeling.masks[pw.u] == 3
                 assert pw.labeling.weight == min_rainbow(g, 2).value
                 assert is_k_rainbow_dominating(g, pw.labeling)
+
+
+# second factors of the layer reduction tests, disconnected ones included
+LEX_H = [
+    gen_path(1), gen_path(2), gen_path(3), gen_complete(3), gen_path(4),
+    gen_cycle(4), gen_star(4), gen_path(5), gen_cycle(5),
+    from_edge_list(2, []), from_edge_list(3, [(0, 1)]),
+    from_edge_list(4, [(0, 1), (2, 3)]),
+]
+
+
+class TestMinRainbowLex:
+    def test_matches_direct_search(self, corpus5):
+        gs = corpus5 + [
+            from_edge_list(4, [(0, 1), (2, 3)]),
+            from_edge_list(5, [(0, 1), (1, 2), (3, 4)]),
+        ]
+        solved = 0
+        for g in gs:
+            for h in LEX_H:
+                if g.n * h.n > 30:
+                    continue
+                prod, _ = lexicographic(g, h)
+                res = _min_rainbow_lex(g, h)
+                assert res.value == min_rainbow(prod, 2).value, (g.adj, h.adj)
+                assert res.witness.weight == res.value
+                assert is_k_rainbow_dominating(prod, res.witness), (g.adj, h.adj)
+                solved += 1
+        assert solved == 396
+
+    def test_layer_costs_match_brute_force(self, corpus5):
+        hs = corpus5 + [
+            from_edge_list(2, []), from_edge_list(3, [(0, 1)]),
+            from_edge_list(4, [(0, 1), (2, 3)]), from_edge_list(4, [(0, 1), (1, 2)]),
+        ]
+        for h in hs:
+            table = _layer_costs(h, [0], 10**8)
+            assert {key: w for key, (w, _) in table.items()} == brute_layer_costs(h), h.adj
+            for (cmask, r), (w, masks) in table.items():
+                used = 0
+                for m in masks:
+                    used |= m
+                assert used == cmask and sum(m.bit_count() for m in masks) == w
+                for x, m in enumerate(masks):
+                    if m == 0:
+                        seen = 0
+                        for y in range(h.n):
+                            if h.has_edge(x, y):
+                                seen |= masks[y]
+                        assert (3 & ~r) & ~seen == 0, (h.adj, cmask, r, masks)
+
+    def test_empty_and_capacity(self):
+        assert _min_rainbow_lex(gen_path(3), Graph(0, ())).value == 0
+        with pytest.raises(CapacityError):
+            _min_rainbow_lex(gen_path(65), gen_path(2))
+
+    def test_budget(self):
+        with pytest.raises(BudgetError):
+            _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=50)
