@@ -30,6 +30,18 @@ The case tags:
   connectivity of h (refused when strict=True; the first factor is capped
   at 64 vertices, the product is not).
 
+Each certificate solves each sub-problem once. classify_h solves the
+2-rainbow number of h, with one minimum labeling, and runs the pair search
+only when that number is 3; the HClassification is passed to every component
+of g. Per component, the case code solves gamma(g), gamma_t(g) and the
+couple optimum at most once each, and builds its upper labeling from those
+witnesses without searching again: the couple labeling of (empty, D) for
+RdH2 (D a minimum dominating set), of (T, empty) for RdH4Plus and
+GammaEqGammaT (T a minimum total dominating set), and of the optimal couple
+for RdH3NoPair and RdH3Pair, each copying the labeling of h from the
+classification into its B-layers; and, when g is a path, the path tiling
+laid along g's path order from the pair witness.
+
 verify_corpus replays every claim above against brute-force-scale exact
 solves over a corpus of small first factors.
 """
@@ -44,11 +56,12 @@ from dataclasses import dataclass, field
 
 from .couples import (
     DominatingCouple,
+    _lift_couple,
     couple_labeling,
     min_couple_cost,
 )
 from .constructions import (
-    path_pattern_labeling,
+    _tile_path,
     path_upper_bound,
     total_dom_labeling,
     universal_vertex_labeling,
@@ -78,12 +91,12 @@ from .solvers import (
     SOLVER_VERTEX_CAP,
     PairWitness,
     _min_rainbow_lex,
+    _pair_search,
     enumerate_min_2rdfs,
     min_dominating_set,
     min_rainbow,
     min_rainbow_via_cartesian,
     min_total_dominating_set,
-    pair_witness,
 )
 
 
@@ -132,11 +145,20 @@ class Certificate:
 
 @dataclass(frozen=True)
 class HClassification:
-    tag: str  # TrivialH | RdH2 | RdH3Pair | RdH3NoPair | RdH4Plus
+    """What the case analysis needs of a connected second factor h.
+
+    Every field is set by one solve of the 2-rainbow number of h: tag
+    (TrivialH when h is one vertex, else RdH2, RdH4Plus, RdH3NoPair or
+    RdH3Pair), rd2, and labeling, one minimum 2-rainbow labeling of h, which
+    the couple labelings copy into their B-layers. pair is the pair witness
+    (u, v) that the path tiling uses; it is set only when the tag is
+    RdH3Pair, since the pair search runs only when rd2 is 3.
+    """
+
+    tag: str
     rd2: int
-    gamma: int
     pair: PairWitness | None
-    labeling: RainbowLabeling  # one minimum 2-rainbow labeling of h
+    labeling: RainbowLabeling
 
 
 def general_bounds(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, int]:
@@ -148,25 +170,24 @@ def general_bounds(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) 
 
 
 def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassification:
-    """Compute the case-analysis data for the second factor."""
+    """Compute the case-analysis data for the second factor: one solve of its
+    2-rainbow number, and the pair search only when that number is 3."""
     if h.n == 0:
         raise PreconditionError("h must be nonempty")
     if not is_connected(h):
         raise DisconnectedError("classification assumes a connected second factor")
     rd = min_rainbow(h, 2, node_budget=node_budget)
-    gamma = min_dominating_set(h, node_budget=node_budget).value
+    pair = None
     if h.n == 1:
-        return HClassification("TrivialH", rd.value, gamma, None, rd.witness)
-    pw = pair_witness(h, node_budget=node_budget)
-    if rd.value == 2:
+        tag = "TrivialH"
+    elif rd.value == 2:
         tag = "RdH2"
     elif rd.value >= 4:
         tag = "RdH4Plus"
-    elif pw is None:
-        tag = "RdH3NoPair"
     else:
-        tag = "RdH3Pair"
-    return HClassification(tag, rd.value, gamma, pw, rd.witness)
+        pair = _pair_search(h, rd.value, node_budget)
+        tag = "RdH3NoPair" if pair is None else "RdH3Pair"
+    return HClassification(tag, rd.value, pair, rd.witness)
 
 
 def _path_order(g: Graph) -> list[int] | None:
@@ -212,7 +233,6 @@ def _certify_connected(
     refine: bool,
     node_budget: int,
 ) -> Certificate:
-    idx = ProductIndex(g.n, h.n)
     if h.n == 1:
         res = min_rainbow(g, 2, node_budget=node_budget)
         return _self_check(g, h, Certificate(
@@ -239,11 +259,12 @@ def _certify_connected(
             lower=LowerWitness("exact_solve", hcls.rd2),
         ))
 
+    def lift(a: frozenset[int], b: frozenset[int]) -> RainbowLabeling:
+        return _lift_couple(g.n, h.n, 2, DominatingCouple(a, b), hcls.labeling.masks)
+
     if hcls.rd2 == 2:
         ds = min_dominating_set(g, node_budget=node_budget)
-        upper = couple_labeling(
-            g, h, 2, DominatingCouple(frozenset(), ds.witness), node_budget=node_budget
-        )
+        upper = lift(frozenset(), ds.witness)
         return _self_check(g, h, Certificate(
             lo=2 * ds.value,
             hi=2 * ds.value,
@@ -260,7 +281,7 @@ def _certify_connected(
 
     if hcls.rd2 >= 4:
         tds = min_total_dominating_set(g, node_budget=node_budget)
-        upper = total_dom_labeling(g, h, 2, node_budget=node_budget)
+        upper = lift(tds.witness, frozenset())
         return _self_check(g, h, Certificate(
             lo=2 * tds.value,
             hi=2 * tds.value,
@@ -276,7 +297,7 @@ def _certify_connected(
 
     if hcls.pair is None:
         value, couple = min_couple_cost(g, 2, 3, node_budget=node_budget)
-        upper = couple_labeling(g, h, 2, couple, node_budget=node_budget)
+        upper = lift(couple.a, couple.b)
         return _self_check(g, h, Certificate(
             lo=value,
             hi=value,
@@ -294,7 +315,7 @@ def _certify_connected(
     ds = min_dominating_set(g, node_budget=node_budget)
     tds = min_total_dominating_set(g, node_budget=node_budget)
     if tds.value == ds.value:
-        upper = total_dom_labeling(g, h, 2, node_budget=node_budget)
+        upper = lift(tds.witness, frozenset())
         return _self_check(g, h, Certificate(
             lo=2 * ds.value,
             hi=2 * ds.value,
@@ -308,7 +329,7 @@ def _certify_connected(
         ))
     value, couple = min_couple_cost(g, 2, 3, node_budget=node_budget)
     hi = value
-    upper = couple_labeling(g, h, 2, couple, node_budget=node_budget)
+    upper = lift(couple.a, couple.b)
     citations = [
         "lower bound: twice the domination number of the first factor "
         "(valid for every nontrivial connected second factor)",
@@ -318,21 +339,13 @@ def _certify_connected(
     if order is not None:
         pub = path_upper_bound(g.n)
         if pub < hi:
-            pw = hcls.pair
-            canon = path_pattern_labeling(
-                g.n, h, pw.u, pw.v, node_budget=node_budget
-            )
-            masks = [0] * idx.size
-            for i, gv in enumerate(order):
-                for x in range(h.n):
-                    masks[idx.encode(gv, x)] = canon.masks[idx.encode(i, x)]
             hi = pub
-            upper = RainbowLabeling(2, tuple(masks))
+            upper = _tile_path(order, h.n, hcls.pair.u, hcls.pair.v)
             citations[1] = "upper bound: path tiling of weight path_upper_bound(n)"
     refined_exact = None
     refined_labeling = None
     notes = ()
-    if refine and idx.size <= SOLVER_VERTEX_CAP:
+    if refine and g.n * h.n <= SOLVER_VERTEX_CAP:
         try:
             res = _min_rainbow_lex(g, h, node_budget=node_budget)
         except BudgetError:
@@ -557,7 +570,7 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
             elif exact.value > 2 * tds.value:
                 violate(f"exact {exact.value} above 2*gamma_t {2 * tds.value}")
 
-        if hcls.gamma == 1:
+        if min_dominating_set(h, node_budget=node_budget).value == 1:
             lab = universal_vertex_labeling(g, h, 2, node_budget=node_budget)
             bump("upper_universal")
             if lab.weight != 2 * gamma_g or not is_k_rainbow_dominating(prod, lab):

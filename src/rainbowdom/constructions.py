@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .couples import DominatingCouple, _lift_couple
 from .errors import (
     DisconnectedError,
     IsolatedVertexError,
@@ -124,15 +125,20 @@ def path_pattern_labeling(
     if not is_connected(h):
         raise DisconnectedError("h must be connected")
     _require_pair_witness(h, u, v, node_budget)
-    idx = ProductIndex(n, h.n)
-    masks = [0] * idx.size
-    col = 0
-    for length in _tiling(n):
-        tile = _TILES[length]
-        for j in range(length):
-            masks[idx.encode(col + j, u)] = int(tile.u_row[j])
-            masks[idx.encode(col + j, v)] = int(tile.v_row[j])
-        col += length
+    return _tile_path(range(n), h.n, u, v)
+
+
+def _tile_path(order, nh: int, u: int, v: int) -> RainbowLabeling:
+    """The path tiling of the product of a path, whose vertices in path order
+    are `order` (at least two), with an h on nh vertices that has the pair
+    witness (u, v)."""
+    tiling = [_TILES[length] for length in _tiling(len(order))]
+    u_row = "".join(tile.u_row for tile in tiling)
+    v_row = "".join(tile.v_row for tile in tiling)
+    masks = [0] * (len(order) * nh)
+    for a, du, dv in zip(order, u_row, v_row):
+        masks[a * nh + u] = int(du)
+        masks[a * nh + v] = int(dv)
     return RainbowLabeling(2, tuple(masks))
 
 
@@ -140,7 +146,8 @@ def total_dom_labeling(
     g: Graph, h: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> RainbowLabeling:
     """Full color set at layer vertex 0 of each minimum-total-dominating-set
-    layer; weight k * gamma_t(g), valid for every h."""
+    layer; weight k * gamma_t(g), valid for every h. This is the couple
+    labeling of (T, empty) for a minimum total dominating set T."""
     if not (1 <= k <= 8):
         raise PreconditionError("k must be between 1 and 8")
     if h.n < 1:
@@ -148,11 +155,7 @@ def total_dom_labeling(
     if any(g.adj[x] == 0 for x in range(g.n)):
         raise IsolatedVertexError("g has an isolated vertex, gamma_t undefined")
     tds = min_total_dominating_set(g, node_budget=node_budget)
-    idx = ProductIndex(g.n, h.n)
-    masks = [0] * idx.size
-    for d in tds.witness:
-        masks[idx.encode(d, 0)] = (1 << k) - 1
-    return RainbowLabeling(k, tuple(masks))
+    return _lift_couple(g.n, h.n, k, DominatingCouple(tds.witness, frozenset()), ())
 
 
 def universal_vertex_labeling(

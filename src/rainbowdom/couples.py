@@ -27,16 +27,13 @@ from .errors import (
     NotDisjointError,
     NotDominatingCoupleError,
     PreconditionError,
-    RainbowDomError,
 )
 from .graphs import Graph, to_mask
 from .labelings import RainbowLabeling
-from .products import ProductIndex
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     SOLVER_VERTEX_CAP,
     _min_weighted_cover,
-    _rainbow_fixed,
     min_rainbow,
 )
 
@@ -114,33 +111,34 @@ def couple_labeling(
         raise HTooSmallError(f"second factor needs at least {k} vertices, has {h.n}")
     if not is_dominating_couple(g, couple.a, couple.b):
         raise NotDominatingCoupleError("(A, B) is not a dominating couple of g")
-    fullc = (1 << k) - 1
     base = min_rainbow(h, k, node_budget=node_budget)
-    h_masks = base.witness.masks
+    return _lift_couple(g.n, h.n, k, couple, base.witness.masks)
+
+
+def _lift_couple(
+    ng: int, nh: int, k: int, couple: DominatingCouple, h_masks: tuple[int, ...]
+) -> RainbowLabeling:
+    """The couple labeling of the product of a g on ng vertices with an h on
+    nh vertices, given a minimum k-rainbow labeling h_masks of h (read only
+    when B is nonempty, and then nh >= k).
+
+    A-layers put the full color set on layer vertex 0; B-layers copy h_masks,
+    recolored when it misses a color. A minimum k-RDF that misses a color has
+    no empty vertex (it would not see that color), so its weight is at least
+    nh; one color on every vertex is valid for the same reason, so the weight
+    is exactly nh and every label is a single color. Giving vertex x the
+    color x mod k is then as valid and as light, and it uses all k colors
+    because nh >= k.
+    """
+    fullc = (1 << k) - 1
     used = 0
     for m in h_masks:
         used |= m
-    if used != fullc:
-        stats = [0]
-        r = _rainbow_fixed(
-            h,
-            k,
-            base.value,
-            require_all_colors=True,
-            stats=stats,
-            node_budget=node_budget,
-        )
-        if r is None:
-            raise RainbowDomError(
-                "no minimum k-rainbow labeling of h uses all colors; "
-                "the couple construction does not apply"
-            )
-        h_masks = r
-    idx = ProductIndex(g.n, h.n)
-    masks = [0] * idx.size
+    if couple.b and used != fullc:
+        h_masks = tuple(1 << (x % k) for x in range(nh))
+    masks = [0] * (ng * nh)
     for v in couple.a:
-        masks[idx.encode(v, 0)] = fullc
+        masks[v * nh] = fullc
     for v in couple.b:
-        for x in range(h.n):
-            masks[idx.encode(v, x)] = h_masks[x]
+        masks[v * nh:(v + 1) * nh] = h_masks
     return RainbowLabeling(k, tuple(masks))

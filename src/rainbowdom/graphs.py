@@ -358,6 +358,8 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration of small connected graphs
 
+_SMALL_N = 7  # largest n for canonical forms and enumeration
+
 
 def _stable_coloring(g: Graph) -> list[int]:
     # iterated degree refinement; colors are ranks so the result is
@@ -392,8 +394,12 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 
     Vertex orderings are restricted to those compatible with the stable
     degree-refinement coloring, so the cost is the product of the color class
-    factorials. Intended for small graphs (the enumeration corpus, n <= 7).
+    factorials: a regular graph tries all n! orderings. Supported for
+    n <= 7, the enumeration corpus; beyond that it raises CapacityError
+    (C12 would take over a minute).
     """
+    if g.n > _SMALL_N:
+        raise CapacityError(f"canonical form supported up to {_SMALL_N} vertices")
     colors = _stable_coloring(g)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -415,21 +421,9 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return (g.n, best if best is not None else 0)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
-    n, enc = canonical_form(g)
-    rows = [0] * n
-    pos = n * (n - 1) // 2
-    for a in range(n):
-        for b in range(a + 1, n):
-            pos -= 1
-            if (enc >> pos) & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return Graph(n, tuple(rows))
-
-
 def is_isomorphic(a: Graph, b: Graph) -> bool:
+    """Isomorphism test; graphs that differ in order, size or degree sequence
+    are told apart at any n, others only up to 7 vertices (canonical_form)."""
     if a.n != b.n or a.m != b.m:
         return False
     if sorted(a.degree(v) for v in range(a.n)) != sorted(b.degree(v) for v in range(b.n)):
@@ -474,6 +468,6 @@ def enumerate_connected_graphs(n: int):
     vertices, in a deterministic order. Supported for 1 <= n <= 7."""
     if n < 1:
         raise PreconditionError("need at least one vertex")
-    if n > 7:
-        raise CapacityError("enumeration supported up to 7 vertices")
+    if n > _SMALL_N:
+        raise CapacityError(f"enumeration supported up to {_SMALL_N} vertices")
     yield from _connected_reps(n)

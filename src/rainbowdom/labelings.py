@@ -1,4 +1,4 @@
-"""k-rainbow labelings: weights, validity, partitions, and conversions.
+"""k-rainbow labelings: weights, validity, conversions and a text format.
 
 A labeling assigns each vertex a subset of the colors 1..k, stored internally
 as a bitmask (color i is bit i-1). A labeling is k-rainbow dominating when
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
 from .graphs import Graph, iter_bits
-from .products import ProductIndex
 
 
 def _mask_to_colors(mask: int) -> frozenset[int]:
@@ -59,10 +58,6 @@ class RainbowLabeling:
         return sum(m.bit_count() for m in self.masks)
 
 
-def weight(f: RainbowLabeling) -> int:
-    return f.weight
-
-
 @dataclass(frozen=True)
 class RainbowCheck:
     """Validity verdict; carries the first violating vertex on failure."""
@@ -91,14 +86,6 @@ def is_k_rainbow_dominating(g: Graph, f: RainbowLabeling) -> RainbowCheck:
         if seen != full:
             return RainbowCheck(False, v)
     return RainbowCheck(True, None)
-
-
-def induced_partition(f: RainbowLabeling) -> dict[frozenset[int], frozenset[int]]:
-    """Vertex classes keyed by label value; only labels that occur appear."""
-    buckets: dict[int, list[int]] = {}
-    for v, m in enumerate(f.masks):
-        buckets.setdefault(m, []).append(v)
-    return {_mask_to_colors(m): frozenset(vs) for m, vs in buckets.items()}
 
 
 def rdf_to_dominating_set(g: Graph, f: RainbowLabeling) -> frozenset[int]:
@@ -132,16 +119,6 @@ def dominating_set_to_rdf(g: Graph, k: int, dom: frozenset[int] | set[int]) -> R
         v, b = divmod(x, k)
         masks[v] |= 1 << b
     return RainbowLabeling(k, tuple(masks))
-
-
-def layer_contribution(idx: ProductIndex, f: RainbowLabeling, g: int) -> int:
-    """Total label weight inside the H-layer above G-vertex g."""
-    if f.n != idx.size:
-        raise PreconditionError("labeling size does not match product index")
-    base = g * idx.nh if 0 <= g < idx.ng else None
-    if base is None:
-        raise PreconditionError(f"G-vertex {g} out of range")
-    return sum(f.masks[base + x].bit_count() for x in range(idx.nh))
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,6 @@ class ProductIndex:
             raise PreconditionError(f"product vertex {v} out of range")
         return divmod(v, self.nh)
 
-    def pairs(self):
-        for g in range(self.ng):
-            for h in range(self.nh):
-                yield g, h
-
 
 def lexicographic(g: Graph, h: Graph) -> tuple[Graph, ProductIndex]:
     """G o H: (g1,h1) ~ (g2,h2) iff g1 g2 is an edge of G, or g1 = g2 and
@@ -72,24 +67,5 @@ def cartesian(g: Graph, h: Graph) -> tuple[Graph, ProductIndex]:
     return Graph(idx.size, tuple(rows)), idx
 
 
-def h_layer(idx: ProductIndex, g: int) -> frozenset[int]:
-    """Product vertices of the copy of H sitting above G-vertex g."""
-    if not (0 <= g < idx.ng):
-        raise PreconditionError(f"G-vertex {g} out of range")
-    base = g * idx.nh
-    return frozenset(range(base, base + idx.nh))
-
-
-def g_layer(idx: ProductIndex, h: int) -> frozenset[int]:
-    """Product vertices of the copy of G through H-vertex h."""
-    if not (0 <= h < idx.nh):
-        raise PreconditionError(f"H-vertex {h} out of range")
-    return frozenset(g * idx.nh + h for g in range(idx.ng))
-
-
 def project_g(idx: ProductIndex, vertices) -> frozenset[int]:
     return frozenset(idx.decode(v)[0] for v in vertices)
-
-
-def project_h(idx: ProductIndex, vertices) -> frozenset[int]:
-    return frozenset(idx.decode(v)[1] for v in vertices)

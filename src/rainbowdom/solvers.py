@@ -212,9 +212,7 @@ def _rainbow_fixed(
     k: int,
     w_cap: int,
     *,
-    forced: dict[int, int] | None = None,
     require_full: bool = False,
-    require_all_colors: bool = False,
     symmetry: bool = True,
     stats: list[int],
     node_budget: int,
@@ -234,24 +232,17 @@ def _rainbow_fixed(
     supplied = [0] * (n + 1)  # supplied[i] = vertices with a neighbor of index >= i
     for i in range(n - 1, -1, -1):
         supplied[i] = supplied[i + 1] | nbr[i]
-    if forced:
-        symmetry = False
-        for v, m in forced.items():
-            if not (0 <= v < n) or m & ~fullc:
-                raise PreconditionError("bad forced assignment")
     prefix_masks = {0} | {(1 << t) - 1 for t in range(1, k + 1)}
 
     masks = [0] * n
     seen = [0] * k  # seen[c] = vertices adjacent to an assigned vertex carrying c
 
-    def dfs(i: int, wt: int, usedc: int, has_full: bool, any_nonempty: bool, zero: int):
+    def dfs(i: int, wt: int, has_full: bool, any_nonempty: bool, zero: int):
         stats[0] += 1
         if stats[0] > node_budget:
             raise BudgetError(f"node budget {node_budget} exhausted")
         if i == n:
             if require_full and not has_full:
-                return None
-            if require_all_colors and usedc != fullc:
                 return None
             if collector is not None:
                 collector.append(tuple(masks))
@@ -259,12 +250,8 @@ def _rainbow_fixed(
                     raise _EnumStop
                 return None
             return tuple(masks)
-        if forced is not None and i in forced:
-            options = (forced[i],)
-        else:
-            options = range(fullc + 1)
         future = supplied[i + 1]
-        for m in options:
+        for m in range(fullc + 1):
             mw = m.bit_count()
             if wt + mw > w_cap:
                 continue
@@ -279,7 +266,6 @@ def _rainbow_fixed(
                 snapshot = seen.copy()
                 for c in iter_bits(m):
                     seen[c] |= nbr[i]
-            used2 = usedc | m
             full2 = has_full or m == fullc
             ok = True
             bound = 0
@@ -295,12 +281,10 @@ def _rainbow_fixed(
                         if cc > maxcov:
                             maxcov = cc
                     bound += -(-need.bit_count() // maxcov)
-                elif require_all_colors and not (used2 >> c) & 1:
-                    bound += 1
             if ok:
                 extra = k if (require_full and not full2) else 0
                 if wt + mw + max(bound, extra) <= w_cap:
-                    r = dfs(i + 1, wt + mw, used2, full2, any_nonempty or m != 0, zero2)
+                    r = dfs(i + 1, wt + mw, full2, any_nonempty or m != 0, zero2)
                     if r is not None:
                         if snapshot is not None:
                             seen[:] = snapshot
@@ -310,7 +294,7 @@ def _rainbow_fixed(
         return None
 
     try:
-        return dfs(0, 0, 0, False, False, 0)
+        return dfs(0, 0, False, False, 0)
     except _EnumStop:
         return None
 
@@ -528,16 +512,18 @@ def pair_witness(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PairWit
     2-RDF uses the label {1,2}.
     """
     base = min_rainbow(h, 2, node_budget=node_budget)
-    stats = [0]
-    r = _rainbow_fixed(
-        h, 2, base.value, require_full=True, stats=stats, node_budget=node_budget
-    )
+    return _pair_search(h, base.value, node_budget)
+
+
+def _pair_search(h: Graph, rd2: int, node_budget: int) -> PairWitness | None:
+    """pair_witness for an h whose 2-rainbow number rd2 is already known."""
+    r = _rainbow_fixed(h, 2, rd2, require_full=True, stats=[0], node_budget=node_budget)
     if r is None:
         return None
     masks = list(r)
     u = next(i for i, m in enumerate(masks) if m == 3)
     v = None
-    if base.value == 3:
+    if rd2 == 3:
         v = next(i for i, m in enumerate(masks) if m and i != u)
         if masks[v] == 2:
             masks = [_swap12(m) for m in masks]

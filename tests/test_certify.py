@@ -18,9 +18,9 @@ from rainbowdom import (
     is_k_rainbow_dominating,
     lexicographic,
     min_couple_cost,
-    min_dominating_set,
     min_rainbow,
     min_total_dominating_set,
+    pair_witness,
     projection_property,
     to_graph6,
     verify_corpus,
@@ -69,11 +69,14 @@ class TestClassifyH:
         for h in corpus5:
             cls = classify_h(h)
             assert cls.rd2 == min_rainbow(h, 2).value
-            assert cls.gamma == min_dominating_set(h).value
             assert cls.labeling.weight == cls.rd2
             assert is_k_rainbow_dominating(h, cls.labeling)
+            # the pair is kept only where the case code reads it
+            assert (cls.pair is not None) == (cls.tag == "RdH3Pair")
             if cls.tag == "RdH3Pair":
-                assert cls.pair is not None and cls.rd2 == 3
+                assert cls.rd2 == 3 and cls.pair == pair_witness(h)
+            elif cls.rd2 == 3:
+                assert pair_witness(h) is None
 
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
@@ -177,6 +180,80 @@ class TestRefine:
         assert cert.case == "ComponentSum"
         assert cert.notes == (f"component [0, 1, 2, 3, 4]: {note}",
                               f"component [5, 6, 7, 8, 9]: {note}")
+
+
+# every solve a certificate can make, by the module that defines it
+SOLVES = {
+    "solvers": ("min_rainbow", "min_dominating_set", "min_total_dominating_set",
+                "pair_witness", "_pair_search", "_min_rainbow_lex"),
+    "couples": ("min_couple_cost",),
+}
+
+
+@pytest.fixture
+def solve_log(monkeypatch):
+    """Record (solve, graph) for every solve, wherever the package binds it."""
+    import sys
+
+    log = []
+    mods = [m for name, m in sys.modules.items() if name.startswith("rainbowdom")]
+    for home, names in SOLVES.items():
+        for fname in names:
+            orig = getattr(sys.modules[f"rainbowdom.{home}"], fname)
+
+            def counted(g, *args, _orig=orig, _name=fname, **kwargs):
+                log.append((_name, g))
+                return _orig(g, *args, **kwargs)
+
+            for mod in mods:
+                for attr, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+    return log
+
+
+class TestSolveOnce:
+    """One certificate solves each sub-problem once: rd_2(h) exactly once,
+    the pair search only when rd_2(h) = 3, and gamma, gamma_t and the couple
+    optimum at most once per component of g."""
+
+    @pytest.mark.parametrize("g, h, case, solves", [
+        (gen_path(8), gen_path(2), "RdH2", {"min_dominating_set"}),
+        (gen_path(8), gen_path(6), "RdH4Plus", {"min_total_dominating_set"}),
+        (gen_path(8), gen_double_c4(), "RdH3NoPair", {"_pair_search", "min_couple_cost"}),
+        # the couple optimum 8 is the upper bound, and the refine runs
+        (gen_path(8), gen_path(4), "RdH3Pair",
+         {"_pair_search", "min_dominating_set", "min_total_dominating_set",
+          "min_couple_cost", "_min_rainbow_lex"}),
+        # the path tiling (11) beats the couple optimum (12), and the refine runs
+        (gen_path(12), gen_path(4), "RdH3Pair",
+         {"_pair_search", "min_dominating_set", "min_total_dominating_set",
+          "min_couple_cost", "_min_rainbow_lex"}),
+        (gen_path(4), gen_path(4), "GammaEqGammaT",
+         {"_pair_search", "min_dominating_set", "min_total_dominating_set"}),
+    ], ids=["P8xP2", "P8xP6", "P8xDC4", "P8xP4", "P12xP4", "P4xP4"])
+    def test_connected_g(self, solve_log, g, h, case, solves):
+        cert = certify_rd_lex(g, h, node_budget=20000)
+        assert cert.case == case
+        assert solve_log[0] == ("min_rainbow", h)
+        rest = solve_log[1:]
+        assert sorted(name for name, _ in rest) == sorted(solves)
+        assert all(graph == (h if name == "_pair_search" else g) for name, graph in rest)
+
+    def test_disconnected_g(self, solve_log):
+        # P5 is RdH3Pair (gamma 2 < gamma_t 3), C4 is GammaEqGammaT
+        g = from_edge_list(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
+        h = gen_path(4)
+        cert = certify_rd_lex(g, h, node_budget=20000)
+        assert [part.case for _, part in cert.parts] == ["RdH3Pair", "GammaEqGammaT"]
+        assert solve_log[:2] == [("min_rainbow", h), ("_pair_search", h)]
+        p5, c4 = gen_path(5), gen_cycle(4)
+        assert sorted((name, graph.n) for name, graph in solve_log[2:]) == sorted([
+            ("min_dominating_set", 5), ("min_total_dominating_set", 5),
+            ("min_couple_cost", 5), ("_min_rainbow_lex", 5),
+            ("min_dominating_set", 4), ("min_total_dominating_set", 4),
+        ])
+        assert all(graph in (p5, c4) for _, graph in solve_log[2:])
 
 
 class TestComponentSum:

@@ -7,6 +7,7 @@ from rainbowdom import (
     NotDisjointError,
     NotDominatingCoupleError,
     couple_labeling,
+    from_edge_list,
     gen_cycle,
     gen_path,
     gen_star,
@@ -16,6 +17,7 @@ from rainbowdom import (
     is_total_dominating_set,
     lexicographic,
     min_couple_cost,
+    min_rainbow,
 )
 
 from conftest import brute_is_couple, brute_min_couple_cost
@@ -147,14 +149,20 @@ class TestCoupleLabeling:
         # the copied labeling inside a B-layer must carry all k colors, or
         # the empty layers above non-B vertices would go unserved
         g = gen_path(2)
-        h = gen_cycle(4)
-        f = couple_labeling(g, h, 2, DominatingCouple(frozenset(), frozenset({0})))
-        used = 0
-        for m in f.masks:
-            used |= m
-        assert used == 3
-        prod, _ = lexicographic(g, h)
-        assert is_k_rainbow_dominating(prod, f)
+        # P4 numbered 0-3-2-1: its minimum 4-rainbow labeling found first is
+        # {1} everywhere, so the copy has to be recolored (the one such case
+        # among all connected graphs up to 7 vertices and k in {2, 3, 4})
+        p4 = from_edge_list(4, [(0, 3), (1, 2), (2, 3)])
+        assert min_rainbow(p4, 4).witness.masks == (1, 1, 1, 1)
+        for h, k in [(gen_cycle(4), 2), (p4, 4)]:
+            f = couple_labeling(g, h, k, DominatingCouple(frozenset(), frozenset({0})))
+            used = 0
+            for m in f.masks:
+                used |= m
+            assert used == (1 << k) - 1
+            assert f.weight == min_rainbow(h, k).value
+            prod, _ = lexicographic(g, h)
+            assert is_k_rainbow_dominating(prod, f)
 
 
 class TestCoupleCoverSearch:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import networkx as nx
 import pytest
@@ -8,7 +9,6 @@ from rainbowdom import (
     Graph,
     ParseError,
     canonical_form,
-    canonical_graph,
     components,
     enumerate_connected_graphs,
     format_edge_list,
@@ -211,7 +211,19 @@ class TestIsomorphism:
             relabeled = from_edge_list(
                 g.n, [(perm[u], perm[v]) for u, v in g.edges()])
             assert canonical_form(relabeled) == canonical_form(g)
-            assert canonical_graph(relabeled) == canonical_graph(g)
+
+    def test_canonical_form_refuses_beyond_seven_vertices(self):
+        # C12 took over a minute and K10 29 s before the guard
+        for g in (gen_cycle(12), gen_complete(10), gen_path(8)):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError):
+                canonical_form(g)
+            with pytest.raises(CapacityError):
+                is_isomorphic(g, g)
+            assert time.perf_counter() - start < 1.0
+        # order, size and degrees still tell larger graphs apart
+        assert not is_isomorphic(gen_cycle(12), gen_path(12))
+        assert not is_isomorphic(gen_complete(10), gen_complete(11))
 
     def test_non_isomorphic_same_degrees(self):
         # C_6 vs two triangles: same degree sequence, different graphs

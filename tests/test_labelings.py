@@ -4,7 +4,6 @@ import pytest
 
 from rainbowdom import (
     ParseError,
-    ProductIndex,
     RainbowLabeling,
     cartesian,
     dominating_set_to_rdf,
@@ -13,13 +12,10 @@ from rainbowdom import (
     gen_cycle,
     gen_path,
     gen_star,
-    induced_partition,
     is_dominating_set,
     is_k_rainbow_dominating,
-    layer_contribution,
     parse_labeling,
     rdf_to_dominating_set,
-    weight,
 )
 
 from conftest import brute_valid_rdf
@@ -34,7 +30,6 @@ class TestRainbowLabeling:
     def test_weight(self):
         f = RainbowLabeling(2, (3, 0, 1, 2))
         assert f.weight == 4
-        assert weight(f) == 4
 
     def test_rejects_bad_mask(self):
         with pytest.raises(ValueError):
@@ -60,14 +55,6 @@ class TestRainbowLabeling:
         with pytest.raises(ValueError):
             RainbowLabeling.from_sets(2, [{3}])
 
-    def test_induced_partition(self):
-        f = RainbowLabeling(2, (3, 0, 1, 0))
-        part = induced_partition(f)
-        assert part == {
-            frozenset({1, 2}): frozenset({0}),
-            frozenset(): frozenset({1, 3}),
-            frozenset({1}): frozenset({2}),
-        }
 
 
 class TestValidity:
@@ -125,14 +112,6 @@ class TestConversions:
         g = gen_path(4)
         with pytest.raises(ValueError):
             dominating_set_to_rdf(g, 2, {0})
-
-    def test_layer_contribution(self):
-        idx = ProductIndex(2, 3)
-        f = RainbowLabeling(2, (3, 0, 1, 2, 2, 0))
-        assert layer_contribution(idx, f, 0) == 3
-        assert layer_contribution(idx, f, 1) == 2
-        with pytest.raises(ValueError):
-            layer_contribution(idx, f, 2)
 
 
 class TestFormatParse:
