@@ -185,7 +185,7 @@ def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassifi
     elif rd.value >= 4:
         tag = "RdH4Plus"
     else:
-        pair = _pair_search(h, rd.value, node_budget)
+        pair = _pair_search(h, rd.value, node_budget - rd.nodes_explored)
         tag = "RdH3NoPair" if pair is None else "RdH3Pair"
     return HClassification(tag, rd.value, pair, rd.witness)
 
@@ -592,7 +592,7 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
             if exact.value < 2 * gamma_g:
                 violate(f"exact {exact.value} below 2*gamma {2 * gamma_g}")
 
-        cert = certify_rd_lex(g, h, refine=False, node_budget=node_budget)
+        cert = _certify_connected(g, h, hcls, refine=False, node_budget=node_budget)
         bump("case_value")
         if not (cert.lo <= exact.value <= cert.hi):
             violate(
@@ -654,8 +654,10 @@ def verify_corpus(
     enum_product_cap: int = 14,
     enum_cap: int = 100000,
 ) -> CorpusReport:
-    """Replay every certified claim against exact solves on the corpus of all
-    connected first factors with up to ng_max vertices."""
+    """Replay every certified claim against exact solves: all connected first
+    factors up to ng_max vertices times the connected second factors h_list."""
+    if not all(is_connected(h) for h in h_list):
+        raise DisconnectedError("the corpus replay needs connected second factors")
     start = time.monotonic()
     corpus = []
     for n in range(1, ng_max + 1):

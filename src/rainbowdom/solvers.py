@@ -2,19 +2,23 @@
 
 Two exact engines. The weighted cover engine (_min_weighted_cover) finds the
 cheapest family of sets, each with an integer cost, whose union covers a
-given set of elements: closed neighborhoods at unit cost give the domination
-number, open neighborhoods at unit cost the total domination number, and
-couples.min_couple_cost mixes both at two costs. It also gives the
-2-rainbow number of a lexicographic product g o h (_min_rainbow_lex) as one
-cover of V(g) x {1, 2} whose set costs are twelve small covers of h. The
-rainbow engine (_rainbow_fixed) assigns color sets vertex by vertex.
+given set of elements. Closed and open neighborhoods at unit cost give the
+domination and total domination numbers, and couples.min_couple_cost mixes
+both at two costs. The closed neighborhoods of g x K_2 give the minimum
+2-rainbow labelings in label order (enumerate_min_2rdfs, collect mode), and
+with one more element that only "{1,2} on u" sets cover, the pair witness.
+The 2-rainbow number of g o h (_min_rainbow_lex) is one cover of
+V(g) x {1, 2} whose set costs are twelve small covers of h. The rainbow
+engine (_rainbow_fixed) assigns color sets vertex by vertex for min_rainbow.
 
 Each engine starts from a greedy solution as the upper bound, then runs
 iterative deepening on the objective: each level is a depth-first search that
 branches on the lowest-index element (vertex) not yet satisfied, and prunes
 with an admissible bound on the remaining cost and, in the rainbow engine, an
-infeasibility test (a vertex that no future decision can fix). Searches count
-branch nodes against an explicit budget and raise instead of approximating.
+infeasibility test (a vertex that no future decision can fix). The collect
+mode instead decides the sets in index order at one given cost. Searches
+count branch nodes against an explicit budget and raise instead of
+approximating.
 
 Disconnected inputs are decomposed into components and the per-component
 results are merged, so every invariant is the sum over components.
@@ -31,8 +35,9 @@ from .errors import (
     IsolatedVertexError,
     PreconditionError,
 )
-from .graphs import Graph, components, induced_subgraph, iter_bits, max_degree
-from .labelings import RainbowLabeling
+from .graphs import Graph, components, gen_complete, induced_subgraph, iter_bits, max_degree
+from .labelings import RainbowLabeling, dominating_set_to_rdf
+from .products import cartesian
 
 DEFAULT_NODE_BUDGET = 10**8
 SOLVER_VERTEX_CAP = 64
@@ -91,7 +96,8 @@ def _greedy_cover(full: int, cover: list[int], cost: list[int]):
 
 
 def _min_weighted_cover(
-    full: int, cover: list[int], cost: list[int], stats: list[int], budget: int
+    full: int, cover: list[int], cost: list[int], stats: list[int], budget: int,
+    collect: list | None = None, max_cost: int | None = None, limit: int = 0,
 ):
     """Cheapest choice of sets cover[u], each at integer cost[u] >= 1, whose
     union covers `full`.
@@ -103,13 +109,14 @@ def _min_weighted_cover(
     class of cost c whose best set still covers maxcov_c uncovered elements
     needs at least |rem|*c/maxcov_c more cost on its own, so the minimum of
     that over the classes bounds what any completion pays. Returns the chosen
-    set indices, or None when infeasible.
+    set indices, or None when infeasible. With max_cost it searches that
+    one level only, and returns None when no cover costs at most max_cost.
+    With a collect list as well it instead appends the covers of cost <=
+    max_cost in lexicographic order of their sets' inclusion (set 0 first,
+    exclusion before inclusion), stopping once it holds limit + 1 of them.
+    It never includes a set that covers nothing new, so when max_cost is the
+    minimum cost it collects every cheapest cover, once.
     """
-    if full == 0:
-        return []
-    greedy = _greedy_cover(full, cover, cost)
-    if greedy is None:
-        return None
     by_cost: dict[int, int] = {}  # cost -> mask of the sets at that cost
     cover_by = [0] * full.bit_length()
     for u, s in enumerate(cover):
@@ -123,7 +130,7 @@ def _min_weighted_cover(
         """Lower bound on the cost of covering rem without the banned sets,
         or None when they cannot cover it."""
         need = rem.bit_count()
-        best = None
+        best = None if need else 0
         for c, members in classes:
             maxcov = 0
             for u in iter_bits(members & ~banned):
@@ -162,6 +169,37 @@ def _min_weighted_cover(
             local_ban |= 1 << u
         return None
 
+    def lex(i: int, covered: int, spent: int, chosen: list[int]) -> bool:
+        """Collect the covers extending chosen by sets >= i; True at limit + 1."""
+        stats[0] += 1
+        if stats[0] > budget:
+            raise BudgetError(f"node budget {budget} exhausted")
+        rem = full & ~covered
+        if not rem:
+            collect.append(list(chosen))
+            return len(collect) > limit
+        if rem & gone[i] or spent + bound(rem, (1 << i) - 1) > max_cost:
+            return False
+        if lex(i + 1, covered, spent, chosen):
+            return True
+        if not cover[i] & rem or spent + cost[i] > max_cost:
+            return False
+        chosen.append(i)
+        stop = lex(i + 1, covered | cover[i], spent + cost[i], chosen)
+        chosen.pop()
+        return stop
+
+    if collect is not None:
+        gone = [full] * (len(cover) + 1)  # gone[i]: what no set >= i covers
+        for i in range(len(cover) - 1, -1, -1):
+            gone[i] = gone[i + 1] & ~cover[i]
+        lex(0, 0, 0, [])
+        return None
+    if max_cost is not None:
+        return dfs(0, 0, 0, [], max_cost)
+    greedy = _greedy_cover(full, cover, cost)
+    if greedy is None:
+        return None
     ub = sum(cost[u] for u in greedy)
     for cap in range(bound(full, 0), ub):
         r = dfs(0, 0, 0, [], cap)
@@ -203,28 +241,13 @@ def min_total_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
 # rainbow labeling engine
 
 
-class _EnumStop(Exception):
-    pass
-
-
-def _rainbow_fixed(
-    g: Graph,
-    k: int,
-    w_cap: int,
-    *,
-    require_full: bool = False,
-    symmetry: bool = True,
-    stats: list[int],
-    node_budget: int,
-    collector: list | None = None,
-    collect_limit: int = 0,
-):
-    """Depth-limited search for a valid k-rainbow labeling of weight <= w_cap.
+def _rainbow_fixed(g: Graph, k: int, w_cap: int, *, stats: list[int], node_budget: int):
+    """min_rainbow's search for a valid k-rainbow labeling of weight <= w_cap.
 
     Vertices are assigned in index order and label values are tried in
-    ascending mask order, so the first solution is the lexicographically
-    smallest one within the weight cap. With a collector, every solution is
-    recorded (up to collect_limit) instead of stopping at the first.
+    ascending mask order. The first nonempty label is {1}, {1,2}, ... (a color
+    permutation maps any labeling to such a one), so the first solution is
+    the lexicographically smallest of those within the weight cap.
     """
     n = g.n
     fullc = (1 << k) - 1
@@ -237,25 +260,18 @@ def _rainbow_fixed(
     masks = [0] * n
     seen = [0] * k  # seen[c] = vertices adjacent to an assigned vertex carrying c
 
-    def dfs(i: int, wt: int, has_full: bool, any_nonempty: bool, zero: int):
+    def dfs(i: int, wt: int, any_nonempty: bool, zero: int):
         stats[0] += 1
         if stats[0] > node_budget:
             raise BudgetError(f"node budget {node_budget} exhausted")
         if i == n:
-            if require_full and not has_full:
-                return None
-            if collector is not None:
-                collector.append(tuple(masks))
-                if len(collector) >= collect_limit:
-                    raise _EnumStop
-                return None
             return tuple(masks)
         future = supplied[i + 1]
         for m in range(fullc + 1):
             mw = m.bit_count()
             if wt + mw > w_cap:
                 continue
-            if symmetry and not any_nonempty and m and m not in prefix_masks:
+            if not any_nonempty and m and m not in prefix_masks:
                 continue
             masks[i] = m
             snapshot = None
@@ -266,7 +282,6 @@ def _rainbow_fixed(
                 snapshot = seen.copy()
                 for c in iter_bits(m):
                     seen[c] |= nbr[i]
-            full2 = has_full or m == fullc
             ok = True
             bound = 0
             for c in range(k):
@@ -281,55 +296,32 @@ def _rainbow_fixed(
                         if cc > maxcov:
                             maxcov = cc
                     bound += -(-need.bit_count() // maxcov)
-            if ok:
-                extra = k if (require_full and not full2) else 0
-                if wt + mw + max(bound, extra) <= w_cap:
-                    r = dfs(i + 1, wt + mw, full2, any_nonempty or m != 0, zero2)
-                    if r is not None:
-                        if snapshot is not None:
-                            seen[:] = snapshot
-                        return r
+            if ok and wt + mw + bound <= w_cap:
+                r = dfs(i + 1, wt + mw, any_nonempty or m != 0, zero2)
+                if r is not None:
+                    if snapshot is not None:
+                        seen[:] = snapshot
+                    return r
             if snapshot is not None:
                 seen[:] = snapshot
         return None
 
-    try:
-        return dfs(0, 0, False, False, 0)
-    except _EnumStop:
-        return None
-
-
-def _rainbow_greedy(g: Graph, k: int) -> tuple[int, ...]:
-    # full label on a greedy dominating set is always valid
-    cover = [g.closed(v) for v in range(g.n)]
-    chosen = _greedy_cover(g.full_mask, cover, [1] * g.n) or []
-    masks = [0] * g.n
-    for v in chosen:
-        masks[v] = (1 << k) - 1
-    return tuple(masks)
+    return dfs(0, 0, False, 0)
 
 
 def _rainbow_min_component(
     g: Graph, k: int, stats: list[int], node_budget: int
 ) -> tuple[int, ...]:
-    if g.n == 0:
-        return ()
-    greedy = _rainbow_greedy(g, k)
-    ub = sum(m.bit_count() for m in greedy)
+    # the full label on a greedy dominating set is always valid
+    chosen = _greedy_cover(g.full_mask, [g.closed(v) for v in range(g.n)], [1] * g.n)
+    greedy = tuple((1 << k) - 1 if v in chosen else 0 for v in range(g.n))
+    ub = len(chosen) * k
     lb = max(1, -(-g.n // (max_degree(g) + 1)))
     for cap in range(lb, ub):
         r = _rainbow_fixed(g, k, cap, stats=stats, node_budget=node_budget)
         if r is not None:
             return r
     return greedy
-
-
-def _merge_component_masks(g: Graph, per_comp: list[tuple[list[int], tuple[int, ...]]]) -> tuple[int, ...]:
-    merged = [0] * g.n
-    for back, masks in per_comp:
-        for i, m in enumerate(masks):
-            merged[back[i]] = m
-    return tuple(merged)
 
 
 def _validate_k(k: int):
@@ -345,13 +337,12 @@ def min_rainbow(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     """
     _validate_k(k)
     _check_cap(g)
-    stats = [0]
-    parts = []
+    stats, masks = [0], [0] * g.n
     for comp in components(g):
         sub, back = induced_subgraph(g, comp)
-        parts.append((back, _rainbow_min_component(sub, k, stats, node_budget)))
-    masks = _merge_component_masks(g, parts)
-    labeling = RainbowLabeling(k, masks)
+        for i, m in enumerate(_rainbow_min_component(sub, k, stats, node_budget)):
+            masks[back[i]] = m
+    labeling = RainbowLabeling(k, tuple(masks))
     return SolveResult(labeling.weight, labeling, stats[0])
 
 
@@ -360,10 +351,6 @@ def min_rainbow_via_cartesian(
 ) -> SolveResult:
     """Minimum k-rainbow domination computed as a minimum dominating set of
     the Cartesian product with K_k, then mapped back to a labeling."""
-    from .graphs import gen_complete
-    from .labelings import dominating_set_to_rdf
-    from .products import cartesian
-
     _validate_k(k)
     if g.n * k > SOLVER_VERTEX_CAP:
         raise CapacityError(
@@ -473,58 +460,79 @@ def _min_rainbow_lex(
     return SolveResult(labeling.weight, labeling, stats[0])
 
 
+def _rainbow_cover(g: Graph) -> list[int]:
+    """The closed neighborhoods of the Cartesian product g x K_2, element and
+    set 2v + t standing for color 2 - t on v: a choice of sets is a
+    2-labeling of its size, valid iff the sets cover every element."""
+    cover = []
+    for v in range(g.n):
+        spread = sum(1 << 2 * w for w in iter_bits(g.adj[v]))
+        cover += [3 << 2 * v | spread, 3 << 2 * v | spread << 1]
+    return cover
+
+
 def enumerate_min_2rdfs(
     g: Graph, cap: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ):
     """Yield every minimum 2-rainbow dominating labeling of g, without
     duplicates, in lexicographic label order. Raises CapExceededError after
-    yielding `cap` labelings if more exist; treat the results as partial."""
+    yielding `cap` labelings if more exist; treat the results as partial.
+
+    After min_rainbow, the collect mode of the cover engine lists the covers
+    of _rainbow_cover(g) at that weight in label order (set 2v, color 2, is
+    the higher mask bit of v, so it is decided first) and stops at cap + 1:
+    the work grows with cap, not with how many labelings exist. Both
+    searches draw on the one node budget."""
     if cap <= 0:
         raise PreconditionError("cap must be positive")
     base = min_rainbow(g, 2, node_budget=node_budget)
-    stats = [0]
-    found: list[tuple[int, ...]] = []
-    _rainbow_fixed(
-        g,
-        2,
-        base.value,
-        symmetry=False,
-        stats=stats,
-        node_budget=node_budget,
-        collector=found,
-        collect_limit=cap + 1,
-    )
-    for masks in found[:cap]:
-        yield RainbowLabeling(2, masks)
+    cover, found = _rainbow_cover(g), []
+    _min_weighted_cover((1 << len(cover)) - 1, cover, [1] * len(cover), [base.nodes_explored],
+                        node_budget, found, base.value, cap)
+    for chosen in found[:cap]:
+        masks = [0] * g.n
+        for i in chosen:
+            masks[i // 2] |= 2 - i % 2
+        yield RainbowLabeling(2, tuple(masks))
     if len(found) > cap:
         raise CapExceededError(f"more than {cap} minimum labelings exist")
-
-
-def _swap12(mask: int) -> int:
-    return ((mask & 1) << 1) | ((mask >> 1) & 1)
 
 
 def pair_witness(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PairWitness | None:
     """Search for a minimum 2-RDF of h that assigns {1,2} somewhere.
 
-    Runs one search constrained to contain a full label and compares its
-    weight against the unconstrained optimum. Returns None iff no minimum
-    2-RDF uses the label {1,2}.
+    Solves the 2-rainbow number of h, then runs the pair search on the rest
+    of the node budget. Returns None iff no minimum 2-RDF uses the label
+    {1,2}.
     """
     base = min_rainbow(h, 2, node_budget=node_budget)
-    return _pair_search(h, base.value, node_budget)
+    return _pair_search(h, base.value, node_budget - base.nodes_explored)
 
 
-def _pair_search(h: Graph, rd2: int, node_budget: int) -> PairWitness | None:
-    """pair_witness for an h whose 2-rainbow number rd2 is already known."""
-    r = _rainbow_fixed(h, 2, rd2, require_full=True, stats=[0], node_budget=node_budget)
-    if r is None:
+def _pair_search(h: Graph, rd2: int, budget: int) -> PairWitness | None:
+    """pair_witness for an h whose 2-rainbow number rd2 is already known.
+
+    One level, cost rd2, of the cover engine over the elements of
+    _rainbow_cover(h), moved up one bit, and a "pair used" element at bit 0,
+    which only the cost-2 sets "{1,2} on u" cover. Per vertex u the sets are
+    3u ({1,2}), 3u + 1 ({2}) and 3u + 2 ({1}). The search branches on the
+    lowest uncovered element, the pair element first, so u is tried in
+    index order. A pair exists iff some cover costs rd2 (none costs less).
+    """
+    units, cover = _rainbow_cover(h), []
+    for a, b in zip(units[::2], units[1::2]):
+        cover += [(a | b) << 1 | 1, a << 1, b << 1]
+    chosen = _min_weighted_cover((2 << 2 * h.n) - 1, cover, [2, 1, 1] * h.n, [0], budget,
+                                 max_cost=rd2)
+    if chosen is None:
         return None
-    masks = list(r)
+    masks = [0] * h.n
+    for i in chosen:
+        masks[i // 3] |= 3 - i % 3
     u = next(i for i, m in enumerate(masks) if m == 3)
     v = None
     if rd2 == 3:
         v = next(i for i, m in enumerate(masks) if m and i != u)
         if masks[v] == 2:
-            masks = [_swap12(m) for m in masks]
+            masks = [(m & 1) << 1 | m >> 1 for m in masks]  # swap colors 1 and 2
     return PairWitness(u, v, RainbowLabeling(2, tuple(masks)))

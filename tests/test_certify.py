@@ -25,7 +25,7 @@ from rainbowdom import (
     to_graph6,
     verify_corpus,
 )
-from rainbowdom.solvers import _min_rainbow_lex
+from rainbowdom.solvers import _min_rainbow_lex, _pair_search
 
 from conftest import brute_min_dominating, brute_min_rainbow
 
@@ -81,6 +81,15 @@ class TestClassifyH:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
             classify_h(from_edge_list(4, [(0, 1), (2, 3)]))
+
+    def test_one_budget_for_the_call(self):
+        # rd_2 = 3, so the pair search runs, on what the rd_2 solve left
+        h = gen_double_c4()
+        rd = min_rainbow(h, 2)
+        assert _pair_search(h, rd.value, rd.nodes_explored) is None
+        assert classify_h(h, node_budget=rd.nodes_explored + 100).tag == "RdH3NoPair"
+        with pytest.raises(BudgetError):
+            classify_h(h, node_budget=rd.nodes_explored)
 
 
 class TestCertifyCases:
@@ -391,6 +400,11 @@ class TestVerifyCorpus:
         rep = verify_corpus(3, [gen_cycle(4)], 8)
         assert rep.skips  # the 3-vertex factors exceed an 8-vertex product cap
         assert rep.ok
+
+    def test_refuses_disconnected_h(self):
+        # refused before any task runs, instead of one violation per task
+        with pytest.raises(DisconnectedError):
+            verify_corpus(3, [gen_path(4), from_edge_list(4, [(0, 1), (2, 3)])], 42)
 
     def test_task_fault_is_a_violation(self, monkeypatch):
         import rainbowdom.certify as certify_mod

@@ -267,6 +267,14 @@ class TestVerify:
         assert data["violations"] == []
         assert data["wall_seconds"] > 0
 
+    def test_disconnected_h_refused(self, capsys, tmp_path):
+        p = tmp_path / "twok2.txt"
+        p.write_text("4 2\n0 1\n2 3\n")
+        rc, out, err = run(capsys, "verify", "--ng", "3", "--h", str(p),
+                           "--cap", "42", "--format", "edges")
+        assert rc == 5
+        assert "connected second factors" in err and out == ""
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -26,7 +26,7 @@ from rainbowdom import (
     min_total_dominating_set,
     pair_witness,
 )
-from rainbowdom.solvers import _layer_costs, _min_rainbow_lex
+from rainbowdom.solvers import _layer_costs, _min_rainbow_lex, _pair_search
 
 from conftest import (
     brute_layer_costs,
@@ -188,11 +188,11 @@ class TestEnumerate:
         got = [f.masks for f in enumerate_min_2rdfs(gen_path(2), 10)]
         assert got == [(0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0)]
 
-    def test_matches_brute_filter(self):
-        for g in (gen_path(2), gen_path(3), gen_path(4), gen_cycle(3),
-                  gen_cycle(4), gen_cycle(5), gen_star(4)):
+    def test_matches_brute_filter(self, corpus5):
+        for g in [gen_path(2), gen_path(3), gen_path(4), gen_cycle(3),
+                  gen_cycle(4), gen_cycle(5), gen_star(4)] + corpus5:
             got = sorted(f.masks for f in enumerate_min_2rdfs(g, 100000))
-            assert got == brute_min_2rdfs(g)
+            assert got == brute_min_2rdfs(g), g.adj
 
     def test_p4_count(self):
         assert sum(1 for _ in enumerate_min_2rdfs(gen_path(4), 100000)) == 12
@@ -210,6 +210,19 @@ class TestEnumerate:
             for f in enumerate_min_2rdfs(gen_path(2), 3):
                 seen.append(f.masks)
         assert seen == [(0, 3), (1, 1), (1, 2)]
+
+    @pytest.mark.parametrize("n_edges,cap", [(12, 10), (20, 40)])
+    def test_cap_bounds_the_work(self, n_edges, cap):
+        # n disjoint edges have 6**n minimum labelings; the search stops at the
+        # first cap + 1 in label order, well inside a small node budget
+        g = from_edge_list(2 * n_edges, [(2 * i, 2 * i + 1) for i in range(n_edges)])
+        k2 = [(0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0)]
+        want = [sum(p, ()) for p in itertools.islice(itertools.product(k2, repeat=n_edges), cap)]
+        seen = []
+        with pytest.raises(CapExceededError):
+            for f in enumerate_min_2rdfs(g, cap, node_budget=5000):
+                seen.append(f.masks)
+        assert seen == want
 
     def test_cap_exactly_count_is_silent(self):
         assert len(list(enumerate_min_2rdfs(gen_path(2), 6))) == 6
@@ -247,16 +260,26 @@ class TestPairWitness:
             assert pair_witness(h) is None
 
     def test_agrees_with_enumeration(self, corpus5):
-        # a pair witness exists iff some minimum labeling uses the full label
+        # a pair witness exists iff some minimum labeling uses the full label;
+        # the brute-force list is independent of the cover engine both share
         for g in corpus5:
-            enumerated = list(enumerate_min_2rdfs(g, 100000))
-            has_full = any(3 in f.masks for f in enumerated)
+            has_full = any(3 in masks for masks in brute_min_2rdfs(g))
             pw = pair_witness(g)
             assert (pw is not None) == has_full
             if pw is not None:
                 assert pw.labeling.masks[pw.u] == 3
                 assert pw.labeling.weight == min_rainbow(g, 2).value
                 assert is_k_rainbow_dominating(g, pw.labeling)
+
+    def test_one_budget_for_the_call(self):
+        # the rd_2 solve and the pair search each fit the budget alone, but the
+        # pair search runs on what the rd_2 solve left of it
+        h = gen_double_c4()
+        rd = min_rainbow(h, 2)
+        assert _pair_search(h, rd.value, rd.nodes_explored) is None
+        assert pair_witness(h, node_budget=rd.nodes_explored + 100) is None
+        with pytest.raises(BudgetError):
+            pair_witness(h, node_budget=rd.nodes_explored)
 
 
 # second factors of the layer reduction tests, disconnected ones included
