@@ -43,7 +43,14 @@ classification into its B-layers; and, when g is a path, the path tiling
 laid along g's path order from the pair witness.
 
 verify_corpus replays every claim above against brute-force-scale exact
-solves over a corpus of small first factors.
+solves over a corpus of small first factors. On products of at most
+enum_product_cap vertices it also checks the projection property: every
+minimum labeling projects onto dominating sets of the first factor (second
+factors on at least 3 vertices), and some minimum labeling does (h = K_2).
+Each is a yes/no question about the minimum covers of the closed
+neighborhoods of g o h x K_2, so it is decided by searches of the cover
+engine at the one cost rd_2(g o h) (_projection_gap,
+_dominating_projections), not by listing the minimum labelings.
 """
 
 from __future__ import annotations
@@ -68,7 +75,6 @@ from .constructions import (
 )
 from .errors import (
     BudgetError,
-    CapExceededError,
     DisconnectedError,
     PreconditionError,
     RainbowDomError,
@@ -90,9 +96,11 @@ from .solvers import (
     DEFAULT_NODE_BUDGET,
     SOLVER_VERTEX_CAP,
     PairWitness,
+    _cover_labeling,
     _min_rainbow_lex,
+    _min_weighted_cover,
     _pair_search,
-    enumerate_min_2rdfs,
+    _rainbow_cover,
     min_dominating_set,
     min_rainbow,
     min_rainbow_via_cartesian,
@@ -465,6 +473,64 @@ def projection_property(g: Graph, idx: ProductIndex, f: RainbowLabeling) -> tupl
     )
 
 
+def _projection_gap(
+    g: Graph, prod: Graph, nh: int, rd2: int, budget: int
+) -> tuple[int, RainbowLabeling] | None:
+    """A vertex a of g and a minimum 2-rainbow labeling of prod = g o h (h
+    on nh vertices, rd2 the 2-rainbow number of prod) whose color-1 support
+    projects onto a set that does not dominate a in g; None when every
+    minimum labeling has both projections dominating.
+
+    For each a in turn, one search at cost rd2 of the cover engine over
+    _rainbow_cover(prod) without the color-1 sets on the layers of N_g[a].
+    Swapping the colors maps minimum labelings onto minimum labelings, so a
+    color-2 gap exists iff a color-1 gap does. The searches share one node
+    counter.
+    """
+    cover, stats = _rainbow_cover(prod), [0]
+    for a in range(g.n):
+        cut = list(cover)
+        for b in iter_bits(g.closed(a)):
+            for p in range(b * nh, (b + 1) * nh):
+                cut[2 * p + 1] = 0
+        chosen = _min_weighted_cover((1 << len(cut)) - 1, cut, [1] * len(cut), stats, budget,
+                                     max_cost=rd2)
+        if chosen is not None:
+            return a, _cover_labeling(prod.n, chosen)
+    return None
+
+
+def _dominating_projections(
+    g: Graph, prod: Graph, nh: int, rd2: int, budget: int
+) -> RainbowLabeling | None:
+    """A minimum 2-rainbow labeling of prod = g o h (h on nh vertices, rd2
+    the 2-rainbow number of prod) whose color-1 and color-2 supports both
+    project onto dominating sets of g, or None when there is none.
+
+    One search at cost rd2 of the cover engine over _rainbow_cover(prod)
+    plus an element (a, c) for each vertex a of g and color c, at bit
+    2|prod| + 2a + t for color 2 - t, as in _rainbow_cover. Color c on a
+    vertex of layer b covers (a, c) for every a in N_g[b].
+    """
+    cover, base = _rainbow_cover(prod), 2 * prod.n
+    for p in range(prod.n):
+        spread = sum(1 << 2 * a for a in iter_bits(g.closed(p // nh))) << base
+        cover[2 * p] |= spread
+        cover[2 * p + 1] |= spread << 1
+    chosen = _min_weighted_cover((1 << (base + 2 * g.n)) - 1, cover, [1] * len(cover), [0],
+                                 budget, max_cost=rd2)
+    return None if chosen is None else _cover_labeling(prod.n, chosen)
+
+
+def _labels_text(nh: int, f: RainbowLabeling) -> str:
+    """The nonempty labels of a labeling of g o h as (a,x):{colors}."""
+    return " ".join(
+        f"({p // nh},{p % nh}):{{{','.join(str(c + 1) for c in iter_bits(m))}}}"
+        for p, m in enumerate(f.masks)
+        if m
+    )
+
+
 # ---------------------------------------------------------------------------
 # corpus verification
 
@@ -520,7 +586,7 @@ class CorpusReport:
 
 
 def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
-    (g6g, g6h, run_g_checks, product_cap, enum_product_cap, enum_cap, node_budget) = args
+    (g6g, g6h, run_g_checks, product_cap, enum_product_cap, node_budget) = args
     g = parse_graph6(g6g)
     h = parse_graph6(g6h)
     name = f"{g6g} o {g6h}"
@@ -538,26 +604,25 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
     try:
         gamma_g = min_dominating_set(g, node_budget=node_budget).value
         if run_g_checks:
+            rd = {k: min_rainbow(g, k, node_budget=node_budget).value for k in (1, 2, 3)}
             for k in (1, 2):
-                direct = min_rainbow(g, k, node_budget=node_budget).value
                 via = min_rainbow_via_cartesian(g, k, node_budget=node_budget).value
                 bump("rainbow_vs_cartesian")
-                if direct != via:
-                    violate(f"k={k}: direct {direct} != cartesian route {via}")
-            if min_rainbow(g, 1, node_budget=node_budget).value != gamma_g:
+                if rd[k] != via:
+                    violate(f"k={k}: direct {rd[k]} != cartesian route {via}")
+            if rd[1] != gamma_g:
                 violate("1-rainbow number differs from domination number")
             for k in (2, 3):
                 lo, hi = general_bounds(g, k, node_budget=node_budget)
-                val = min_rainbow(g, k, node_budget=node_budget).value
                 bump("general_bounds")
-                if not (lo <= val <= hi):
-                    violate(f"k={k}: value {val} outside general bounds [{lo},{hi}]")
+                if not (lo <= rd[k] <= hi):
+                    violate(f"k={k}: value {rd[k]} outside general bounds [{lo},{hi}]")
 
         if g.n * h.n > product_cap:
             skips.append(f"{name}: product has {g.n * h.n} > {product_cap} vertices")
             return checks, violations, notes, skips
 
-        prod, idx = lexicographic(g, h)
+        prod, _ = lexicographic(g, h)
         exact = min_rainbow(prod, 2, node_budget=node_budget)
         hcls = classify_h(h, node_budget=node_budget)
 
@@ -607,31 +672,20 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
             )
 
         if g.n >= 2 and h.n >= 3 and g.n * h.n <= enum_product_cap:
-            try:
-                all_good = True
-                for f in enumerate_min_2rdfs(prod, enum_cap, node_budget=node_budget):
-                    p1, p2 = projection_property(g, idx, f)
-                    if not (p1 and p2):
-                        all_good = False
-                bump("projection_all_minima")
-                if not all_good:
-                    violate("a minimum labeling has a non-dominating projection")
-            except CapExceededError:
-                skips.append(f"{name}: more than {enum_cap} minimum labelings")
+            gap = _projection_gap(g, prod, h.n, exact.value, node_budget)
+            bump("projection_all_minima")
+            if gap is not None:
+                a, f = gap
+                violate(
+                    f"minimum labeling {_labels_text(h.n, f)} has a color-1 projection "
+                    f"that does not dominate vertex {a} of the first factor"
+                )
 
         if g.n >= 2 and h.n == 2 and h.m == 1 and g.n * h.n <= enum_product_cap:
-            try:
-                found = False
-                for f in enumerate_min_2rdfs(prod, enum_cap, node_budget=node_budget):
-                    p1, p2 = projection_property(g, idx, f)
-                    if p1 and p2:
-                        found = True
-                        break
-                bump("projection_exists")
-                if not found:
-                    violate("no minimum labeling has both projections dominating")
-            except CapExceededError:
-                skips.append(f"{name}: more than {enum_cap} minimum labelings")
+            both = _dominating_projections(g, prod, h.n, exact.value, node_budget)
+            bump("projection_exists")
+            if both is None:
+                violate("no minimum labeling has both projections dominating")
     except BudgetError as exc:
         skips.append(f"{name}: budget exhausted ({exc})")
     except Exception as exc:
@@ -652,10 +706,16 @@ def verify_corpus(
     workers: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
     enum_product_cap: int = 14,
-    enum_cap: int = 100000,
 ) -> CorpusReport:
     """Replay every certified claim against exact solves: all connected first
-    factors up to ng_max vertices times the connected second factors h_list."""
+    factors up to ng_max vertices times the connected second factors h_list.
+
+    Products of at most product_cap vertices are solved directly, and that
+    value is the oracle for every check of the task. Products of at most
+    enum_product_cap vertices also get the projection checks, which are
+    complete: one-level cover searches at the oracle value decide them
+    whatever the number of minimum labelings.
+    """
     if not all(is_connected(h) for h in h_list):
         raise DisconnectedError("the corpus replay needs connected second factors")
     start = time.monotonic()
@@ -664,7 +724,7 @@ def verify_corpus(
         corpus.extend(enumerate_connected_graphs(n))
     h_names = tuple(to_graph6(h) for h in h_list)
     tasks = [
-        (to_graph6(g), g6h, hi == 0, product_cap, enum_product_cap, enum_cap, node_budget)
+        (to_graph6(g), g6h, hi == 0, product_cap, enum_product_cap, node_budget)
         for g in corpus
         for hi, g6h in enumerate(h_names)
     ]

@@ -253,7 +253,6 @@ def _cmd_verify(args) -> int:
         workers=args.workers,
         node_budget=args.budget,
         enum_product_cap=args.enum_product_cap,
-        enum_cap=args.enum_cap,
     )
     sys.stdout.write(report.to_text())
     if args.json:
@@ -338,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest product solved exactly")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--enum-product-cap", type=int, default=14)
-    p.add_argument("--enum-cap", type=int, default=100000)
     p.add_argument("--json", default=None, help="write a JSON summary here")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)

@@ -471,6 +471,15 @@ def _rainbow_cover(g: Graph) -> list[int]:
     return cover
 
 
+def _cover_labeling(n: int, chosen: list[int]) -> RainbowLabeling:
+    """The 2-labeling of an n-vertex graph that a choice of sets of
+    _rainbow_cover stands for."""
+    masks = [0] * n
+    for i in chosen:
+        masks[i // 2] |= 2 - i % 2
+    return RainbowLabeling(2, tuple(masks))
+
+
 def enumerate_min_2rdfs(
     g: Graph, cap: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ):
@@ -490,10 +499,7 @@ def enumerate_min_2rdfs(
     _min_weighted_cover((1 << len(cover)) - 1, cover, [1] * len(cover), [base.nodes_explored],
                         node_budget, found, base.value, cap)
     for chosen in found[:cap]:
-        masks = [0] * g.n
-        for i in chosen:
-            masks[i // 2] |= 2 - i % 2
-        yield RainbowLabeling(2, tuple(masks))
+        yield _cover_labeling(g.n, chosen)
     if len(found) > cap:
         raise CapExceededError(f"more than {cap} minimum labelings exist")
 

@@ -9,7 +9,9 @@ from rainbowdom import (
     certify_rd_lex,
     classify_h,
     enumerate_connected_graphs,
+    enumerate_min_2rdfs,
     from_edge_list,
+    gen_complete,
     gen_cycle,
     gen_double_c4,
     gen_path,
@@ -25,6 +27,8 @@ from rainbowdom import (
     to_graph6,
     verify_corpus,
 )
+from rainbowdom.certify import _dominating_projections, _projection_gap
+from rainbowdom.graphs import iter_bits
 from rainbowdom.solvers import _min_rainbow_lex, _pair_search
 
 from conftest import brute_min_dominating, brute_min_rainbow
@@ -361,6 +365,62 @@ class TestProjectionProperty:
         idx = ProductIndex(2, 2)
         with pytest.raises(ValueError):
             projection_property(g, idx, RainbowLabeling(2, (1, 0)))
+
+
+class TestProjectionSearch:
+    # second factors of 1 to 4 vertices, the disconnected ones included
+    SMALL_H = (
+        gen_complete(1), gen_complete(2), from_edge_list(2, []), gen_path(3), gen_complete(3),
+        from_edge_list(3, []), from_edge_list(3, [(0, 1)]), gen_path(4),
+    )
+
+    def test_agrees_with_enumeration(self):
+        outcomes = set()
+        for n in range(1, 5):
+            for g in enumerate_connected_graphs(n):
+                for h in self.SMALL_H:
+                    if g.n * h.n > 14:
+                        continue
+                    prod, idx = lexicographic(g, h)
+                    rd2 = min_rainbow(prod, 2).value
+                    props = [projection_property(g, idx, f)
+                             for f in enumerate_min_2rdfs(prod, 10**6)]
+                    gap = _projection_gap(g, prod, h.n, rd2, 10**6)
+                    both = _dominating_projections(g, prod, h.n, rd2, 10**6)
+                    where = (g.adj, h.adj)
+                    assert (gap is None) == all(p1 and p2 for p1, p2 in props), where
+                    assert (both is None) == (not any(p1 and p2 for p1, p2 in props)), where
+                    outcomes.add((gap is None, both is None))
+                    if gap is not None:
+                        a, f = gap
+                        assert f.weight == rd2 and is_k_rainbow_dominating(prod, f)
+                        # no vertex of the layers of N_g[a] carries color 1
+                        assert not any(f.masks[p] & 1 for b in iter_bits(g.closed(a))
+                                       for p in range(b * h.n, (b + 1) * h.n))
+                    if both is not None:
+                        assert both.weight == rd2 and is_k_rainbow_dominating(prod, both)
+                        assert projection_property(g, idx, both) == (True, True)
+        # each check meets both of its answers on this corpus
+        assert {gap_none for gap_none, _ in outcomes} == {True, False}
+        assert {both_none for _, both_none in outcomes} == {True, False}
+
+    def test_gap_is_one_violation(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        h = gen_path(3)
+        fake = RainbowLabeling(2, (3, 0, 0, 0, 0, 0))
+
+        def gap_on_p2(g, prod, nh, rd2, budget):
+            return (1, fake) if g.n == 2 else None
+
+        monkeypatch.setattr(certify_mod, "_projection_gap", gap_on_p2)
+        rep = verify_corpus(3, [h], 14)
+        assert rep.checks["projection_all_minima"] == 3
+        name = f"{to_graph6(gen_path(2))} o {to_graph6(h)}"
+        assert rep.violations == [
+            f"{name}: minimum labeling (0,0):{{1,2}} has a color-1 projection "
+            "that does not dominate vertex 1 of the first factor"
+        ]
 
 
 class TestVerifyCorpus:

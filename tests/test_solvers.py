@@ -125,6 +125,31 @@ def test_pinned_node_counts(name):
         assert (res.value, res.nodes_explored, tuple(sorted(res.witness))) == pin, solve.__name__
 
 
+# (value, nodes_explored, witness masks) of rd_2 and rd_3 by min_rainbow's
+# direct search, on graphs of NODE_PINS: the counts of the search that a
+# move of min_rainbow to the cover engine will replace
+RAINBOW_PINS = {
+    "P10": ((6, 681, (0, 3, 0, 1, 0, 2, 0, 1, 0, 2)),
+            (8, 16283, (1, 0, 6, 0, 1, 0, 6, 0, 1, 1))),
+    "C12": ((6, 791, (0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2)),
+            (9, 63469, (0, 1, 0, 6, 0, 1, 0, 6, 0, 1, 0, 6))),
+    "DC4": ((3, 40, (1, 0, 2, 0, 0, 2, 0)), (4, 189, (3, 0, 4, 0, 0, 4, 0))),
+    "K1,5": ((2, 2, (3, 0, 0, 0, 0, 0)), (3, 8, (7, 0, 0, 0, 0, 0))),
+    "dense16": ((6, 3169, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3)),
+                (7, 15729, (0, 0, 0, 3, 4, 0, 1, 0, 4, 4, 0, 0, 0, 4, 0, 0))),
+    "P5+C7": ((7, 75, (1, 0, 2, 0, 1, 0, 1, 0, 2, 0, 1, 2)),
+              (10, 806, (1, 0, 6, 0, 1, 0, 1, 0, 6, 0, 1, 6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAINBOW_PINS))
+def test_pinned_rainbow_node_counts(name):
+    g = NODE_PINS[name][0]
+    for k, pin in zip((2, 3), RAINBOW_PINS[name]):
+        res = min_rainbow(g, k)
+        assert (res.value, res.nodes_explored, res.witness.masks) == pin, k
+
+
 class TestMinRainbow:
     def test_matches_oracle_k2(self, corpus5):
         for g in corpus5:
