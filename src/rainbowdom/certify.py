@@ -43,11 +43,14 @@ classification into its B-layers; and, when g is a path, the path tiling
 laid along g's path order from the pair witness.
 
 verify_corpus replays every claim above against brute-force-scale exact
-solves over a corpus of small first factors. On products of at most
-enum_product_cap vertices it also checks the projection property: every
-minimum labeling projects onto dominating sets of the first factor (second
-factors on at least 3 vertices), and some minimum labeling does (h = K_2).
-Each is a yes/no question about the minimum covers of the closed
+solves over a corpus of small first factors. It classifies each second
+factor once per run, and a task lifts its upper labelings from the gamma(g),
+gamma_t(g) and couple witnesses it solved once each; only general_bounds and
+_certify_connected, the code under test, solve them again. On products of at
+most _PROJECTION_CAP (14) vertices it also checks the projection property:
+every minimum labeling projects onto dominating sets of the first factor
+(second factors on at least 3 vertices), and some minimum labeling does
+(h = K_2). Each is a yes/no question about the minimum covers of the closed
 neighborhoods of g o h x K_2, so it is decided by searches of the cover
 engine at the one cost rd_2(g o h) (_projection_gap,
 _dominating_projections), not by listing the minimum labelings.
@@ -61,18 +64,8 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .couples import (
-    DominatingCouple,
-    _lift_couple,
-    couple_labeling,
-    min_couple_cost,
-)
-from .constructions import (
-    _tile_path,
-    path_upper_bound,
-    total_dom_labeling,
-    universal_vertex_labeling,
-)
+from .couples import DominatingCouple, _lift_couple, min_couple_cost
+from .constructions import _tile_path, _universal_vertex, path_upper_bound
 from .errors import (
     BudgetError,
     DisconnectedError,
@@ -534,6 +527,8 @@ def _labels_text(nh: int, f: RainbowLabeling) -> str:
 # ---------------------------------------------------------------------------
 # corpus verification
 
+_PROJECTION_CAP = 14  # products up to this size also get the projection checks
+
 
 @dataclass
 class CorpusReport:
@@ -585,8 +580,18 @@ class CorpusReport:
         }
 
 
+def _fault(exc: Exception) -> tuple[bool, str]:
+    """(is_skip, text): how a corpus task records an exception. A BudgetError
+    is a budget skip; any other is a violation naming it and where it rose."""
+    if isinstance(exc, BudgetError):
+        return True, f"budget exhausted ({exc})"
+    where = traceback.extract_tb(exc.__traceback__)[-1]
+    place = f"{os.path.basename(where.filename)}:{where.lineno}"
+    return False, f"raised {type(exc).__name__}: {exc} (at {place})"
+
+
 def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
-    (g6g, g6h, run_g_checks, product_cap, enum_product_cap, node_budget) = args
+    (g6g, g6h, hcls, hstar, run_g_checks, product_cap, node_budget) = args
     g = parse_graph6(g6g)
     h = parse_graph6(g6h)
     name = f"{g6g} o {g6h}"
@@ -601,8 +606,11 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
     def violate(msg: str):
         violations.append(f"{name}: {msg}")
 
+    def record(is_skip: bool, text: str):
+        (skips if is_skip else violations).append(f"{name}: {text}")
+
     try:
-        gamma_g = min_dominating_set(g, node_budget=node_budget).value
+        ds = min_dominating_set(g, node_budget=node_budget)
         if run_g_checks:
             rd = {k: min_rainbow(g, k, node_budget=node_budget).value for k in (1, 2, 3)}
             for k in (1, 2):
@@ -610,7 +618,7 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
                 bump("rainbow_vs_cartesian")
                 if rd[k] != via:
                     violate(f"k={k}: direct {rd[k]} != cartesian route {via}")
-            if rd[1] != gamma_g:
+            if rd[1] != ds.value:
                 violate("1-rainbow number differs from domination number")
             for k in (2, 3):
                 lo, hi = general_bounds(g, k, node_budget=node_budget)
@@ -624,45 +632,40 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
 
         prod, _ = lexicographic(g, h)
         exact = min_rainbow(prod, 2, node_budget=node_budget)
-        hcls = classify_h(h, node_budget=node_budget)
+        if not isinstance(hcls, HClassification):
+            record(*hcls)  # classifying h raised
+            return checks, violations, notes, skips
+
+        def upper(key: str, what: str, bound: str, weight: int, a, b, h_masks=()):
+            # the lifted couple labeling of (a, b) is valid, weighs weight, and exact <= weight
+            lab = _lift_couple(g.n, h.n, 2, DominatingCouple(a, b), h_masks)
+            bump(f"upper_{key}")
+            if lab.weight != weight or not is_k_rainbow_dominating(prod, lab):
+                violate(f"{what} labeling broken")
+            elif exact.value > weight:
+                violate(f"exact {exact.value} above {bound} {weight}")
 
         if g.n >= 2:
             tds = min_total_dominating_set(g, node_budget=node_budget)
-            lab = total_dom_labeling(g, h, 2, node_budget=node_budget)
-            bump("upper_total_dom")
-            if lab.weight != 2 * tds.value or not is_k_rainbow_dominating(prod, lab):
-                violate("total-domination labeling broken")
-            elif exact.value > 2 * tds.value:
-                violate(f"exact {exact.value} above 2*gamma_t {2 * tds.value}")
-
-        if min_dominating_set(h, node_budget=node_budget).value == 1:
-            lab = universal_vertex_labeling(g, h, 2, node_budget=node_budget)
-            bump("upper_universal")
-            if lab.weight != 2 * gamma_g or not is_k_rainbow_dominating(prod, lab):
-                violate("universal-vertex labeling broken")
-            elif exact.value > 2 * gamma_g:
-                violate(f"exact {exact.value} above 2*gamma {2 * gamma_g}")
-
+            upper("total_dom", "total-domination", "2*gamma_t", 2 * tds.value,
+                  tds.witness, frozenset())
+        if hstar is not None:
+            upper("universal", "universal-vertex", "2*gamma", 2 * ds.value, frozenset(),
+                  ds.witness, tuple(3 if x == hstar else 0 for x in range(h.n)))
         if h.n >= 2:
             cost, couple = min_couple_cost(g, 2, hcls.rd2, node_budget=node_budget)
-            lab = couple_labeling(g, h, 2, couple, node_budget=node_budget)
-            bump("upper_couple")
-            if lab.weight != cost or not is_k_rainbow_dominating(prod, lab):
-                violate("couple labeling broken")
-            elif exact.value > cost:
-                violate(f"exact {exact.value} above couple optimum {cost}")
+            upper("couple", "couple", "couple optimum", cost, couple.a, couple.b,
+                  hcls.labeling.masks)
 
         if g.n >= 2 and h.n >= 2:
             bump("lower_2gamma")
-            if exact.value < 2 * gamma_g:
-                violate(f"exact {exact.value} below 2*gamma {2 * gamma_g}")
+            if exact.value < 2 * ds.value:
+                violate(f"exact {exact.value} below 2*gamma {2 * ds.value}")
 
         cert = _certify_connected(g, h, hcls, refine=False, node_budget=node_budget)
         bump("case_value")
         if not (cert.lo <= exact.value <= cert.hi):
-            violate(
-                f"certificate {cert.describe()} excludes exact {exact.value}"
-            )
+            violate(f"certificate {cert.describe()} excludes exact {exact.value}")
         if cert.case == "RdH3Pair" and _path_order(g) is not None and g.n >= 2:
             pub = path_upper_bound(g.n)
             verdict = "attained" if exact.value == pub else "strict"
@@ -671,7 +674,7 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
                 f"tile bound {pub}"
             )
 
-        if g.n >= 2 and h.n >= 3 and g.n * h.n <= enum_product_cap:
+        if g.n >= 2 and h.n >= 3 and g.n * h.n <= _PROJECTION_CAP:
             gap = _projection_gap(g, prod, h.n, exact.value, node_budget)
             bump("projection_all_minima")
             if gap is not None:
@@ -681,20 +684,14 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
                     f"that does not dominate vertex {a} of the first factor"
                 )
 
-        if g.n >= 2 and h.n == 2 and h.m == 1 and g.n * h.n <= enum_product_cap:
+        if g.n >= 2 and h.n == 2 and h.m == 1 and g.n * h.n <= _PROJECTION_CAP:
             both = _dominating_projections(g, prod, h.n, exact.value, node_budget)
             bump("projection_exists")
             if both is None:
                 violate("no minimum labeling has both projections dominating")
-    except BudgetError as exc:
-        skips.append(f"{name}: budget exhausted ({exc})")
     except Exception as exc:
-        # a fault in one task is that task's violation, not the end of the run
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        violate(
-            f"raised {type(exc).__name__}: {exc} "
-            f"(at {os.path.basename(where.filename)}:{where.lineno})"
-        )
+        # a fault in one task is that task's record, not the end of the run
+        record(*_fault(exc))
     return checks, violations, notes, skips
 
 
@@ -705,14 +702,15 @@ def verify_corpus(
     *,
     workers: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    enum_product_cap: int = 14,
 ) -> CorpusReport:
     """Replay every certified claim against exact solves: all connected first
     factors up to ng_max vertices times the connected second factors h_list.
 
+    Each second factor is classified once, before the tasks; if that raises,
+    each task of the factor within product_cap records it as its own fault.
     Products of at most product_cap vertices are solved directly, and that
     value is the oracle for every check of the task. Products of at most
-    enum_product_cap vertices also get the projection checks, which are
+    _PROJECTION_CAP vertices also get the projection checks, which are
     complete: one-level cover searches at the oracle value decide them
     whatever the number of minimum labelings.
     """
@@ -722,18 +720,20 @@ def verify_corpus(
     corpus = []
     for n in range(1, ng_max + 1):
         corpus.extend(enumerate_connected_graphs(n))
-    h_names = tuple(to_graph6(h) for h in h_list)
+    classified = []
+    for h in h_list:
+        try:
+            hcls = classify_h(h, node_budget=node_budget)
+        except Exception as exc:
+            hcls = _fault(exc)
+        classified.append((to_graph6(h), hcls, _universal_vertex(h)))
     tasks = [
-        (to_graph6(g), g6h, hi == 0, product_cap, enum_product_cap, node_budget)
+        (to_graph6(g), g6h, hcls, hstar, hi == 0, product_cap, node_budget)
         for g in corpus
-        for hi, g6h in enumerate(h_names)
+        for hi, (g6h, hcls, hstar) in enumerate(classified)
     ]
-    report = CorpusReport(
-        ng_max=ng_max,
-        h_names=h_names,
-        product_cap=product_cap,
-        tasks=len(tasks),
-    )
+    report = CorpusReport(ng_max=ng_max, h_names=tuple(g6h for g6h, _, _ in classified),
+                          product_cap=product_cap, tasks=len(tasks))
     if workers <= 1:
         results = [_corpus_task(t) for t in tasks]
     else:

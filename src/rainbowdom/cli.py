@@ -246,14 +246,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     h_list = [_load_graph(part, args.format) for part in args.h.split(",")]
-    report = certify_mod.verify_corpus(
-        args.ng,
-        h_list,
-        args.cap,
-        workers=args.workers,
-        node_budget=args.budget,
-        enum_product_cap=args.enum_product_cap,
-    )
+    report = certify_mod.verify_corpus(args.ng, h_list, args.cap,
+                                       workers=args.workers, node_budget=args.budget)
     sys.stdout.write(report.to_text())
     if args.json:
         Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
@@ -336,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, required=True,
                    help="largest product solved exactly")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--enum-product-cap", type=int, default=14)
     p.add_argument("--json", default=None, help="write a JSON summary here")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)

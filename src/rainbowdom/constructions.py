@@ -158,24 +158,27 @@ def total_dom_labeling(
     return _lift_couple(g.n, h.n, k, DominatingCouple(tds.witness, frozenset()), ())
 
 
+def _universal_vertex(h: Graph) -> int | None:
+    """The first vertex of h adjacent to all others, or None: gamma(h) = 1
+    exactly when some closed neighborhood is all of V(h)."""
+    return next((x for x in range(h.n) if h.closed(x) == h.full_mask), None)
+
+
 def universal_vertex_labeling(
     g: Graph, h: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> RainbowLabeling:
     """Full color set at a universal vertex of h over each minimum-dominating-
-    set layer; weight k * gamma(g). Requires gamma(h) = 1."""
+    set layer; weight k * gamma(g). Requires gamma(h) = 1. This is the
+    couple labeling of (empty, D) for a minimum dominating set D, with the
+    full set on the universal vertex as the labeling of h."""
     if not (1 <= k <= 8):
         raise PreconditionError("k must be between 1 and 8")
-    hstar = next(
-        (x for x in range(h.n) if h.adj[x] == h.full_mask & ~(1 << x)), None
-    )
+    hstar = _universal_vertex(h)
     if hstar is None:
         raise NoUniversalVertexError("h has no vertex adjacent to all others")
     ds = min_dominating_set(g, node_budget=node_budget)
-    idx = ProductIndex(g.n, h.n)
-    masks = [0] * idx.size
-    for d in ds.witness:
-        masks[idx.encode(d, hstar)] = (1 << k) - 1
-    return RainbowLabeling(k, tuple(masks))
+    h_masks = tuple((1 << k) - 1 if x == hstar else 0 for x in range(h.n))
+    return _lift_couple(g.n, h.n, k, DominatingCouple(frozenset(), ds.witness), h_masks)
 
 
 def glued_family_labeling(

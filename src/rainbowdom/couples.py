@@ -119,8 +119,11 @@ def _lift_couple(
     ng: int, nh: int, k: int, couple: DominatingCouple, h_masks: tuple[int, ...]
 ) -> RainbowLabeling:
     """The couple labeling of the product of a g on ng vertices with an h on
-    nh vertices, given a minimum k-rainbow labeling h_masks of h (read only
-    when B is nonempty, and then nh >= k).
+    nh vertices, given a k-rainbow labeling h_masks of h (read only when B is
+    nonempty), of weight k|A| + weight(h_masks)|B|. h_masks need only be
+    valid and use every color, not be minimum (the full set on a universal
+    vertex weighs k, while rd_k(K_1) = 1); a minimum one may miss a color,
+    and then nh >= k is required.
 
     A-layers put the full color set on layer vertex 0; B-layers copy h_masks,
     recolored when it misses a color. A minimum k-RDF that misses a color has

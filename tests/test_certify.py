@@ -23,6 +23,7 @@ from rainbowdom import (
     min_rainbow,
     min_total_dominating_set,
     pair_witness,
+    parse_graph6,
     projection_property,
     to_graph6,
     verify_corpus,
@@ -203,25 +204,33 @@ SOLVES = {
 }
 
 
+def _wrap_everywhere(monkeypatch, home: str, fname: str, make):
+    """Replace rainbowdom.<home>.<fname> by make(original) wherever the
+    package binds it."""
+    import sys
+
+    orig = getattr(sys.modules[f"rainbowdom.{home}"], fname)
+    wrapped = make(orig)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("rainbowdom"):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, wrapped)
+
+
 @pytest.fixture
 def solve_log(monkeypatch):
     """Record (solve, graph) for every solve, wherever the package binds it."""
-    import sys
-
     log = []
-    mods = [m for name, m in sys.modules.items() if name.startswith("rainbowdom")]
     for home, names in SOLVES.items():
         for fname in names:
-            orig = getattr(sys.modules[f"rainbowdom.{home}"], fname)
+            def make(orig, _name=fname):
+                def counted(g, *args, **kwargs):
+                    log.append((_name, g))
+                    return orig(g, *args, **kwargs)
+                return counted
 
-            def counted(g, *args, _orig=orig, _name=fname, **kwargs):
-                log.append((_name, g))
-                return _orig(g, *args, **kwargs)
-
-            for mod in mods:
-                for attr, val in list(vars(mod).items()):
-                    if val is orig:
-                        monkeypatch.setattr(mod, attr, counted)
+            _wrap_everywhere(monkeypatch, home, fname, make)
     return log
 
 
@@ -267,6 +276,116 @@ class TestSolveOnce:
             ("min_dominating_set", 4), ("min_total_dominating_set", 4),
         ])
         assert all(graph in (p5, c4) for _, graph in solve_log[2:])
+
+
+class TestCorpusSolveOnce:
+    """The corpus replay classifies each second factor once per run, and a
+    task builds its upper labelings from the witnesses it solved, without
+    solving again."""
+
+    H = (gen_path(2), gen_path(4), gen_cycle(5))
+    # recorded at the parent of this change, where each task classified h itself
+    CHECKS = {"rainbow_vs_cartesian": 20, "general_bounds": 20, "upper_universal": 10,
+              "upper_couple": 30, "case_value": 30, "upper_total_dom": 27, "lower_2gamma": 27,
+              "projection_exists": 9, "projection_all_minima": 4}
+    TRACKED = {
+        "certify": ("classify_h",),
+        # min_rainbow_via_cartesian so that its solve of g x K_k counts as nested
+        "solvers": ("min_rainbow", "min_dominating_set", "min_total_dominating_set",
+                    "min_rainbow_via_cartesian"),
+        "couples": ("couple_labeling",),
+        "constructions": ("total_dom_labeling", "universal_vertex_labeling"),
+    }
+
+    def test_checks_pinned(self):
+        rep = verify_corpus(4, list(self.H), 42)
+        assert rep.ok and rep.skips == []
+        assert rep.checks == self.CHECKS
+
+    def test_each_sub_problem_once(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        # (name, first argument, task as (g6g, g6h) or None, inside the certificate,
+        # nesting depth among the tracked calls)
+        log = []
+        state = {"task": None, "cert": False, "depth": 0}
+
+        for home, names in self.TRACKED.items():
+            for fname in names:
+                def make(orig, _name=fname):
+                    def tracked(*args, **kwargs):
+                        log.append((_name, args[0], state["task"], state["cert"], state["depth"]))
+                        state["depth"] += 1
+                        try:
+                            return orig(*args, **kwargs)
+                        finally:
+                            state["depth"] -= 1
+                    return tracked
+
+                _wrap_everywhere(monkeypatch, home, fname, make)
+
+        def within(key, orig, value=lambda args: True):
+            def run(*args, **kwargs):
+                before, state[key] = state[key], value(args)
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    state[key] = before
+            return run
+
+        # a task's tuple starts with the graph6 strings of g and h
+        monkeypatch.setattr(certify_mod, "_corpus_task",
+                            within("task", certify_mod._corpus_task, lambda args: args[0][:2]))
+        monkeypatch.setattr(certify_mod, "_certify_connected",
+                            within("cert", certify_mod._certify_connected))
+
+        rep = verify_corpus(4, list(self.H), 42)
+        tasks = {entry[2] for entry in log} - {None}
+        assert len(tasks) == rep.tasks == 30
+        # one classification per second factor, before the tasks
+        assert [(graph, t) for name, graph, t, _, _ in log if name == "classify_h"] == [
+            (h, None) for h in self.H]
+        # no labeling construction that solves again
+        assert not {name for name, *_ in log} & {
+            "couple_labeling", "total_dom_labeling", "universal_vertex_labeling"}
+        # no solve on h by a task itself (unless g is h); K1 o h is h, so its
+        # oracle solve is one
+        on_h = [(name, t) for name, graph, t, _, depth in log
+                if t is not None and depth == 0 and t[0] != t[1] and graph == parse_graph6(t[1])]
+        assert on_h == [("min_rainbow", ("@", to_graph6(h))) for h in self.H]
+        # at most one gamma_t(g) solve per task outside the certificate
+        for t in tasks:
+            assert sum(1 for name, _, t2, in_cert, _ in log
+                       if t2 == t and not in_cert and name == "min_total_dominating_set") <= 1
+
+    @pytest.mark.parametrize("fault", [BudgetError, RuntimeError])
+    def test_failed_classification_is_each_tasks_fault(self, monkeypatch, fault):
+        import rainbowdom.certify as certify_mod
+
+        real, p4 = certify_mod.classify_h, gen_path(4)
+
+        def classify(h, **kwargs):
+            if h == p4:
+                raise fault("injected")
+            return real(h, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "classify_h", classify)
+        rep = verify_corpus(3, [gen_path(2), p4], 42)
+        names = [f"{to_graph6(g)} o {to_graph6(p4)}"
+                 for n in (1, 2, 3) for g in enumerate_connected_graphs(n)]
+        if fault is BudgetError:
+            assert rep.violations == []
+            assert rep.skips == [f"{name}: budget exhausted (injected)" for name in names]
+        else:
+            assert rep.skips == []
+            assert len(rep.violations) == len(names)
+            for name, violation in zip(names, rep.violations):
+                # where it was raised, in either mode
+                assert violation.startswith(
+                    f"{name}: raised RuntimeError: injected (at test_certify.py:")
+        # the P2 tasks ran every check, cleanly
+        assert rep.checks == verify_corpus(3, [gen_path(2)], 42).checks
+        assert verify_corpus(3, [gen_path(2), p4], 42, workers=2).to_text() == rep.to_text()
 
 
 class TestComponentSum:

@@ -275,6 +275,13 @@ class TestVerify:
         assert rc == 5
         assert "connected second factors" in err and out == ""
 
+    def test_projection_cap_is_not_an_option(self, capsys):
+        # products up to 14 vertices always get the projection checks
+        rc, _, err = run(capsys, "verify", "--ng", "2", "--h", "P2", "--cap", "10",
+                         "--enum-product-cap", "14")
+        assert rc == 2
+        assert "unrecognized arguments: --enum-product-cap" in err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

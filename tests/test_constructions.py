@@ -166,6 +166,19 @@ class TestUniversalVertexLabeling:
         prod, _ = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_masks_full_set_on_universal_vertex(self, k):
+        # the full set on (d, hstar) for d in the minimum dominating set and
+        # the first universal vertex hstar of h, nothing else; K1 included,
+        # where the full set weighs k although rd_k(K1) = 1
+        star_at_2 = from_edge_list(4, [(2, 0), (2, 1), (2, 3)])
+        for h, hstar in ((gen_path(1), 0), (gen_star(4), 0), (star_at_2, 2), (gen_path(3), 1)):
+            for g in (gen_path(1), gen_path(7), gen_cycle(6), gen_star(5)):
+                f = universal_vertex_labeling(g, h, k)
+                dom = min_dominating_set(g).witness
+                assert f.masks == tuple((1 << k) - 1 if a in dom and x == hstar else 0
+                                        for a in range(g.n) for x in range(h.n))
+
     def test_no_universal_vertex(self):
         with pytest.raises(NoUniversalVertexError):
             universal_vertex_labeling(gen_path(3), gen_cycle(5), 2)
