@@ -10,7 +10,11 @@ the actual product graph and must match the claimed weight.
 
 The case tags:
 
-* TrivialH / TrivialG: one factor is a single vertex; the product collapses.
+* TrivialH: h is a single vertex, so the product is a copy of g; the value
+  is exact by the layer reduction (solvers._min_rainbow_lex, see RdH3Pair),
+  which needs only a few search nodes on a one-vertex h.
+* TrivialG: g is a single vertex, so the product is a copy of h; the value
+  is the 2-rainbow number of h from the classification.
 * RdH2: second factor has 2-rainbow number 2; exact value 2 * gamma(g).
 * RdH4Plus: second factor has 2-rainbow number >= 4; exact 2 * gamma_t(g).
 * RdH3NoPair: 2-rainbow number 3 and no minimum labeling uses {1,2}; exact
@@ -24,7 +28,8 @@ The case tags:
   weighted cover of V(g) x {1, 2} whose set costs are small weighted covers
   of h. A refine that runs out of budget keeps the interval and says so in
   the certificate's notes.
-* ComponentSum: first factor disconnected; per-component sum.
+* ComponentSum: first factor disconnected; per-component sum, with the
+  components' labelings copied layer by layer into the row-major product.
 * ComponentSum-NA: second factor disconnected; no closed-form case applies,
   the value is exact by the same layer reduction, which never uses the
   connectivity of h (refused when strict=True; the first factor is capped
@@ -33,14 +38,15 @@ The case tags:
 Each certificate solves each sub-problem once. classify_h solves the
 2-rainbow number of h, with one minimum labeling, and runs the pair search
 only when that number is 3; the HClassification is passed to every component
-of g. Per component, the case code solves gamma(g), gamma_t(g) and the
-couple optimum at most once each, and builds its upper labeling from those
-witnesses without searching again: the couple labeling of (empty, D) for
-RdH2 (D a minimum dominating set), of (T, empty) for RdH4Plus and
-GammaEqGammaT (T a minimum total dominating set), and of the optimal couple
-for RdH3NoPair and RdH3Pair, each copying the labeling of h from the
-classification into its B-layers; and, when g is a path, the path tiling
-laid along g's path order from the pair witness.
+of g. Within a certificate, classify_h is the only caller of the direct
+search (min_rainbow). Per component, the case code solves gamma(g),
+gamma_t(g) and the couple optimum at most once each, and builds its upper
+labeling from those witnesses without searching again: the couple labeling
+of (empty, D) for RdH2 (D a minimum dominating set), of (T, empty) for
+RdH4Plus and GammaEqGammaT (T a minimum total dominating set), and of the
+optimal couple for RdH3NoPair and RdH3Pair, each copying the labeling of h
+from the classification into its B-layers; and, when g is a path, the path
+tiling laid along g's path order from the pair witness.
 
 verify_corpus replays every claim above against brute-force-scale exact
 solves over a corpus of small first factors. It classifies each second
@@ -68,6 +74,7 @@ from .couples import DominatingCouple, _lift_couple, min_couple_cost
 from .constructions import _tile_path, _universal_vertex, path_upper_bound
 from .errors import (
     BudgetError,
+    CapacityError,
     DisconnectedError,
     PreconditionError,
     RainbowDomError,
@@ -78,13 +85,12 @@ from .graphs import (
     enumerate_connected_graphs,
     induced_subgraph,
     is_connected,
-    is_dominating_set,
     iter_bits,
     parse_graph6,
     to_graph6,
 )
 from .labelings import RainbowLabeling, is_k_rainbow_dominating
-from .products import ProductIndex, lexicographic, project_g
+from .products import lexicographic
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     SOLVER_VERTEX_CAP,
@@ -210,7 +216,7 @@ def _path_order(g: Graph) -> list[int] | None:
 
 
 def _self_check(g: Graph, h: Graph, cert: Certificate) -> Certificate:
-    prod, _ = lexicographic(g, h)
+    prod = lexicographic(g, h)
     for labeling, weight in (
         (cert.upper_labeling, cert.hi),
         (cert.refined_labeling, cert.refined_exact),
@@ -235,14 +241,14 @@ def _certify_connected(
     node_budget: int,
 ) -> Certificate:
     if h.n == 1:
-        res = min_rainbow(g, 2, node_budget=node_budget)
+        res = _min_rainbow_lex(g, h, node_budget=node_budget)
         return _self_check(g, h, Certificate(
             lo=res.value,
             hi=res.value,
             case="TrivialH",
             citations=(
                 "second factor is a single vertex, so the product is a copy "
-                "of the first factor; value by exact solve",
+                "of the first factor; value by exact layer cover",
             ),
             upper_labeling=res.witness,
             lower=LowerWitness("exact_solve", res.value),
@@ -419,20 +425,18 @@ def certify_rd_lex(
     comps = components(g)
     if len(comps) == 1:
         return _certify_connected(g, h, hcls, refine=refine, node_budget=node_budget)
-    idx = ProductIndex(g.n, h.n)
+    nh = h.n
     parts = []
     lo = hi = 0
-    masks = [0] * idx.size
+    masks = [0] * (g.n * nh)
     for comp in comps:
         sub, back = induced_subgraph(g, comp)
         cert = _certify_connected(sub, h, hcls, refine=refine, node_budget=node_budget)
         eff_lo, eff_hi, eff_lab = _effective(cert)
         lo += eff_lo
         hi += eff_hi
-        sub_idx = ProductIndex(sub.n, h.n)
-        for i in range(sub.n):
-            for x in range(h.n):
-                masks[idx.encode(back[i], x)] = eff_lab.masks[sub_idx.encode(i, x)]
+        for i, a in enumerate(back):
+            masks[a * nh:(a + 1) * nh] = eff_lab.masks[i * nh:(i + 1) * nh]
         parts.append((tuple(back), cert))
     return _self_check(g, h, Certificate(
         lo=lo,
@@ -449,21 +453,6 @@ def certify_rd_lex(
             f"component {list(back)}: {note}" for back, part in parts for note in part.notes
         ),
     ))
-
-
-def projection_property(g: Graph, idx: ProductIndex, f: RainbowLabeling) -> tuple[bool, bool]:
-    """Whether the first-factor projections of the color-1 and color-2
-    support of f (full labels count for both) each dominate g."""
-    if f.k != 2:
-        raise PreconditionError("the projection property is about 2-rainbow labelings")
-    if len(f.masks) != idx.size or idx.ng != g.n:
-        raise PreconditionError("labeling does not match the product index")
-    support1 = {p for p, m in enumerate(f.masks) if m & 1}
-    support2 = {p for p, m in enumerate(f.masks) if m & 2}
-    return (
-        is_dominating_set(g, project_g(idx, support1)),
-        is_dominating_set(g, project_g(idx, support2)),
-    )
 
 
 def _projection_gap(
@@ -630,7 +619,7 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
             skips.append(f"{name}: product has {g.n * h.n} > {product_cap} vertices")
             return checks, violations, notes, skips
 
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         exact = min_rainbow(prod, 2, node_budget=node_budget)
         if not isinstance(hcls, HClassification):
             record(*hcls)  # classifying h raised
@@ -706,14 +695,21 @@ def verify_corpus(
     """Replay every certified claim against exact solves: all connected first
     factors up to ng_max vertices times the connected second factors h_list.
 
-    Each second factor is classified once, before the tasks; if that raises,
-    each task of the factor within product_cap records it as its own fault.
+    A product_cap above SOLVER_VERTEX_CAP, the oracle's limit, is refused
+    with CapacityError before any task runs. Each second factor is
+    classified once, before the tasks; if that raises, each task of the
+    factor within product_cap records it as its own fault.
     Products of at most product_cap vertices are solved directly, and that
     value is the oracle for every check of the task. Products of at most
     _PROJECTION_CAP vertices also get the projection checks, which are
     complete: one-level cover searches at the oracle value decide them
     whatever the number of minimum labelings.
     """
+    if product_cap > SOLVER_VERTEX_CAP:
+        raise CapacityError(
+            f"the oracle solves products of at most {SOLVER_VERTEX_CAP} vertices, "
+            f"got product cap {product_cap}"
+        )
     if not all(is_connected(h) for h in h_list):
         raise DisconnectedError("the corpus replay needs connected second factors")
     start = time.monotonic()

@@ -114,7 +114,7 @@ def _cmd_product(args) -> int:
     g = _load_graph(args.g, args.format)
     h = _load_graph(args.h, args.format)
     build = products.lexicographic if args.kind == "lex" else products.cartesian
-    prod, _ = build(g, h)
+    prod = build(g, h)
     encoded = to_graph6(prod)
     if parse_graph6(encoded) != prod:
         raise RainbowDomError("internal check failed: product round-trip")
@@ -203,7 +203,7 @@ def _cmd_construct(args) -> int:
         rdh = solvers.min_rainbow(h, args.k, node_budget=budget).value
         _, couple = couples.min_couple_cost(g, args.k, rdh, node_budget=budget)
         f = couples.couple_labeling(g, h, args.k, couple, node_budget=budget)
-    prod, _ = products.lexicographic(g, h)
+    prod = products.lexicographic(g, h)
     if not labelings.is_k_rainbow_dominating(prod, f):
         raise RainbowDomError("internal check failed: construction invalid")
     _out(args, labelings.format_labeling(f))

@@ -20,8 +20,6 @@ must see color 2, available only at u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .couples import DominatingCouple, _lift_couple
 from .errors import (
     DisconnectedError,
@@ -32,7 +30,6 @@ from .errors import (
 )
 from .graphs import Graph, gen_glued_paths, is_connected
 from .labelings import RainbowLabeling, is_k_rainbow_dominating
-from .products import ProductIndex
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     min_dominating_set,
@@ -41,44 +38,19 @@ from .solvers import (
 )
 
 
-@dataclass(frozen=True)
-class PatternTile:
-    """A fixed-width column pattern for tiling a path product."""
-
-    length: int
-    u_row: str
-    v_row: str
-
-    def __post_init__(self):
-        if not (2 <= self.length <= 8):
-            raise PreconditionError("tile length must be between 2 and 8")
-        for row in (self.u_row, self.v_row):
-            if len(row) != self.length or any(c not in "0123" for c in row):
-                raise PreconditionError("tile rows must be length-matched digits 0..3")
-
-    @property
-    def weight(self) -> int:
-        return sum(int(c).bit_count() for c in self.u_row + self.v_row)
-
-
-_TILES = {
-    2: PatternTile(2, "30", "10"),
-    3: PatternTile(3, "030", "010"),
-    4: PatternTile(4, "0330", "0000"),
-    5: PatternTile(5, "02120", "01010"),
-    6: PatternTile(6, "030030", "010010"),
-    7: PatternTile(7, "0210210", "0100020"),
-    8: PatternTile(8, "02102130", "01000200"),
+_TILES = {  # length: (u-row digits, v-row digits)
+    2: ("30", "10"),
+    3: ("030", "010"),
+    4: ("0330", "0000"),
+    5: ("02120", "01010"),
+    6: ("030030", "010010"),
+    7: ("0210210", "0100020"),
+    8: ("02102130", "01000200"),
 }
 
 # star-of-paths pattern: center column plus one five-column arm, repeated
 _GLUED_CENTER = ("1", "2")
 _GLUED_ARM = ("20120", "00010")
-
-
-def tiles() -> dict[int, PatternTile]:
-    """The seven path tiles, keyed by length."""
-    return dict(_TILES)
 
 
 def path_upper_bound(n: int) -> int:
@@ -133,8 +105,8 @@ def _tile_path(order, nh: int, u: int, v: int) -> RainbowLabeling:
     are `order` (at least two), with an h on nh vertices that has the pair
     witness (u, v)."""
     tiling = [_TILES[length] for length in _tiling(len(order))]
-    u_row = "".join(tile.u_row for tile in tiling)
-    v_row = "".join(tile.v_row for tile in tiling)
+    u_row = "".join(u for u, _ in tiling)
+    v_row = "".join(v for _, v in tiling)
     masks = [0] * (len(order) * nh)
     for a, du, dv in zip(order, u_row, v_row):
         masks[a * nh + u] = int(du)
@@ -193,13 +165,10 @@ def glued_family_labeling(
     """
     g = gen_glued_paths(m, p2)  # validates m, p2
     _require_pair_witness(h, u, v, node_budget)
-    idx = ProductIndex(g.n, h.n)
-    masks = [0] * idx.size
-    masks[idx.encode(0, u)] = int(_GLUED_CENTER[0])
-    masks[idx.encode(0, v)] = int(_GLUED_CENTER[1])
-    for i in range(m):
-        base = 1 + 5 * i
-        for j in range(5):
-            masks[idx.encode(base + j, u)] = int(_GLUED_ARM[0][j])
-            masks[idx.encode(base + j, v)] = int(_GLUED_ARM[1][j])
+    masks = [0] * (g.n * h.n)
+    u_row = _GLUED_CENTER[0] + _GLUED_ARM[0] * m
+    v_row = _GLUED_CENTER[1] + _GLUED_ARM[1] * m
+    for a, (du, dv) in enumerate(zip(u_row, v_row)):
+        masks[a * h.n + u] = int(du)
+        masks[a * h.n + v] = int(dv)
     return RainbowLabeling(2, tuple(masks))

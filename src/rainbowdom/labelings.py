@@ -1,4 +1,4 @@
-"""k-rainbow labelings: weights, validity, conversions and a text format.
+"""k-rainbow labelings: weights, validity and a text format.
 
 A labeling assigns each vertex a subset of the colors 1..k, stored internally
 as a bitmask (color i is bit i-1). A labeling is k-rainbow dominating when
@@ -86,39 +86,6 @@ def is_k_rainbow_dominating(g: Graph, f: RainbowLabeling) -> RainbowCheck:
         if seen != full:
             return RainbowCheck(False, v)
     return RainbowCheck(True, None)
-
-
-def rdf_to_dominating_set(g: Graph, f: RainbowLabeling) -> frozenset[int]:
-    """Map a valid k-RDF of G to a dominating set of the Cartesian product
-    G x K_k under the row-major index (v, color i) -> v*k + i - 1."""
-    check = is_k_rainbow_dominating(g, f)
-    if not check:
-        raise PreconditionError(
-            f"labeling is not a valid {f.k}-rainbow dominating function"
-            f" (vertex {check.violator})"
-        )
-    k = f.k
-    out = []
-    for v, m in enumerate(f.masks):
-        for b in iter_bits(m):
-            out.append(v * k + b)
-    return frozenset(out)
-
-
-def dominating_set_to_rdf(g: Graph, k: int, dom: frozenset[int] | set[int]) -> RainbowLabeling:
-    """Inverse direction: a dominating set of G x K_k yields a k-RDF of the
-    same weight. Raises when the set does not dominate the product."""
-    from .products import cartesian  # local import avoids a cycle at module load
-    from .graphs import gen_complete, is_dominating_set
-
-    prod, _ = cartesian(g, gen_complete(k))
-    if not is_dominating_set(prod, dom):
-        raise PreconditionError("set does not dominate the Cartesian product")
-    masks = [0] * g.n
-    for x in dom:
-        v, b = divmod(x, k)
-        masks[v] |= 1 << b
-    return RainbowLabeling(k, tuple(masks))
 
 
 # ---------------------------------------------------------------------------

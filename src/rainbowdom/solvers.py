@@ -35,8 +35,9 @@ from .errors import (
     IsolatedVertexError,
     PreconditionError,
 )
-from .graphs import Graph, components, gen_complete, induced_subgraph, iter_bits, max_degree
-from .labelings import RainbowLabeling, dominating_set_to_rdf
+from .graphs import (Graph, components, gen_complete, induced_subgraph, is_dominating_set,
+                     iter_bits, max_degree)
+from .labelings import RainbowLabeling
 from .products import cartesian
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -208,33 +209,32 @@ def _min_weighted_cover(
     return greedy
 
 
-def min_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
-    """Exact minimum dominating set."""
+def _min_neighborhood_cover(g: Graph, closed: bool, node_budget: int) -> SolveResult:
+    """Fewest vertices whose closed (or open) neighborhoods cover V(g): one
+    search of the cover engine per component, under one node budget."""
     _check_cap(g)
+    if not closed:
+        for v in range(g.n):
+            if g.adj[v] == 0:
+                raise IsolatedVertexError(f"isolated vertex {v} admits no total domination")
     stats = [0]
     witness: set[int] = set()
     for comp in components(g):
         sub, back = induced_subgraph(g, comp)
-        cover = [sub.closed(v) for v in range(sub.n)]
+        cover = [sub.closed(v) for v in range(sub.n)] if closed else list(sub.adj)
         chosen = _min_weighted_cover(sub.full_mask, cover, [1] * sub.n, stats, node_budget)
         witness.update(back[u] for u in chosen)
     return SolveResult(len(witness), frozenset(witness), stats[0])
+
+
+def min_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+    """Exact minimum dominating set."""
+    return _min_neighborhood_cover(g, True, node_budget)
 
 
 def min_total_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exact minimum total dominating set; requires no isolated vertices."""
-    _check_cap(g)
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            raise IsolatedVertexError(f"isolated vertex {v} admits no total domination")
-    stats = [0]
-    witness: set[int] = set()
-    for comp in components(g):
-        sub, back = induced_subgraph(g, comp)
-        cover = list(sub.adj)
-        chosen = _min_weighted_cover(sub.full_mask, cover, [1] * sub.n, stats, node_budget)
-        witness.update(back[u] for u in chosen)
-    return SolveResult(len(witness), frozenset(witness), stats[0])
+    return _min_neighborhood_cover(g, False, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +356,23 @@ def min_rainbow_via_cartesian(
         raise CapacityError(
             f"product with K_{k} exceeds the {SOLVER_VERTEX_CAP}-vertex solver cap"
         )
-    prod, _ = cartesian(g, gen_complete(k))
+    prod = cartesian(g, gen_complete(k))
     res = min_dominating_set(prod, node_budget=node_budget)
-    labeling = dominating_set_to_rdf(g, k, res.witness)
-    return SolveResult(res.value, labeling, res.nodes_explored)
+    return SolveResult(res.value, _dominating_set_to_rdf(prod, k, res.witness),
+                       res.nodes_explored)
+
+
+def _dominating_set_to_rdf(prod: Graph, k: int, dom) -> RainbowLabeling:
+    """The k-RDF of g, of weight |dom|, that a dominating set dom of prod =
+    g x K_k stands for: (v, color i) is vertex v*k + i - 1. Raises when dom
+    does not dominate prod, so the search's witness is re-checked here."""
+    if not is_dominating_set(prod, dom):
+        raise PreconditionError("set does not dominate the Cartesian product")
+    masks = [0] * (prod.n // k)
+    for x in dom:
+        v, b = divmod(x, k)
+        masks[v] |= 1 << b
+    return RainbowLabeling(k, tuple(masks))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,19 @@ def brute_min_2rdfs(g: Graph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def projection_property(g: Graph, nh: int, f) -> tuple[bool, bool]:
+    """Whether the first-factor projections of the color-1 and color-2
+    supports of a 2-rainbow labeling f of g o h (h on nh vertices, vertex
+    (a, x) at a * nh + x; full labels count for both) each dominate g."""
+    if f.k != 2:
+        raise ValueError("the projection property is about 2-rainbow labelings")
+    if len(f.masks) != g.n * nh:
+        raise ValueError("labeling does not match the product")
+    support1 = {p // nh for p, m in enumerate(f.masks) if m & 1}
+    support2 = {p // nh for p, m in enumerate(f.masks) if m & 2}
+    return brute_is_dominating(g, support1), brute_is_dominating(g, support2)
+
+
 def brute_is_couple(g: Graph, a, b) -> bool:
     nb = nbrs(g)
     a, b = set(a), set(b)

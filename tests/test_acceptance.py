@@ -101,7 +101,7 @@ def test_criterion_2_general_bounds(corpus6, announce):
 def test_criterion_3_p5_p4_value(announce):
     start = time.monotonic()
     with _guard(announce, 3):
-        prod, _ = lexicographic(gen_path(5), gen_path(4))
+        prod = lexicographic(gen_path(5), gen_path(4))
         assert prod.n == 20
         assert min_rainbow(prod, 2).value == 5
         cert = certify_rd_lex(gen_path(5), gen_path(4))
@@ -117,10 +117,10 @@ def test_criterion_4_p7_double_c4(announce):
         h = gen_double_c4()
         cert = certify_rd_lex(gen_path(7), h)
         assert cert.describe() == "exact 7, case RdH3NoPair"
-        prod, _ = lexicographic(gen_path(7), h)
+        prod = lexicographic(gen_path(7), h)
         assert cert.upper_labeling.weight == 7
         assert is_k_rainbow_dominating(prod, cert.upper_labeling)
-        small, _ = lexicographic(gen_path(3), h)
+        small = lexicographic(gen_path(3), h)
         assert small.n == 21
         exact = min_rainbow(small, 2).value
         couple_value = min_couple_cost(gen_path(3), 2, 3)[0]
@@ -139,7 +139,7 @@ def test_criterion_5_tile_suite(spider, announce):
             for n in range(2, 61):
                 f = path_pattern_labeling(n, h, u, v)
                 assert f.weight == path_upper_bound(n), (n, h.adj)
-                prod, _ = lexicographic(gen_path(n), h)
+                prod = lexicographic(gen_path(n), h)
                 assert is_k_rainbow_dominating(prod, f), (n, h.adj)
         assert path_upper_bound(7) == 6 == 2 * min_dominating_set(gen_path(7)).value
         _finish(announce, 5, 30.0, start,
@@ -187,7 +187,7 @@ def test_criterion_8_glued_family(announce):
                 g = gen_glued_paths(m, p2)
                 f = glued_family_labeling(m, p2, h, 1, 3)
                 assert f.weight == 4 * m + 2
-                prod, _ = lexicographic(g, h)
+                prod = lexicographic(g, h)
                 assert is_k_rainbow_dominating(prod, f), (m, p2)
             # with a pendant the domination number hits 2m+1 and the chain
             # 2*gamma <= value <= construction weight closes exactly
@@ -205,7 +205,7 @@ def test_criterion_8_glued_family(announce):
             g0 = gen_glued_paths(m, 0)
             assert min_dominating_set(g0).value == 2 * m
         # the construction is still tight at m=1, p2=0 by exact solve
-        prod, _ = lexicographic(gen_glued_paths(1, 0), h)
+        prod = lexicographic(gen_glued_paths(1, 0), h)
         assert min_rainbow(prod, 2).value == 6
         _finish(announce, 8, 60.0, start,
                 "construction validates at weight 4m+2 in all four cases; "

@@ -2,9 +2,9 @@ import pytest
 
 from rainbowdom import (
     BudgetError,
+    CapacityError,
     DisconnectedError,
     Graph,
-    ProductIndex,
     RainbowLabeling,
     certify_rd_lex,
     classify_h,
@@ -24,7 +24,6 @@ from rainbowdom import (
     min_total_dominating_set,
     pair_witness,
     parse_graph6,
-    projection_property,
     to_graph6,
     verify_corpus,
 )
@@ -32,7 +31,7 @@ from rainbowdom.certify import _dominating_projections, _projection_gap
 from rainbowdom.graphs import iter_bits
 from rainbowdom.solvers import _min_rainbow_lex, _pair_search
 
-from conftest import brute_min_dominating, brute_min_rainbow
+from conftest import brute_min_dominating, brute_min_rainbow, projection_property
 
 
 class TestGeneralBounds:
@@ -148,7 +147,7 @@ class TestCertifyCases:
         for g, h in [(gen_path(4), gen_cycle(4)), (gen_path(3), gen_path(6)),
                      (gen_path(7), gen_double_c4()), (gen_path(5), gen_path(4))]:
             cert = certify_rd_lex(g, h)
-            prod, _ = lexicographic(g, h)
+            prod = lexicographic(g, h)
             assert is_k_rainbow_dominating(prod, cert.upper_labeling)
             assert cert.upper_labeling.weight == cert.hi
 
@@ -167,6 +166,26 @@ LADDER_REFINES = {
     "C12": (gen_cycle(12), 11, 1110),
     "P16": (gen_path(16), 15, 3638),
 }
+
+
+class TestTrivialH:
+    """h = K_1: the product is a copy of g, certified by the layer cover,
+    never by the direct search on g."""
+
+    def test_matches_direct_search(self, corpus6):
+        k1 = gen_complete(1)
+        for g in corpus6:
+            cert = certify_rd_lex(g, k1)
+            assert cert.case == "TrivialH" and cert.exact
+            assert cert.value == min_rainbow(g, 2).value, g.adj
+            assert is_k_rainbow_dominating(lexicographic(g, k1), cert.upper_labeling)
+
+    def test_p64_within_a_small_budget(self):
+        g, k1 = gen_path(64), gen_complete(1)
+        cert = certify_rd_lex(g, k1, node_budget=1000)
+        assert cert.describe() == "exact 33, case TrivialH"
+        assert cert.upper_labeling.weight == 33
+        assert is_k_rainbow_dominating(lexicographic(g, k1), cert.upper_labeling)
 
 
 class TestRefine:
@@ -395,7 +414,7 @@ class TestComponentSum:
         cert = certify_rd_lex(g, h)
         assert cert.case == "ComponentSum"
         assert cert.parts is not None and len(cert.parts) == 2
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         exact = min_rainbow(prod, 2).value
         lo, hi = cert.lo, cert.hi
         assert lo <= exact <= hi
@@ -404,12 +423,34 @@ class TestComponentSum:
         cases = {c.case for _, c in cert.parts}
         assert cases <= {"RdH3Pair", "GammaEqGammaT", "TrivialG"}
 
+    # the upper labeling is merged from the components' labelings layer by
+    # layer; these masks were recorded with the earlier per-vertex merge
+    MERGED = {
+        "P3+C5 o P4": (gen_path(3), gen_cycle(5), gen_path(4), (
+            1, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 2, 0, 1,
+            1, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0)),
+        "K2+P4 o C5": (gen_complete(2), gen_path(4), gen_cycle(5), (
+            0, 1, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            3, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MERGED))
+    def test_merged_upper_labeling_pinned(self, name):
+        first, second, h, masks = self.MERGED[name]
+        g = from_edge_list(first.n + second.n, list(first.edges()) + [
+            (u + first.n, v + first.n) for u, v in second.edges()])
+        cert = certify_rd_lex(g, h)
+        assert cert.case == "ComponentSum"
+        assert cert.upper_labeling.masks == masks
+        assert cert.lo == cert.hi == sum(m.bit_count() for m in masks)
+        assert is_k_rainbow_dominating(lexicographic(g, h), cert.upper_labeling)
+
     def test_disconnected_h_falls_back_to_exact(self):
         g = gen_path(3)
         h = from_edge_list(4, [(0, 1), (2, 3)])
         cert = certify_rd_lex(g, h)
         assert cert.case == "ComponentSum-NA"
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert cert.value == min_rainbow(prod, 2).value
 
     def test_disconnected_h_beyond_product_cap(self):
@@ -418,7 +459,7 @@ class TestComponentSum:
         h = from_edge_list(4, [(0, 1), (2, 3)])
         cert = certify_rd_lex(g, h)
         assert cert.case == "ComponentSum-NA" and cert.value == 20
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert prod.n == 80
         assert cert.upper_labeling.weight == 20
         assert is_k_rainbow_dominating(prod, cert.upper_labeling)
@@ -443,7 +484,7 @@ class TestAgainstExactSolves:
                 if g.n * h.n > 24:
                     continue
                 cert = certify_rd_lex(g, h)
-                prod, _ = lexicographic(g, h)
+                prod = lexicographic(g, h)
                 exact = min_rainbow(prod, 2).value
                 assert cert.lo <= exact <= cert.hi, (g.adj, h.adj)
                 if cert.value is not None:
@@ -453,7 +494,7 @@ class TestAgainstExactSolves:
         corpus = [g for n in range(1, 4) for g in enumerate_connected_graphs(n)]
         for g in corpus:
             cert = certify_rd_lex(g, gen_double_c4())
-            prod, _ = lexicographic(g, gen_double_c4())
+            prod = lexicographic(g, gen_double_c4())
             exact = min_rainbow(prod, 2).value
             assert cert.lo <= exact <= cert.hi
             if cert.value is not None:
@@ -464,26 +505,22 @@ class TestProjectionProperty:
     def test_dominating_case(self):
         g, h = gen_path(4), gen_cycle(4)
         cert = certify_rd_lex(g, h)
-        _, idx = lexicographic(g, h)
-        assert projection_property(g, idx, cert.upper_labeling) == (True, True)
+        assert projection_property(g, h.n, cert.upper_labeling) == (True, True)
 
     def test_non_dominating_case(self):
         g = gen_path(3)
-        idx = ProductIndex(3, 1)
         f = RainbowLabeling(2, (1, 0, 0))
-        assert projection_property(g, idx, f) == (False, False)
+        assert projection_property(g, 1, f) == (False, False)
 
     def test_rejects_wrong_k(self):
         g = gen_path(2)
-        idx = ProductIndex(2, 1)
         with pytest.raises(ValueError):
-            projection_property(g, idx, RainbowLabeling(3, (1, 0)))
+            projection_property(g, 1, RainbowLabeling(3, (1, 0)))
 
     def test_rejects_size_mismatch(self):
         g = gen_path(2)
-        idx = ProductIndex(2, 2)
         with pytest.raises(ValueError):
-            projection_property(g, idx, RainbowLabeling(2, (1, 0)))
+            projection_property(g, 2, RainbowLabeling(2, (1, 0)))
 
 
 class TestProjectionSearch:
@@ -500,9 +537,9 @@ class TestProjectionSearch:
                 for h in self.SMALL_H:
                     if g.n * h.n > 14:
                         continue
-                    prod, idx = lexicographic(g, h)
+                    prod = lexicographic(g, h)
                     rd2 = min_rainbow(prod, 2).value
-                    props = [projection_property(g, idx, f)
+                    props = [projection_property(g, h.n, f)
                              for f in enumerate_min_2rdfs(prod, 10**6)]
                     gap = _projection_gap(g, prod, h.n, rd2, 10**6)
                     both = _dominating_projections(g, prod, h.n, rd2, 10**6)
@@ -518,7 +555,7 @@ class TestProjectionSearch:
                                        for p in range(b * h.n, (b + 1) * h.n))
                     if both is not None:
                         assert both.weight == rd2 and is_k_rainbow_dominating(prod, both)
-                        assert projection_property(g, idx, both) == (True, True)
+                        assert projection_property(g, h.n, both) == (True, True)
         # each check meets both of its answers on this corpus
         assert {gap_none for gap_none, _ in outcomes} == {True, False}
         assert {both_none for _, both_none in outcomes} == {True, False}
@@ -579,6 +616,13 @@ class TestVerifyCorpus:
         rep = verify_corpus(3, [gen_cycle(4)], 8)
         assert rep.skips  # the 3-vertex factors exceed an 8-vertex product cap
         assert rep.ok
+
+    def test_refuses_product_cap_beyond_the_oracle(self):
+        # the oracle solves products of at most 64 vertices; a larger cap is
+        # refused before any task runs, not reported as task violations
+        with pytest.raises(CapacityError):
+            verify_corpus(2, [gen_path(2)], 65)
+        assert verify_corpus(2, [gen_path(2)], 64).ok
 
     def test_refuses_disconnected_h(self):
         # refused before any task runs, instead of one violation per task

@@ -146,6 +146,11 @@ class TestCertify:
         assert "case ComponentSum" in out
         assert "components:" in out
 
+    def test_trivial_h_within_budget(self, capsys):
+        rc, out, _ = run(capsys, "certify", "P40", "K1", "--budget", "10000")
+        assert rc == 0
+        assert "certificate: exact 21, case TrivialH" in out
+
     def test_deterministic(self, capsys):
         a = run(capsys, "certify", "P6", "DC4")
         b = run(capsys, "certify", "P6", "DC4")
@@ -274,6 +279,11 @@ class TestVerify:
                            "--cap", "42", "--format", "edges")
         assert rc == 5
         assert "connected second factors" in err and out == ""
+
+    def test_product_cap_beyond_the_oracle_refused(self, capsys):
+        rc, out, err = run(capsys, "verify", "--ng", "2", "--h", "P2", "--cap", "65")
+        assert rc == 3
+        assert "at most 64 vertices" in err and out == ""
 
     def test_projection_cap_is_not_an_option(self, capsys):
         # products up to 14 vertices always get the projection checks

@@ -5,7 +5,6 @@ from rainbowdom import (
     IsolatedVertexError,
     NoPairWitnessError,
     NoUniversalVertexError,
-    PatternTile,
     from_edge_list,
     gen_cycle,
     gen_glued_paths,
@@ -17,18 +16,17 @@ from rainbowdom import (
     min_dominating_set,
     path_pattern_labeling,
     path_upper_bound,
-    tiles,
     total_dom_labeling,
     universal_vertex_labeling,
 )
+from rainbowdom.constructions import _TILES
 
 from conftest import brute_min_total_dominating
 
 
 class TestTiles:
     def test_frozen_patterns(self):
-        t = tiles()
-        assert {L: (p.u_row, p.v_row) for L, p in t.items()} == {
+        assert _TILES == {
             2: ("30", "10"),
             3: ("030", "010"),
             4: ("0330", "0000"),
@@ -39,22 +37,10 @@ class TestTiles:
         }
 
     def test_weights_match_bound(self):
-        for L, p in tiles().items():
-            assert p.length == L
-            assert p.weight == path_upper_bound(L)
-
-    def test_returns_copy(self):
-        t = tiles()
-        t.pop(2)
-        assert 2 in tiles()
-
-    def test_pattern_tile_validation(self):
-        with pytest.raises(ValueError):
-            PatternTile(2, "304", "100")
-        with pytest.raises(ValueError):
-            PatternTile(2, "34", "10")
-        with pytest.raises(ValueError):
-            PatternTile(9, "0" * 9, "0" * 9)
+        for length, rows in _TILES.items():
+            assert all(len(row) == length for row in rows)
+            assert sum(int(c).bit_count() for row in rows for c in row) == \
+                path_upper_bound(length)
 
 
 class TestPathUpperBound:
@@ -80,14 +66,14 @@ class TestPathPatternLabeling:
         h = gen_path(4)
         f = path_pattern_labeling(n, h, 1, 3)
         assert f.weight == path_upper_bound(n)
-        prod, _ = lexicographic(gen_path(n), h)
+        prod = lexicographic(gen_path(n), h)
         assert is_k_rainbow_dominating(prod, f)
 
     @pytest.mark.parametrize("n", [2, 5, 7, 9, 13, 17, 23])
     def test_valid_on_nonadjacent_witness(self, n, spider):
         f = path_pattern_labeling(n, spider, 0, 4)
         assert f.weight == path_upper_bound(n)
-        prod, _ = lexicographic(gen_path(n), spider)
+        prod = lexicographic(gen_path(n), spider)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_only_witness_rows_labeled(self):
@@ -127,14 +113,14 @@ class TestTotalDomLabeling:
         g, h = gen_path(7), gen_cycle(5)
         f = total_dom_labeling(g, h, 2)
         assert f.weight == 2 * brute_min_total_dominating(g)
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_k3(self):
         g, h = gen_cycle(6), gen_path(3)
         f = total_dom_labeling(g, h, 3)
         assert f.weight == 3 * brute_min_total_dominating(g)
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_labels_sit_on_layer_zero(self):
@@ -156,14 +142,14 @@ class TestUniversalVertexLabeling:
         g, h = gen_path(7), gen_star(4)
         f = universal_vertex_labeling(g, h, 2)
         assert f.weight == 2 * min_dominating_set(g).value == 6
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_single_vertex_h(self):
         g, h = gen_path(3), gen_path(1)
         f = universal_vertex_labeling(g, h, 2)
         assert f.weight == 2
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -191,13 +177,13 @@ class TestGluedFamilyLabeling:
         h = gen_path(4)
         f = glued_family_labeling(m, p2, h, 1, 3)
         assert f.weight == 4 * m + 2
-        prod, _ = lexicographic(gen_glued_paths(m, p2), h)
+        prod = lexicographic(gen_glued_paths(m, p2), h)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_valid_on_nonadjacent_witness(self, spider):
         f = glued_family_labeling(2, 1, spider, 0, 4)
         assert f.weight == 10
-        prod, _ = lexicographic(gen_glued_paths(2, 1), spider)
+        prod = lexicographic(gen_glued_paths(2, 1), spider)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_pendant_layers_empty(self):

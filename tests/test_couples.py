@@ -110,21 +110,21 @@ class TestCoupleLabeling:
         g, h = gen_path(7), gen_double_c4()
         value, couple = min_couple_cost(g, 2, 3)
         f = couple_labeling(g, h, 2, couple)
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
         assert f.weight == 2 * len(couple.a) + 3 * len(couple.b) == 7
 
     def test_pure_b_couple(self):
         g, h = gen_path(2), gen_path(4)
         f = couple_labeling(g, h, 2, DominatingCouple(frozenset(), frozenset({0})))
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
         assert f.weight == 3  # 2-rainbow number of P_4
 
     def test_pure_a_couple(self):
         g, h = gen_path(4), gen_path(5)
         f = couple_labeling(g, h, 2, DominatingCouple(frozenset({1, 2}), frozenset()))
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
         assert f.weight == 4
 
@@ -132,7 +132,7 @@ class TestCoupleLabeling:
         g, h = gen_path(4), gen_star(4)
         value, couple = min_couple_cost(g, 3, 4)
         f = couple_labeling(g, h, 3, couple)
-        prod, _ = lexicographic(g, h)
+        prod = lexicographic(g, h)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_h_too_small(self):
@@ -161,7 +161,7 @@ class TestCoupleLabeling:
                 used |= m
             assert used == (1 << k) - 1
             assert f.weight == min_rainbow(h, k).value
-            prod, _ = lexicographic(g, h)
+            prod = lexicographic(g, h)
             assert is_k_rainbow_dominating(prod, f)
 
 

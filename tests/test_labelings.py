@@ -6,7 +6,6 @@ from rainbowdom import (
     ParseError,
     RainbowLabeling,
     cartesian,
-    dominating_set_to_rdf,
     format_labeling,
     gen_complete,
     gen_cycle,
@@ -15,8 +14,8 @@ from rainbowdom import (
     is_dominating_set,
     is_k_rainbow_dominating,
     parse_labeling,
-    rdf_to_dominating_set,
 )
+from rainbowdom.solvers import _dominating_set_to_rdf
 
 from conftest import brute_valid_rdf
 
@@ -89,29 +88,22 @@ class TestValidity:
 
 
 class TestConversions:
-    def test_rdf_to_product_dominating_set(self):
-        g = gen_path(4)
-        f = RainbowLabeling(2, (0, 3, 0, 1))
-        s = rdf_to_dominating_set(g, f)
-        assert s == {2, 3, 6}
-        assert len(s) == f.weight
-        prod, _ = cartesian(g, gen_complete(2))
-        assert is_dominating_set(prod, s)
-
-    def test_invalid_rdf_rejected(self):
-        g = gen_path(4)
-        with pytest.raises(ValueError):
-            rdf_to_dominating_set(g, RainbowLabeling(2, (0, 1, 0, 1)))
+    """The last step of min_rainbow_via_cartesian: a dominating set of
+    G x K_k, vertex (v, color i) at v*k + i - 1, back to a k-RDF of G."""
 
     def test_product_set_to_rdf_round_trip(self):
         g = gen_path(4)
         f = RainbowLabeling(2, (0, 3, 0, 1))
-        assert dominating_set_to_rdf(g, 2, rdf_to_dominating_set(g, f)) == f
+        s = {v * 2 + c for v, m in enumerate(f.masks) for c in range(2) if m >> c & 1}
+        assert s == {2, 3, 6}
+        prod = cartesian(g, gen_complete(2))
+        assert is_dominating_set(prod, s)
+        assert _dominating_set_to_rdf(prod, 2, s) == f
 
     def test_non_dominating_set_rejected(self):
-        g = gen_path(4)
+        prod = cartesian(gen_path(4), gen_complete(2))
         with pytest.raises(ValueError):
-            dominating_set_to_rdf(g, 2, {0})
+            _dominating_set_to_rdf(prod, 2, {0})
 
 
 class TestFormatParse:

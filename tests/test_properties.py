@@ -132,5 +132,5 @@ def test_labeling_text_round_trip(k, masks):
 def test_rainbow_vs_product_domination(g, k):
     # the defining equivalence, with the product built explicitly here
     from rainbowdom import cartesian
-    prod, _ = cartesian(g, gen_complete(k))
+    prod = cartesian(g, gen_complete(k))
     assert min_rainbow(g, k).value == min_dominating_set(prod).value

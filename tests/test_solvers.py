@@ -81,6 +81,12 @@ class TestDominationSolvers:
         with pytest.raises(CapacityError):
             min_dominating_set(gen_path(65))
 
+    def test_capacity_before_isolated_vertex(self):
+        # the size cap is checked first: 65 vertices, one of them isolated
+        g = from_edge_list(65, [(v, v + 1) for v in range(63)])
+        with pytest.raises(CapacityError):
+            min_total_dominating_set(g)
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             min_dominating_set(BRANCHY, node_budget=3)
@@ -327,7 +333,7 @@ class TestMinRainbowLex:
             for h in LEX_H:
                 if g.n * h.n > 30:
                     continue
-                prod, _ = lexicographic(g, h)
+                prod = lexicographic(g, h)
                 res = _min_rainbow_lex(g, h)
                 assert res.value == min_rainbow(prod, 2).value, (g.adj, h.adj)
                 assert res.witness.weight == res.value
