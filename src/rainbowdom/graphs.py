@@ -342,9 +342,12 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """Subgraph induced by the given vertices.
 
     Returns the subgraph (relabeled 0..len-1 in sorted vertex order) together
-    with the list mapping new indices back to the originals.
+    with the list mapping new indices back to the originals. The whole vertex
+    set gives g itself and the identity order, without building a copy.
     """
     order = sorted(set(vertices))
+    if order == list(range(g.n)):
+        return g, order
     pos = {v: i for i, v in enumerate(order)}
     rows = [0] * len(order)
     for i, v in enumerate(order):

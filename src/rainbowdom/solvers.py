@@ -9,7 +9,9 @@ both at two costs. The closed neighborhoods of g x K_2 give the minimum
 with one more element that only "{1,2} on u" sets cover, the pair witness.
 The 2-rainbow number of g o h (_min_rainbow_lex) is one cover of
 V(g) x {1, 2} whose set costs are twelve small covers of h. The rainbow
-engine (_rainbow_fixed) assigns color sets vertex by vertex for min_rainbow.
+engine (_rainbow_fixed) assigns color sets vertex by vertex for min_rainbow;
+it stays independent of the cover engine, as the oracle the corpus replay
+checks the case values against.
 
 Each engine starts from a greedy solution as the upper bound, then runs
 iterative deepening on the objective: each level is a depth-first search that
@@ -19,6 +21,15 @@ infeasibility test (a vertex that no future decision can fix). The collect
 mode instead decides the sets in index order at one given cost. Searches
 count branch nodes against an explicit budget and raise instead of
 approximating.
+
+The rainbow engine's first bound counts pairs: each (v, c) with v empty or
+unassigned and no assigned neighbor carrying c is served by v itself being
+nonempty (k pairs at most) or by color c on an unassigned neighbor u (deg(u)
+at most), so the weight W still to place satisfies T <= W (Delta_U + k),
+where T counts those pairs and Delta_U is the largest degree left. At the
+root T = k n, so the deepening starts at ceil(k n / (Delta + k)). It also
+breaks twin symmetry: a vertex whose open or closed neighborhood equals that
+of an earlier vertex carries at least as many colors as the nearest one.
 
 Disconnected inputs are decomposed into components and the per-component
 results are merged, so every invariant is the sum over components.
@@ -241,35 +252,67 @@ def min_total_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
 # rainbow labeling engine
 
 
-def _rainbow_fixed(g: Graph, k: int, w_cap: int, *, stats: list[int], node_budget: int):
-    """min_rainbow's search for a valid k-rainbow labeling of weight <= w_cap.
+def _rainbow_fixed(g: Graph, k: int, caps, *, stats: list[int], node_budget: int):
+    """min_rainbow's search: for each weight cap w_cap in caps, in order, a
+    depth-first search for a valid k-rainbow labeling of weight <= w_cap.
+    Returns the first one found, or None.
 
     Vertices are assigned in index order and label values are tried in
-    ascending mask order. The first nonempty label is {1}, {1,2}, ... (a color
-    permutation maps any labeling to such a one), so the first solution is
-    the lexicographically smallest of those within the weight cap.
+    ascending mask order. Two symmetry rules cut the labelings tried, and a
+    permutation of twins followed by a permutation of colors maps any
+    labeling onto one that passes both: the first nonempty label is {1},
+    {1,2}, ..., and a vertex whose open or closed neighborhood equals that
+    of an earlier vertex carries at least as many colors as the nearest such
+    twin. So the first solution is the lexicographically smallest, within
+    the weight cap, of the labelings that pass both rules. For k = 2 it is
+    also the smallest that passes the first rule alone, as it was before the
+    twin rule: there a lighter label is a smaller mask, so swapping the
+    labels of a heavier earlier twin and a lighter later one (then the
+    colors, if the first label became {2}) gives a smaller labeling.
+
+    After the tentative label on vertex i, with U the vertices after i, Z
+    the assigned empty ones and seen_c the vertices next to an assigned
+    vertex carrying color c, a counting bound comes first. Each of the
+    T = sum_c |(Z | U) minus seen_c| pairs (v, c) is served by v itself
+    being nonempty (at most k pairs per nonempty v) or by a color c on a
+    neighbor in U (at most deg(u) <= Delta_U pairs per color on u), so the
+    weight W still to place satisfies T <= W * (Delta_U + k). Then, per
+    color, a vertex of Z that no vertex of U neighbors is a dead end, and
+    ceil(|Z minus seen_c| / maxcov_c) more vertices carry c, maxcov_c being
+    the most of those that one vertex of U neighbors.
     """
-    n = g.n
+    n, full = g.n, g.full_mask
     fullc = (1 << k) - 1
     nbr = list(g.adj)
     supplied = [0] * (n + 1)  # supplied[i] = vertices with a neighbor of index >= i
+    top = [0] * (n + 1)  # top[i] = the largest degree among vertices i..n-1
     for i in range(n - 1, -1, -1):
         supplied[i] = supplied[i + 1] | nbr[i]
+        top[i] = max(top[i + 1], nbr[i].bit_count())
+    # twin[v] = the nearest earlier vertex with v's open or closed neighborhood,
+    # or -1. One dict serves both kinds: N(u) = N[v] would need u in N(u)
+    twin, last = [-1] * n, {}
+    for v in range(n):
+        twin[v] = max(last.get(nbr[v], -1), last.get(nbr[v] | 1 << v, -1))
+        last[nbr[v]] = last[nbr[v] | 1 << v] = v
     prefix_masks = {0} | {(1 << t) - 1 for t in range(1, k + 1)}
 
     masks = [0] * n
     seen = [0] * k  # seen[c] = vertices adjacent to an assigned vertex carrying c
 
-    def dfs(i: int, wt: int, any_nonempty: bool, zero: int):
+    def dfs(i: int, wt: int, any_nonempty: bool, zero: int, w_cap: int):
         stats[0] += 1
         if stats[0] > node_budget:
             raise BudgetError(f"node budget {node_budget} exhausted")
         if i == n:
             return tuple(masks)
         future = supplied[i + 1]
+        rest = full >> (i + 1) << (i + 1)
+        per = top[i + 1] + k
+        least = masks[twin[i]].bit_count() if twin[i] >= 0 else 0
         for m in range(fullc + 1):
             mw = m.bit_count()
-            if wt + mw > w_cap:
+            if wt + mw > w_cap or mw < least:
                 continue
             if not any_nonempty and m and m not in prefix_masks:
                 continue
@@ -282,31 +325,38 @@ def _rainbow_fixed(g: Graph, k: int, w_cap: int, *, stats: list[int], node_budge
                 snapshot = seen.copy()
                 for c in iter_bits(m):
                     seen[c] |= nbr[i]
-            ok = True
-            bound = 0
-            for c in range(k):
-                need = zero2 & ~seen[c]
-                if need:
+            r = None
+            open_ = zero2 | rest
+            pairs = 0
+            for s in seen:
+                pairs += (open_ & ~s).bit_count()
+            if wt + mw + -(-pairs // per) <= w_cap:
+                bound = 0
+                for c in range(k):
+                    need = zero2 & ~seen[c]
                     if need & ~future:
-                        ok = False
-                        break
-                    maxcov = 0
-                    for u in range(i + 1, n):
-                        cc = (nbr[u] & need).bit_count()
-                        if cc > maxcov:
-                            maxcov = cc
-                    bound += -(-need.bit_count() // maxcov)
-            if ok and wt + mw + bound <= w_cap:
-                r = dfs(i + 1, wt + mw, any_nonempty or m != 0, zero2)
-                if r is not None:
-                    if snapshot is not None:
-                        seen[:] = snapshot
-                    return r
+                        break  # an empty vertex that no vertex left can serve
+                    if need:
+                        maxcov = 0
+                        for u in range(i + 1, n):
+                            cc = (nbr[u] & need).bit_count()
+                            if cc > maxcov:
+                                maxcov = cc
+                        bound += -(-need.bit_count() // maxcov)
+                else:
+                    if wt + mw + bound <= w_cap:
+                        r = dfs(i + 1, wt + mw, any_nonempty or m != 0, zero2, w_cap)
             if snapshot is not None:
                 seen[:] = snapshot
+            if r is not None:
+                return r
         return None
 
-    return dfs(0, 0, False, 0)
+    for w_cap in caps:
+        r = dfs(0, 0, False, 0, w_cap)
+        if r is not None:
+            return r
+    return None
 
 
 def _rainbow_min_component(
@@ -315,13 +365,10 @@ def _rainbow_min_component(
     # the full label on a greedy dominating set is always valid
     chosen = _greedy_cover(g.full_mask, [g.closed(v) for v in range(g.n)], [1] * g.n)
     greedy = tuple((1 << k) - 1 if v in chosen else 0 for v in range(g.n))
-    ub = len(chosen) * k
-    lb = max(1, -(-g.n // (max_degree(g) + 1)))
-    for cap in range(lb, ub):
-        r = _rainbow_fixed(g, k, cap, stats=stats, node_budget=node_budget)
-        if r is not None:
-            return r
-    return greedy
+    # the counting bound of _rainbow_fixed at the root: T = k * n
+    lb = -(-k * g.n // (max_degree(g) + k))
+    r = _rainbow_fixed(g, k, range(lb, len(chosen) * k), stats=stats, node_budget=node_budget)
+    return greedy if r is None else r
 
 
 def _validate_k(k: int):

@@ -138,6 +138,12 @@ class TestCertifyCases:
         cert = certify_rd_lex(gen_path(1), gen_path(4))
         assert cert.case == "TrivialG" and cert.value == 3
 
+    def test_trivial_g_with_a_long_path_within_a_small_budget(self):
+        # K_1 o P_40 is P_40: classify_h's direct search on h proves rd_2 = 21
+        cert = certify_rd_lex(gen_path(1), gen_path(40), node_budget=10_000)
+        assert cert.describe() == "exact 21, case TrivialG"
+        assert cert.upper_labeling.weight == 21
+
     def test_empty_factors(self):
         empty = Graph(0, ())
         assert certify_rd_lex(empty, gen_path(3)).value == 0

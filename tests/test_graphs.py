@@ -196,6 +196,19 @@ class TestPredicates:
         u, v = sub.edges()[0]
         assert {back[u], back[v]} == {1, 2}
 
+    def test_induced_subgraph_of_every_vertex_is_g_itself(self):
+        g = gen_cycle(5)
+        sub, back = induced_subgraph(g, [4, 3, 2, 1, 0, 2])
+        assert sub is g
+        assert back == [0, 1, 2, 3, 4]
+
+    def test_induced_subgraph_of_all_but_one_vertex_is_a_copy(self):
+        g = gen_cycle(5)
+        sub, back = induced_subgraph(g, [0, 1, 2, 4])
+        assert sub is not g
+        assert back == [0, 1, 2, 4]
+        assert sub.n == 4 and sorted(sub.edges()) == [(0, 1), (0, 3), (1, 2)]
+
 
 class TestIsomorphism:
     def test_agrees_with_permutation_oracle(self, corpus5):

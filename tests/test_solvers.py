@@ -132,19 +132,20 @@ def test_pinned_node_counts(name):
 
 
 # (value, nodes_explored, witness masks) of rd_2 and rd_3 by min_rainbow's
-# direct search, on graphs of NODE_PINS: the counts of the search that a
-# move of min_rainbow to the cover engine will replace
+# direct search, on graphs of NODE_PINS. The search is deterministic, so a
+# changed count means its bounds or symmetry rules now cut a different tree,
+# and a changed witness that it no longer finds the same first labeling
 RAINBOW_PINS = {
-    "P10": ((6, 681, (0, 3, 0, 1, 0, 2, 0, 1, 0, 2)),
-            (8, 16283, (1, 0, 6, 0, 1, 0, 6, 0, 1, 1))),
-    "C12": ((6, 791, (0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2)),
-            (9, 63469, (0, 1, 0, 6, 0, 1, 0, 6, 0, 1, 0, 6))),
-    "DC4": ((3, 40, (1, 0, 2, 0, 0, 2, 0)), (4, 189, (3, 0, 4, 0, 0, 4, 0))),
-    "K1,5": ((2, 2, (3, 0, 0, 0, 0, 0)), (3, 8, (7, 0, 0, 0, 0, 0))),
-    "dense16": ((6, 3169, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3)),
-                (7, 15729, (0, 0, 0, 3, 4, 0, 1, 0, 4, 4, 0, 0, 0, 4, 0, 0))),
-    "P5+C7": ((7, 75, (1, 0, 2, 0, 1, 0, 1, 0, 2, 0, 1, 2)),
-              (10, 806, (1, 0, 6, 0, 1, 0, 1, 0, 6, 0, 1, 6))),
+    "P10": ((6, 17, (0, 3, 0, 1, 0, 2, 0, 1, 0, 2)),
+            (8, 92, (1, 0, 6, 0, 1, 0, 6, 0, 1, 1))),
+    "C12": ((6, 14, (0, 1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 2)),
+            (9, 103, (0, 1, 0, 6, 0, 1, 0, 6, 0, 1, 0, 6))),
+    "DC4": ((3, 8, (1, 0, 2, 0, 0, 2, 0)), (4, 11, (3, 0, 4, 0, 0, 4, 0))),
+    "K1,5": ((2, 0, (3, 0, 0, 0, 0, 0)), (3, 0, (7, 0, 0, 0, 0, 0))),
+    "dense16": ((6, 1413, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3)),
+                (7, 3583, (0, 0, 0, 3, 4, 0, 1, 0, 4, 4, 0, 0, 0, 4, 0, 0))),
+    "P5+C7": ((7, 20, (1, 0, 2, 0, 1, 0, 1, 0, 2, 0, 1, 2)),
+              (10, 73, (1, 0, 6, 0, 1, 0, 1, 0, 6, 0, 1, 6))),
 }
 
 
@@ -203,6 +204,28 @@ class TestMinRainbow:
             min_rainbow(gen_path(3), 0)
         with pytest.raises(ValueError):
             min_rainbow(gen_path(3), 9)
+
+    def test_matches_oracle_on_twins(self):
+        # twins are cut by a symmetry rule; these graphs are mostly twins
+        k23 = from_edge_list(5, [(a, b) for a in range(2) for b in range(2, 5)])
+        k4_minus_edge = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        for g in (gen_star(5), gen_star(6), k23, gen_complete(4), gen_cycle(4),
+                  gen_double_c4(), k4_minus_edge):
+            for k in (2, 3):
+                res = min_rainbow(g, k)
+                assert res.value == brute_min_rainbow(g, k), (g.adj, k)
+                assert is_k_rainbow_dominating(g, res.witness)
+
+    def test_path_closed_form_within_a_small_budget(self):
+        # rd_2(P_n) = floor(n/2) + 1 (Bresar & Kraner Sumenjak, Discrete Appl. Math. 155, 2007)
+        for n in range(1, 65):
+            assert min_rainbow(gen_path(n), 2, node_budget=10_000).value == n // 2 + 1, n
+
+    def test_cycle_closed_form_within_a_small_budget(self):
+        # rd_2(C_n) = floor(n/2) + ceil(n/4) - floor(n/4), from the same paper
+        for n in range(3, 65):
+            want = n // 2 + -(-n // 4) - n // 4
+            assert min_rainbow(gen_cycle(n), 2, node_budget=10_000).value == want, n
 
     def test_budget(self):
         with pytest.raises(BudgetError):
