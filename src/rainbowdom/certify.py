@@ -86,7 +86,6 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     iter_bits,
-    parse_graph6,
     to_graph6,
 )
 from .labelings import RainbowLabeling, is_k_rainbow_dominating
@@ -580,10 +579,7 @@ def _fault(exc: Exception) -> tuple[bool, str]:
 
 
 def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
-    (g6g, g6h, hcls, hstar, run_g_checks, product_cap, node_budget) = args
-    g = parse_graph6(g6g)
-    h = parse_graph6(g6h)
-    name = f"{g6g} o {g6h}"
+    (name, g, h, hcls, hstar, run_g_checks, product_cap, node_budget) = args
     checks: dict[str, int] = {}
     violations: list[str] = []
     notes: list[str] = []
@@ -722,13 +718,13 @@ def verify_corpus(
             hcls = classify_h(h, node_budget=node_budget)
         except Exception as exc:
             hcls = _fault(exc)
-        classified.append((to_graph6(h), hcls, _universal_vertex(h)))
+        classified.append((to_graph6(h), h, hcls, _universal_vertex(h)))
     tasks = [
-        (to_graph6(g), g6h, hcls, hstar, hi == 0, product_cap, node_budget)
+        (f"{to_graph6(g)} o {g6h}", g, h, hcls, hstar, hi == 0, product_cap, node_budget)
         for g in corpus
-        for hi, (g6h, hcls, hstar) in enumerate(classified)
+        for hi, (g6h, h, hcls, hstar) in enumerate(classified)
     ]
-    report = CorpusReport(ng_max=ng_max, h_names=tuple(g6h for g6h, _, _ in classified),
+    report = CorpusReport(ng_max=ng_max, h_names=tuple(g6h for g6h, *_ in classified),
                           product_cap=product_cap, tasks=len(tasks))
     if workers <= 1:
         results = [_corpus_task(t) for t in tasks]

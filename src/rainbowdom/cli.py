@@ -2,9 +2,10 @@
 
 Subcommands: invariant, product, certify, construct, validate, enumerate,
 verify. Every printed value is re-validated against its witness first, so a
-zero exit status certifies the output. Error exit codes: 2 for unparseable
-input, 3 for size caps, 4 for exhausted search budgets, 5 for violated
-preconditions; `validate` exits 1 on an invalid labeling.
+zero exit status certifies the output. A package error prints one
+"error: ..." line and exits with the exit_code of its class, the one mapping
+in errors.py. `validate` exits 1 on an invalid labeling, and `verify` on a
+violation.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from pathlib import Path
 
 from . import certify as certify_mod
 from . import constructions, couples, labelings, products, solvers
-from .errors import (
-    BudgetError,
-    CapExceededError,
-    CapacityError,
-    ParseError,
-    PreconditionError,
-    RainbowDomError,
-)
+from .errors import ParseError, PreconditionError, RainbowDomError
 from .graphs import (
     Graph,
     enumerate_connected_graphs,
@@ -51,6 +45,17 @@ _GENERATORS = {
 }
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; a file that is missing, unreadable or not
+    UTF-8 is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+
+
 def _load_graph(name_or_path: str, fmt: str | None = None) -> Graph:
     """A named generator (P4, C5, K3, S4, DC4, GLUED2_1) or a file path."""
     if fmt is None:
@@ -62,11 +67,8 @@ def _load_graph(name_or_path: str, fmt: str | None = None) -> Graph:
         m = _GLUED.match(name_or_path)
         if m:
             return gen_glued_paths(int(m.group(1)), int(m.group(2)))
-    path = Path(name_or_path)
-    if not path.is_file():
-        raise ParseError(f"not a known graph name or readable file: {name_or_path}")
-    text = path.read_text()
-    chosen = fmt or ("graph6" if path.suffix == ".g6" else "edges")
+    text = _read_input(name_or_path)
+    chosen = fmt or ("graph6" if Path(name_or_path).suffix == ".g6" else "edges")
     if chosen == "graph6":
         return parse_graph6(text)
     return parse_edge_list(text)
@@ -212,7 +214,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = _load_graph(args.graph, args.format)
-    f = labelings.parse_labeling(Path(args.labeling).read_text(), args.k)
+    f = labelings.parse_labeling(_read_input(args.labeling), args.k)
     if f.n != g.n:
         raise PreconditionError(
             f"labeling covers {f.n} vertices but the graph has {g.n}"
@@ -345,21 +347,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CapacityError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except RainbowDomError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 def entry():

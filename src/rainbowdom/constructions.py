@@ -21,17 +21,12 @@ must see color 2, available only at u.
 from __future__ import annotations
 
 from .couples import DominatingCouple, _lift_couple
-from .errors import (
-    DisconnectedError,
-    IsolatedVertexError,
-    NoPairWitnessError,
-    NoUniversalVertexError,
-    PreconditionError,
-)
+from .errors import DisconnectedError, PreconditionError
 from .graphs import Graph, gen_glued_paths, is_connected
 from .labelings import RainbowLabeling, is_k_rainbow_dominating
 from .solvers import (
     DEFAULT_NODE_BUDGET,
+    _validate_k,
     min_dominating_set,
     min_rainbow,
     min_total_dominating_set,
@@ -75,16 +70,16 @@ def _tiling(n: int) -> list[int]:
 
 def _require_pair_witness(h: Graph, u: int, v: int, node_budget: int):
     if not (0 <= u < h.n and 0 <= v < h.n) or u == v:
-        raise NoPairWitnessError("u, v must be distinct vertices of h")
+        raise PreconditionError("u, v must be distinct vertices of h")
     masks = [0] * h.n
     masks[u] = 3
     masks[v] = 1
     if not is_k_rainbow_dominating(h, RainbowLabeling(2, tuple(masks))):
-        raise NoPairWitnessError(
+        raise PreconditionError(
             "the labeling {1,2} at u, {1} at v does not rainbow-dominate h"
         )
     if min_rainbow(h, 2, node_budget=node_budget).value != 3:
-        raise NoPairWitnessError("h must have 2-rainbow domination number 3")
+        raise PreconditionError("h must have 2-rainbow domination number 3")
 
 
 def path_pattern_labeling(
@@ -120,12 +115,9 @@ def total_dom_labeling(
     """Full color set at layer vertex 0 of each minimum-total-dominating-set
     layer; weight k * gamma_t(g), valid for every h. This is the couple
     labeling of (T, empty) for a minimum total dominating set T."""
-    if not (1 <= k <= 8):
-        raise PreconditionError("k must be between 1 and 8")
+    _validate_k(k)
     if h.n < 1:
         raise PreconditionError("h must be nonempty")
-    if any(g.adj[x] == 0 for x in range(g.n)):
-        raise IsolatedVertexError("g has an isolated vertex, gamma_t undefined")
     tds = min_total_dominating_set(g, node_budget=node_budget)
     return _lift_couple(g.n, h.n, k, DominatingCouple(tds.witness, frozenset()), ())
 
@@ -143,11 +135,10 @@ def universal_vertex_labeling(
     set layer; weight k * gamma(g). Requires gamma(h) = 1. This is the
     couple labeling of (empty, D) for a minimum dominating set D, with the
     full set on the universal vertex as the labeling of h."""
-    if not (1 <= k <= 8):
-        raise PreconditionError("k must be between 1 and 8")
+    _validate_k(k)
     hstar = _universal_vertex(h)
     if hstar is None:
-        raise NoUniversalVertexError("h has no vertex adjacent to all others")
+        raise PreconditionError("h has no vertex adjacent to all others")
     ds = min_dominating_set(g, node_budget=node_budget)
     h_masks = tuple((1 << k) - 1 if x == hstar else 0 for x in range(h.n))
     return _lift_couple(g.n, h.n, k, DominatingCouple(frozenset(), ds.witness), h_masks)

@@ -21,21 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    CapacityError,
-    HTooSmallError,
-    NotDisjointError,
-    NotDominatingCoupleError,
-    PreconditionError,
-)
-from .graphs import Graph, to_mask
+from .errors import PreconditionError
+from .graphs import Graph, _vset_mask
 from .labelings import RainbowLabeling
-from .solvers import (
-    DEFAULT_NODE_BUDGET,
-    SOLVER_VERTEX_CAP,
-    _min_weighted_cover,
-    min_rainbow,
-)
+from .solvers import DEFAULT_NODE_BUDGET, _check_cap, _min_weighted_cover, min_rainbow
 
 
 @dataclass(frozen=True)
@@ -45,21 +34,16 @@ class DominatingCouple:
 
     def __post_init__(self):
         if self.a & self.b:
-            raise NotDisjointError(f"sets share vertices {sorted(self.a & self.b)}")
+            raise PreconditionError(f"sets share vertices {sorted(self.a & self.b)}")
 
     def cost(self, cost_a: int, cost_b: int) -> int:
         return cost_a * len(self.a) + cost_b * len(self.b)
 
 
-def is_dominating_couple(g: Graph, a: frozenset[int], b: frozenset[int]) -> bool:
-    """Check the couple condition: each x outside b has a neighbor in a | b."""
-    for v in a | b:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"vertex {v} out of range")
-    if a & b:
-        raise NotDisjointError(f"sets share vertices {sorted(a & b)}")
-    maskb = to_mask(b)
-    inside = to_mask(a) | maskb
+def _is_dominating_couple(g: Graph, couple: DominatingCouple) -> bool:
+    """Check the couple condition: each x outside B has a neighbor in A or B."""
+    maskb = _vset_mask(g, couple.b)
+    inside = _vset_mask(g, couple.a) | maskb
     return all(g.adj[x] & inside for x in range(g.n) if not (maskb >> x) & 1)
 
 
@@ -79,10 +63,7 @@ def min_couple_cost(
     """
     if cost_a < 1 or cost_b < 1:
         raise PreconditionError("costs must be at least 1")
-    if g.n > SOLVER_VERTEX_CAP:
-        raise CapacityError(
-            f"couple search handles at most {SOLVER_VERTEX_CAP} vertices, got {g.n}"
-        )
+    _check_cap(g)
     cover = [g.closed(u) for u in range(g.n)] + list(g.adj)
     cost = [cost_b] * g.n + [cost_a] * g.n
     chosen = _min_weighted_cover(g.full_mask, cover, cost, [0], node_budget)
@@ -108,9 +89,9 @@ def couple_labeling(
     minimum k-rainbow labeling of h that uses all k colors.
     """
     if h.n < k:
-        raise HTooSmallError(f"second factor needs at least {k} vertices, has {h.n}")
-    if not is_dominating_couple(g, couple.a, couple.b):
-        raise NotDominatingCoupleError("(A, B) is not a dominating couple of g")
+        raise PreconditionError(f"second factor needs at least {k} vertices, has {h.n}")
+    if not _is_dominating_couple(g, couple):
+        raise PreconditionError("(A, B) is not a dominating couple of g")
     base = min_rainbow(h, k, node_budget=node_budget)
     return _lift_couple(g.n, h.n, k, couple, base.witness.masks)
 

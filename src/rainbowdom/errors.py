@@ -1,57 +1,48 @@
 """Exception hierarchy shared by the whole package.
 
-The four mid-level classes map one-to-one onto the CLI exit codes
-(parse=2, capacity=3, budget=4, precondition=5).
+Each class carries the exit code the CLI returns for it, so the mapping is
+stated once, here: 1 for any package error not below (an internal check
+that failed), 2 for unparseable input, 3 for size caps and truncated
+enumerations, 4 for exhausted search budgets, 5 for violated preconditions.
 """
 
 
 class RainbowDomError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ParseError(RainbowDomError):
-    """Malformed external input: graph6 text, edge-list text, labeling text."""
+    """Malformed external input: graph6 text, edge-list text, labeling text,
+    or an input file that cannot be read."""
+
+    exit_code = 2
 
 
 class CapacityError(RainbowDomError):
     """An input exceeds a hard size cap (solver vertex cap, enumeration cap)."""
 
+    exit_code = 3
+
 
 class BudgetError(RainbowDomError):
     """A search exhausted its branch-node budget before finishing."""
+
+    exit_code = 4
 
 
 class CapExceededError(RainbowDomError):
     """An enumeration was truncated at its cap; results seen so far are partial."""
 
+    exit_code = 3
+
 
 class PreconditionError(RainbowDomError, ValueError):
     """An argument violates a documented precondition."""
 
-
-class IsolatedVertexError(PreconditionError):
-    """Total domination style operations require a graph without isolated vertices."""
+    exit_code = 5
 
 
 class DisconnectedError(PreconditionError):
     """An operation that assumes a connected graph received a disconnected one."""
-
-
-class NoPairWitnessError(PreconditionError):
-    """The supplied H (or vertex pair) lacks the required minimum 2-RDF shape."""
-
-
-class NoUniversalVertexError(PreconditionError):
-    """The second factor has no vertex adjacent to all others."""
-
-
-class NotDisjointError(PreconditionError):
-    """The two vertex sets of a couple overlap."""
-
-
-class NotDominatingCoupleError(PreconditionError):
-    """The supplied (A, B) pair is not a dominating couple of G."""
-
-
-class HTooSmallError(PreconditionError):
-    """The second factor has fewer vertices than the number of colors."""

@@ -14,24 +14,6 @@ from itertools import permutations
 from .errors import CapacityError, ParseError, PreconditionError
 
 
-def to_mask(vertices) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def from_mask(mask: int) -> list[int]:
-    """Unpack a bitmask into a sorted list of vertex indices."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -71,7 +53,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(from_mask(self.adj[v]))
+        return frozenset(iter_bits(self.adj[v]))
 
     def closed(self, v: int) -> int:
         """Closed neighborhood N[v] as a mask."""
@@ -212,12 +194,6 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -327,7 +303,7 @@ def components(g: Graph) -> list[frozenset[int]]:
     while left:
         start = (left & -left).bit_length() - 1
         comp = _reach_mask(g, start)
-        out.append(frozenset(from_mask(comp)))
+        out.append(frozenset(iter_bits(comp)))
         left &= ~comp
     return out
 
@@ -422,16 +398,6 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 
     rec((), 0)
     return (g.n, best if best is not None else 0)
-
-
-def is_isomorphic(a: Graph, b: Graph) -> bool:
-    """Isomorphism test; graphs that differ in order, size or degree sequence
-    are told apart at any n, others only up to 7 vertices (canonical_form)."""
-    if a.n != b.n or a.m != b.m:
-        return False
-    if sorted(a.degree(v) for v in range(a.n)) != sorted(b.degree(v) for v in range(b.n)):
-        return False
-    return canonical_form(a) == canonical_form(b)
 
 
 @lru_cache(maxsize=None)

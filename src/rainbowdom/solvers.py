@@ -39,13 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetError,
-    CapExceededError,
-    CapacityError,
-    IsolatedVertexError,
-    PreconditionError,
-)
+from .errors import BudgetError, CapExceededError, CapacityError, PreconditionError
 from .graphs import (Graph, components, gen_complete, induced_subgraph, is_dominating_set,
                      iter_bits, max_degree)
 from .labelings import RainbowLabeling
@@ -227,7 +221,7 @@ def _min_neighborhood_cover(g: Graph, closed: bool, node_budget: int) -> SolveRe
     if not closed:
         for v in range(g.n):
             if g.adj[v] == 0:
-                raise IsolatedVertexError(f"isolated vertex {v} admits no total domination")
+                raise PreconditionError(f"isolated vertex {v} admits no total domination")
     stats = [0]
     witness: set[int] = set()
     for comp in components(g):

@@ -23,7 +23,6 @@ from rainbowdom import (
     min_rainbow,
     min_total_dominating_set,
     pair_witness,
-    parse_graph6,
     to_graph6,
     verify_corpus,
 )
@@ -358,9 +357,9 @@ class TestCorpusSolveOnce:
                     state[key] = before
             return run
 
-        # a task's tuple starts with the graph6 strings of g and h
+        # a task's tuple holds its name, then the graphs g and h
         monkeypatch.setattr(certify_mod, "_corpus_task",
-                            within("task", certify_mod._corpus_task, lambda args: args[0][:2]))
+                            within("task", certify_mod._corpus_task, lambda args: args[0][1:3]))
         monkeypatch.setattr(certify_mod, "_certify_connected",
                             within("cert", certify_mod._certify_connected))
 
@@ -376,8 +375,8 @@ class TestCorpusSolveOnce:
         # no solve on h by a task itself (unless g is h); K1 o h is h, so its
         # oracle solve is one
         on_h = [(name, t) for name, graph, t, _, depth in log
-                if t is not None and depth == 0 and t[0] != t[1] and graph == parse_graph6(t[1])]
-        assert on_h == [("min_rainbow", ("@", to_graph6(h))) for h in self.H]
+                if t is not None and depth == 0 and t[0] != t[1] and graph == t[1]]
+        assert on_h == [("min_rainbow", (gen_path(1), h)) for h in self.H]
         # at most one gamma_t(g) solve per task outside the certificate
         for t in tasks:
             assert sum(1 for name, _, t2, in_cert, _ in log

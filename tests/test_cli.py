@@ -5,15 +5,24 @@ import sys
 import pytest
 
 from rainbowdom import (
+    BudgetError,
+    CapExceededError,
+    CapacityError,
+    DisconnectedError,
+    ParseError,
+    PreconditionError,
+    RainbowDomError,
+    SolveResult,
     gen_cycle,
     gen_path,
-    is_isomorphic,
     parse_graph6,
     parse_labeling,
     path_upper_bound,
     to_graph6,
 )
 from rainbowdom.cli import main
+
+from conftest import perm_isomorphic
 
 
 def run(capsys, *argv):
@@ -71,6 +80,23 @@ class TestInvariant:
         # gamma_t undefined with an isolated vertex
         assert run(capsys, "invariant", "P1", "--type", "gammat")[0] == 5
 
+    def test_each_error_class_carries_its_exit_code(self):
+        assert [cls.exit_code for cls in (
+            RainbowDomError, ParseError, CapacityError, CapExceededError,
+            BudgetError, PreconditionError, DisconnectedError,
+        )] == [1, 2, 3, 3, 4, 5, 5]
+
+    def test_internal_check_failure_exits_1(self, capsys, monkeypatch):
+        import rainbowdom.cli as cli
+
+        def broken(g, *, node_budget):
+            return SolveResult(1, frozenset(), 0)  # a witness that dominates nothing
+
+        monkeypatch.setattr(cli.solvers, "min_dominating_set", broken)
+        rc, _, err = run(capsys, "invariant", "P4", "--type", "gamma")
+        assert rc == 1
+        assert err == "error: internal check failed: witness invalid\n"
+
 
 class TestProduct:
     def test_lex_k2_k2(self, capsys):
@@ -80,7 +106,7 @@ class TestProduct:
     def test_cart_k2_k2(self, capsys):
         rc, out, _ = run(capsys, "product", "P2", "P2", "--kind", "cart")
         assert rc == 0
-        assert is_isomorphic(parse_graph6(out.strip()), gen_cycle(4))
+        assert perm_isomorphic(parse_graph6(out.strip()), gen_cycle(4))
 
     def test_deterministic(self, capsys):
         a = run(capsys, "product", "P3", "C5")
@@ -235,6 +261,32 @@ class TestValidateRoundTrip:
         lab = tmp_path / "lab.txt"
         lab.write_text("0: {9}\n")
         assert run(capsys, "validate", str(lab), "--graph", "P1")[0] == 2
+
+
+class TestUnreadableInput:
+    """A file that cannot be read, or is not UTF-8, is a parse error (exit 2)."""
+
+    NOT_UTF8 = b"\xff\xfe\x00C~\n"
+
+    def test_missing_labeling_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        rc, out, err = run(capsys, "validate", str(missing), "--graph", "P4")
+        assert rc == 2 and out == ""
+        assert err == f"error: cannot read {missing}: No such file or directory\n"
+
+    def test_graph_file_not_utf8(self, capsys, tmp_path):
+        g6 = tmp_path / "bin.g6"
+        g6.write_bytes(self.NOT_UTF8)
+        rc, out, err = run(capsys, "invariant", str(g6), "--type", "gamma")
+        assert rc == 2 and out == ""
+        assert err == f"error: cannot read {g6}: not UTF-8 text\n"
+
+    def test_labeling_file_not_utf8(self, capsys, tmp_path):
+        lab = tmp_path / "lab.txt"
+        lab.write_bytes(self.NOT_UTF8)
+        rc, _, err = run(capsys, "validate", str(lab), "--graph", "P4")
+        assert rc == 2
+        assert err == f"error: cannot read {lab}: not UTF-8 text\n"
 
 
 class TestEnumerate:

@@ -2,9 +2,7 @@ import pytest
 
 from rainbowdom import (
     DisconnectedError,
-    IsolatedVertexError,
-    NoPairWitnessError,
-    NoUniversalVertexError,
+    PreconditionError,
     from_edge_list,
     gen_cycle,
     gen_glued_paths,
@@ -22,6 +20,11 @@ from rainbowdom import (
 from rainbowdom.constructions import _TILES
 
 from conftest import brute_min_total_dominating
+
+# the messages of the three pair-witness preconditions
+NOT_DISTINCT = "^u, v must be distinct vertices of h$"
+NOT_DOMINATING = r"^the labeling \{1,2\} at u, \{1\} at v does not rainbow-dominate h$"
+NOT_RD3 = "^h must have 2-rainbow domination number 3$"
 
 
 class TestTiles:
@@ -85,17 +88,17 @@ class TestPathPatternLabeling:
 
     def test_rejects_non_witness_vertices(self):
         h = gen_path(4)
-        for u, v in [(0, 3), (1, 1), (1, 9)]:
-            with pytest.raises(NoPairWitnessError):
+        for u, v, msg in [(0, 3, NOT_DOMINATING), (1, 1, NOT_DISTINCT), (1, 9, NOT_DISTINCT)]:
+            with pytest.raises(PreconditionError, match=msg):
                 path_pattern_labeling(5, h, u, v)
 
     def test_rejects_wrong_rainbow_number(self):
         # {1,2} at 0 and {1} at 2 dominates C_4, but its 2-rainbow number is 2
-        with pytest.raises(NoPairWitnessError):
+        with pytest.raises(PreconditionError, match=NOT_RD3):
             path_pattern_labeling(5, gen_cycle(4), 0, 2)
 
     def test_rejects_no_pair_graph(self):
-        with pytest.raises(NoPairWitnessError):
+        with pytest.raises(PreconditionError, match=NOT_DOMINATING):
             path_pattern_labeling(5, gen_path(5), 1, 3)
 
     def test_rejects_short_path(self):
@@ -133,7 +136,8 @@ class TestTotalDomLabeling:
 
     def test_isolated_vertex_rejected(self):
         g = from_edge_list(3, [(0, 1)])
-        with pytest.raises(IsolatedVertexError):
+        with pytest.raises(PreconditionError,
+                           match="^isolated vertex 2 admits no total domination$"):
             total_dom_labeling(g, gen_path(3), 2)
 
 
@@ -166,7 +170,8 @@ class TestUniversalVertexLabeling:
                                         for a in range(g.n) for x in range(h.n))
 
     def test_no_universal_vertex(self):
-        with pytest.raises(NoUniversalVertexError):
+        with pytest.raises(PreconditionError,
+                           match="^h has no vertex adjacent to all others$"):
             universal_vertex_labeling(gen_path(3), gen_cycle(5), 2)
 
 
@@ -201,7 +206,7 @@ class TestGluedFamilyLabeling:
         assert f.masks[3] == 2  # v-row at the center carries {2}
 
     def test_bad_witness_rejected(self):
-        with pytest.raises(NoPairWitnessError):
+        with pytest.raises(PreconditionError, match=NOT_DOMINATING):
             glued_family_labeling(1, 0, gen_path(5), 1, 3)
 
     def test_bad_family_args(self):

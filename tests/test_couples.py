@@ -3,15 +3,12 @@ import pytest
 from rainbowdom import (
     BudgetError,
     DominatingCouple,
-    HTooSmallError,
-    NotDisjointError,
-    NotDominatingCoupleError,
+    PreconditionError,
     couple_labeling,
     from_edge_list,
     gen_cycle,
     gen_path,
     gen_star,
-    is_dominating_couple,
     is_dominating_set,
     is_k_rainbow_dominating,
     is_total_dominating_set,
@@ -20,7 +17,13 @@ from rainbowdom import (
     min_rainbow,
 )
 
+from rainbowdom.couples import _is_dominating_couple
+
 from conftest import brute_is_couple, brute_min_couple_cost
+
+
+def is_dominating_couple(g, a, b) -> bool:
+    return _is_dominating_couple(g, DominatingCouple(frozenset(a), frozenset(b)))
 
 
 class TestDominatingCouple:
@@ -30,7 +33,7 @@ class TestDominatingCouple:
         assert c.cost(1, 1) == 3
 
     def test_rejects_overlap(self):
-        with pytest.raises(NotDisjointError):
+        with pytest.raises(PreconditionError, match=r"^sets share vertices \[1\]$"):
             DominatingCouple(frozenset({1}), frozenset({1, 2}))
 
 
@@ -65,10 +68,12 @@ class TestIsDominatingCouple:
 
     def test_range_and_overlap_errors(self):
         g = gen_path(3)
-        with pytest.raises(ValueError):
-            is_dominating_couple(g, frozenset({5}), frozenset())
-        with pytest.raises(NotDisjointError):
-            is_dominating_couple(g, frozenset({0}), frozenset({0}))
+        with pytest.raises(ValueError, match="^vertex 5 out of range$"):
+            is_dominating_couple(g, {5}, set())
+        with pytest.raises(ValueError, match="^vertex 5 out of range$"):
+            is_dominating_couple(g, set(), {5})
+        with pytest.raises(PreconditionError, match=r"^sets share vertices \[0\]$"):
+            is_dominating_couple(g, {0}, {0})
 
 
 class TestMinCoupleCost:
@@ -136,13 +141,15 @@ class TestCoupleLabeling:
         assert is_k_rainbow_dominating(prod, f)
 
     def test_h_too_small(self):
-        with pytest.raises(HTooSmallError):
+        with pytest.raises(PreconditionError,
+                           match="^second factor needs at least 3 vertices, has 2$"):
             couple_labeling(gen_path(3), gen_path(2), 3,
                             DominatingCouple(frozenset({1}), frozenset()))
 
     def test_invalid_couple_rejected(self):
         g, h = gen_path(4), gen_cycle(4)
-        with pytest.raises(NotDominatingCoupleError):
+        with pytest.raises(PreconditionError,
+                           match=r"^\(A, B\) is not a dominating couple of g$"):
             couple_labeling(g, h, 2, DominatingCouple(frozenset({1}), frozenset()))
 
     def test_b_layer_copy_uses_every_color(self):

@@ -11,7 +11,6 @@ from rainbowdom import (
     canonical_form,
     components,
     enumerate_connected_graphs,
-    format_edge_list,
     from_edge_list,
     gen_complete,
     gen_cycle,
@@ -22,7 +21,6 @@ from rainbowdom import (
     induced_subgraph,
     is_connected,
     is_dominating_set,
-    is_isomorphic,
     is_total_dominating_set,
     max_degree,
     parse_edge_list,
@@ -161,7 +159,8 @@ class TestGraph6:
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = gen_double_c4()
-        assert parse_edge_list(format_edge_list(g)) == g
+        text = "".join(f"{u} {v}\n" for u, v in g.edges())
+        assert parse_edge_list(f"{g.n} {g.m}\n{text}") == g
 
     def test_parse_errors(self):
         for bad in ["", "3", "3 1", "3 1\n0 0", "3 2\n0 1"]:
@@ -214,9 +213,7 @@ class TestIsomorphism:
     def test_agrees_with_permutation_oracle(self, corpus5):
         # all pairs across the <=5-vertex corpus
         for a, b in itertools.combinations(corpus5, 2):
-            assert is_isomorphic(a, b) == perm_isomorphic(a, b)
-        for a in corpus5:
-            assert is_isomorphic(a, a)
+            assert (canonical_form(a) == canonical_form(b)) == perm_isomorphic(a, b)
 
     def test_canonical_form_permutation_invariant(self):
         g = gen_double_c4()
@@ -231,17 +228,13 @@ class TestIsomorphism:
             start = time.perf_counter()
             with pytest.raises(CapacityError):
                 canonical_form(g)
-            with pytest.raises(CapacityError):
-                is_isomorphic(g, g)
             assert time.perf_counter() - start < 1.0
-        # order, size and degrees still tell larger graphs apart
-        assert not is_isomorphic(gen_cycle(12), gen_path(12))
-        assert not is_isomorphic(gen_complete(10), gen_complete(11))
 
     def test_non_isomorphic_same_degrees(self):
         # C_6 vs two triangles: same degree sequence, different graphs
         two_tri = from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert not is_isomorphic(gen_cycle(6), two_tri)
+        assert not perm_isomorphic(gen_cycle(6), two_tri)
+        assert canonical_form(gen_cycle(6)) != canonical_form(two_tri)
 
 
 class TestEnumeration:
