@@ -239,7 +239,7 @@ def _certify_connected(
     refine: bool,
     node_budget: int,
 ) -> Certificate:
-    if h.n == 1:
+    if hcls.tag == "TrivialH":
         res = _min_rainbow_lex(g, h, node_budget=node_budget)
         return _self_check(g, h, Certificate(
             lo=res.value,
@@ -268,7 +268,7 @@ def _certify_connected(
     def lift(a: frozenset[int], b: frozenset[int]) -> RainbowLabeling:
         return _lift_couple(g.n, h.n, 2, DominatingCouple(a, b), hcls.labeling.masks)
 
-    if hcls.rd2 == 2:
+    if hcls.tag == "RdH2":
         ds = min_dominating_set(g, node_budget=node_budget)
         upper = lift(frozenset(), ds.witness)
         return _self_check(g, h, Certificate(
@@ -285,7 +285,7 @@ def _certify_connected(
             lower=LowerWitness("gamma", ds.value, vertices=ds.witness),
         ))
 
-    if hcls.rd2 >= 4:
+    if hcls.tag == "RdH4Plus":
         tds = min_total_dominating_set(g, node_budget=node_budget)
         upper = lift(tds.witness, frozenset())
         return _self_check(g, h, Certificate(
@@ -301,7 +301,7 @@ def _certify_connected(
             lower=LowerWitness("gamma_t", tds.value, vertices=tds.witness),
         ))
 
-    if hcls.pair is None:
+    if hcls.tag == "RdH3NoPair":
         value, couple = min_couple_cost(g, 2, 3, node_budget=node_budget)
         upper = lift(couple.a, couple.b)
         return _self_check(g, h, Certificate(
@@ -317,7 +317,7 @@ def _certify_connected(
             lower=LowerWitness("couple", value, couple=couple),
         ))
 
-    # 2-rainbow number 3 with a pair witness
+    # RdH3Pair: 2-rainbow number 3 with a pair witness
     ds = min_dominating_set(g, node_budget=node_budget)
     tds = min_total_dominating_set(g, node_budget=node_budget)
     if tds.value == ds.value:

@@ -1,11 +1,15 @@
 """Command-line interface.
 
-Subcommands: invariant, product, certify, construct, validate, enumerate,
-verify. Every printed value is re-validated against its witness first, so a
-zero exit status certifies the output. A package error prints one
-"error: ..." line and exits with the exit_code of its class, the one mapping
-in errors.py. `validate` exits 1 on an invalid labeling, and `verify` on a
-violation.
+Subcommands: invariant, product, certify, construct {tiles, glued, totaldom,
+couple}, validate, enumerate {rdfs, graphs}, verify. Each command path takes
+exactly the options it reads: --format where it loads a graph, --budget where
+it searches, and argparse enforces the required ones, so anything else exits
+2 as an unrecognized argument. Every printed value is re-validated against
+its witness first, so a zero exit status certifies the output. A package
+error prints one "error: ..." line and exits with the exit_code of its
+class, the one mapping in errors.py; an input file that cannot be read and
+an output file that cannot be written are both ParseErrors. `validate` exits
+1 on an invalid labeling, and `verify` on a violation.
 """
 
 from __future__ import annotations
@@ -56,6 +60,14 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
 
 
+def _write_output(path: str, text: str):
+    """Write an output file; a path that cannot be written is a ParseError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load_graph(name_or_path: str, fmt: str | None = None) -> Graph:
     """A named generator (P4, C5, K3, S4, DC4, GLUED2_1) or a file path."""
     if fmt is None:
@@ -76,14 +88,6 @@ def _load_graph(name_or_path: str, fmt: str | None = None) -> Graph:
 
 def _fmt_set(vertices) -> str:
     return "{" + ", ".join(str(v) for v in sorted(vertices)) + "}"
-
-
-def _out(args, text: str):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_invariant(args) -> int:
@@ -159,13 +163,15 @@ def _cmd_certify(args) -> int:
             print(f"  vertices {_fmt_set(back)}: {part.describe()}")
     if args.labeling_out:
         best = cert.refined_labeling or cert.upper_labeling
-        Path(args.labeling_out).write_text(labelings.format_labeling(best))
+        _write_output(args.labeling_out, labelings.format_labeling(best))
         print(f"wrote {args.labeling_out}")
     return 0
 
 
 def _pair_for(h: Graph, args, budget: int) -> tuple[int, int]:
-    if args.u is not None and args.v is not None:
+    if (args.u is None) != (args.v is None):
+        raise ParseError("give both --u and --v, or neither")
+    if args.u is not None:
         return args.u, args.v
     pw = solvers.pair_witness(h, node_budget=budget)
     if pw is None or pw.v is None:
@@ -180,27 +186,19 @@ def _cmd_construct(args) -> int:
     budget = args.budget
     h = _load_graph(args.h, args.format)
     if args.kind == "tiles":
-        if args.n is None:
-            raise ParseError("construct tiles needs --n")
         u, v = _pair_for(h, args, budget)
         f = constructions.path_pattern_labeling(args.n, h, u, v, node_budget=budget)
         g = gen_path(args.n)
     elif args.kind == "glued":
-        if args.m is None:
-            raise ParseError("construct glued needs --m")
         u, v = _pair_for(h, args, budget)
         f = constructions.glued_family_labeling(
             args.m, args.p2, h, u, v, node_budget=budget
         )
         g = gen_glued_paths(args.m, args.p2)
     elif args.kind == "totaldom":
-        if args.g is None:
-            raise ParseError("construct totaldom needs --g")
         g = _load_graph(args.g, args.format)
         f = constructions.total_dom_labeling(g, h, args.k, node_budget=budget)
     else:  # couple
-        if args.g is None:
-            raise ParseError("construct couple needs --g")
         g = _load_graph(args.g, args.format)
         rdh = solvers.min_rainbow(h, args.k, node_budget=budget).value
         _, couple = couples.min_couple_cost(g, args.k, rdh, node_budget=budget)
@@ -208,7 +206,12 @@ def _cmd_construct(args) -> int:
     prod = products.lexicographic(g, h)
     if not labelings.is_k_rainbow_dominating(prod, f):
         raise RainbowDomError("internal check failed: construction invalid")
-    _out(args, labelings.format_labeling(f))
+    text = labelings.format_labeling(f)
+    if args.out:
+        _write_output(args.out, text)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -227,15 +230,13 @@ def _cmd_validate(args) -> int:
     return 1
 
 
-def _cmd_enumerate(args) -> int:
-    if args.what == "graphs":
-        if args.n is None:
-            raise ParseError("enumerate graphs needs --n")
-        for g in enumerate_connected_graphs(args.n):
-            print(to_graph6(g))
-        return 0
-    if args.graph is None:
-        raise ParseError("enumerate rdfs needs a graph argument")
+def _cmd_enumerate_graphs(args) -> int:
+    for g in enumerate_connected_graphs(args.n):
+        print(to_graph6(g))
+    return 0
+
+
+def _cmd_enumerate_rdfs(args) -> int:
     g = _load_graph(args.graph, args.format)
     count = 0
     for f in solvers.enumerate_min_2rdfs(g, args.cap, node_budget=args.budget):
@@ -252,13 +253,16 @@ def _cmd_verify(args) -> int:
                                        workers=args.workers, node_budget=args.budget)
     sys.stdout.write(report.to_text())
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        _write_output(args.json, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0 if report.ok else 1
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_format(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["graph6", "edges"], default=None,
                    help="force the file format instead of autodetecting")
+
+
+def _add_budget(p: argparse.ArgumentParser):
     p.add_argument("--budget", type=int, default=solvers.DEFAULT_NODE_BUDGET,
                    help="search node budget")
 
@@ -275,14 +279,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--type", choices=["gamma", "gammat", "rdk"], required=True)
     p.add_argument("--k", type=int, default=2)
-    _add_common(p)
+    _add_format(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("product", help="emit a product graph as graph6")
     p.add_argument("g")
     p.add_argument("h")
     p.add_argument("--kind", choices=["lex", "cart"], default="lex")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("certify", help="certificate for rd_2 of a lexicographic product")
@@ -294,37 +299,55 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip the exact solve that tightens intervals")
     p.add_argument("--labeling-out", default=None,
                    help="also write the best labeling to this file")
-    _add_common(p)
+    _add_format(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("construct", help="emit an explicit product labeling")
-    p.add_argument("kind", choices=["tiles", "couple", "totaldom", "glued"])
-    p.add_argument("--g", help="first factor (couple/totaldom)")
-    p.add_argument("--h", required=True, help="second factor")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, help="path length (tiles)")
-    p.add_argument("--m", type=int, help="arm count (glued)")
-    p.add_argument("--p2", type=int, default=0, help="pendant count (glued)")
-    p.add_argument("--u", type=int, default=None, help="pair-witness vertex u")
-    p.add_argument("--v", type=int, default=None, help="pair-witness vertex v")
-    p.add_argument("--out", default=None, help="write the labeling here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct)
+    # no abbreviations: `construct --h P4 tiles` would otherwise read --h as
+    # --help and exit 0 having built nothing
+    p = sub.add_parser("construct", help="emit an explicit product labeling",
+                       allow_abbrev=False)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    tiles = kinds.add_parser("tiles", help="path tiling of P_n o h")
+    tiles.add_argument("--h", required=True, help="second factor")
+    tiles.add_argument("--n", type=int, required=True, help="path length")
+    glued = kinds.add_parser("glued", help="star-of-paths family GLUEDm_p2 o h")
+    glued.add_argument("--h", required=True, help="second factor")
+    glued.add_argument("--m", type=int, required=True, help="arm count")
+    glued.add_argument("--p2", type=int, default=0, help="pendant count")
+    for q in (tiles, glued):
+        q.add_argument("--u", type=int, default=None, help="pair-witness vertex u")
+        q.add_argument("--v", type=int, default=None, help="pair-witness vertex v")
+    for name, what in (("totaldom", "full labels on total dominating layers of g o h"),
+                       ("couple", "dominating-couple labeling of g o h")):
+        q = kinds.add_parser(name, help=what)
+        q.add_argument("--g", required=True, help="first factor")
+        q.add_argument("--h", required=True, help="second factor")
+        q.add_argument("--k", type=int, default=2)
+    for q in kinds.choices.values():
+        q.add_argument("--out", default=None, help="write the labeling here")
+        _add_format(q)
+        _add_budget(q)
+        q.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("validate", help="check a labeling file against a graph")
     p.add_argument("labeling")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=2)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("enumerate", help="minimum 2-rainbow labelings, or the graph corpus")
-    p.add_argument("what", choices=["rdfs", "graphs"])
-    p.add_argument("graph", nargs="?", help="graph (rdfs)")
-    p.add_argument("--n", type=int, help="vertex count (graphs)")
-    p.add_argument("--cap", type=int, default=1000)
-    _add_common(p)
-    p.set_defaults(func=_cmd_enumerate)
+    whats = p.add_subparsers(dest="what", required=True)
+    q = whats.add_parser("rdfs", help="all minimum 2-rainbow labelings of a graph")
+    q.add_argument("graph")
+    q.add_argument("--cap", type=int, default=1000)
+    _add_format(q)
+    _add_budget(q)
+    q.set_defaults(func=_cmd_enumerate_rdfs)
+    q = whats.add_parser("graphs", help="the connected graphs on n vertices, graph6")
+    q.add_argument("--n", type=int, required=True, help="vertex count")
+    q.set_defaults(func=_cmd_enumerate_graphs)
 
     p = sub.add_parser("verify", help="replay all certified claims on a corpus")
     p.add_argument("--ng", type=int, required=True)
@@ -333,7 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest product solved exactly")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", default=None, help="write a JSON summary here")
-    _add_common(p)
+    _add_format(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

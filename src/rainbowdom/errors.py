@@ -2,8 +2,9 @@
 
 Each class carries the exit code the CLI returns for it, so the mapping is
 stated once, here: 1 for any package error not below (an internal check
-that failed), 2 for unparseable input, 3 for size caps and truncated
-enumerations, 4 for exhausted search budgets, 5 for violated preconditions.
+that failed), 2 for unparseable input and unwritable output files, 3 for
+size caps and truncated enumerations, 4 for exhausted search budgets, 5 for
+violated preconditions.
 """
 
 
@@ -15,7 +16,8 @@ class RainbowDomError(Exception):
 
 class ParseError(RainbowDomError):
     """Malformed external input: graph6 text, edge-list text, labeling text,
-    or an input file that cannot be read."""
+    an input file that cannot be read, or an output file that cannot be
+    written."""
 
     exit_code = 2
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, CapExceededError, CapacityError, PreconditionError
 from .graphs import (Graph, components, gen_complete, induced_subgraph, is_dominating_set,
-                     iter_bits, max_degree)
+                     iter_bits)
 from .labelings import RainbowLabeling
 from .products import cartesian
 
@@ -246,10 +246,12 @@ def min_total_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
 # rainbow labeling engine
 
 
-def _rainbow_fixed(g: Graph, k: int, caps, *, stats: list[int], node_budget: int):
-    """min_rainbow's search: for each weight cap w_cap in caps, in order, a
-    depth-first search for a valid k-rainbow labeling of weight <= w_cap.
-    Returns the first one found, or None.
+def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tuple[int, ...]:
+    """min_rainbow's search on a connected g: the masks of a minimum k-rainbow
+    labeling. The full label on a greedy dominating set is the start; below
+    its weight, each weight cap w_cap from the root's counting bound
+    ceil(k n / (Delta + k)) up is one depth-first search for a valid
+    labeling of weight <= w_cap, and the first one found is returned.
 
     Vertices are assigned in index order and label values are tried in
     ascending mask order. Two symmetry rules cut the labelings tried, and a
@@ -346,23 +348,14 @@ def _rainbow_fixed(g: Graph, k: int, caps, *, stats: list[int], node_budget: int
                 return r
         return None
 
-    for w_cap in caps:
+    # the full label on a greedy dominating set is always valid
+    chosen = _greedy_cover(full, [g.closed(v) for v in range(n)], [1] * n)
+    # the counting bound at the root: T = k * n
+    for w_cap in range(-(-k * n // (top[0] + k)), len(chosen) * k):
         r = dfs(0, 0, False, 0, w_cap)
         if r is not None:
             return r
-    return None
-
-
-def _rainbow_min_component(
-    g: Graph, k: int, stats: list[int], node_budget: int
-) -> tuple[int, ...]:
-    # the full label on a greedy dominating set is always valid
-    chosen = _greedy_cover(g.full_mask, [g.closed(v) for v in range(g.n)], [1] * g.n)
-    greedy = tuple((1 << k) - 1 if v in chosen else 0 for v in range(g.n))
-    # the counting bound of _rainbow_fixed at the root: T = k * n
-    lb = -(-k * g.n // (max_degree(g) + k))
-    r = _rainbow_fixed(g, k, range(lb, len(chosen) * k), stats=stats, node_budget=node_budget)
-    return greedy if r is None else r
+    return tuple(fullc if v in chosen else 0 for v in range(n))
 
 
 def _validate_k(k: int):
@@ -381,7 +374,7 @@ def min_rainbow(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     stats, masks = [0], [0] * g.n
     for comp in components(g):
         sub, back = induced_subgraph(g, comp)
-        for i, m in enumerate(_rainbow_min_component(sub, k, stats, node_budget)):
+        for i, m in enumerate(_rainbow_fixed(sub, k, stats, node_budget)):
             masks[back[i]] = m
     labeling = RainbowLabeling(k, tuple(masks))
     return SolveResult(labeling.weight, labeling, stats[0])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from rainbowdom import (
     path_upper_bound,
     to_graph6,
 )
-from rainbowdom.cli import main
+from rainbowdom.cli import _build_parser, main
 
 from conftest import perm_isomorphic
 
@@ -343,6 +344,123 @@ class TestVerify:
                          "--enum-product-cap", "14")
         assert rc == 2
         assert "unrecognized arguments: --enum-product-cap" in err
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written is a parse error (exit 2)."""
+
+    def test_construct_out(self, capsys, tmp_path):
+        dest = tmp_path / "no_dir" / "f.txt"
+        rc, out, err = run(capsys, "construct", "tiles", "--h", "P4", "--n", "9",
+                           "--out", str(dest))
+        assert rc == 2 and out == ""
+        assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+    def test_certify_labeling_out(self, capsys, tmp_path):
+        dest = tmp_path / "no_dir" / "lab.txt"
+        rc, out, err = run(capsys, "certify", "P5", "P4", "--labeling-out", str(dest))
+        assert rc == 2
+        assert out.startswith("certificate: interval [4,5], case RdH3Pair")
+        assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+    def test_verify_json(self, capsys, tmp_path):
+        dest = tmp_path / "no_dir" / "report.json"
+        rc, out, err = run(capsys, "verify", "--ng", "2", "--h", "P4", "--cap", "10",
+                           "--json", str(dest))
+        assert rc == 2
+        assert "violations: 0" in out
+        assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+
+class TestPairOptions:
+    def test_lone_u_or_v_refused(self, capsys):
+        for argv in (["tiles", "--n", "9", "--u", "1"], ["tiles", "--n", "9", "--v", "3"],
+                     ["glued", "--m", "2", "--u", "1"]):
+            rc, out, err = run(capsys, "construct", *argv, "--h", "P4")
+            assert rc == 2 and out == ""
+            assert err == "error: give both --u and --v, or neither\n"
+
+
+# Changing this list changes the command line; do it on purpose. Each entry is
+# a command path and one option (or positional) that the path reads.
+CLI_SLOTS = [
+    "certify --budget", "certify --format", "certify --labeling-out",
+    "certify --no-refine", "certify --strict", "certify g", "certify h",
+    "construct couple --budget", "construct couple --format", "construct couple --g",
+    "construct couple --h", "construct couple --k", "construct couple --out",
+    "construct glued --budget", "construct glued --format", "construct glued --h",
+    "construct glued --m", "construct glued --out", "construct glued --p2",
+    "construct glued --u", "construct glued --v",
+    "construct tiles --budget", "construct tiles --format", "construct tiles --h",
+    "construct tiles --n", "construct tiles --out", "construct tiles --u",
+    "construct tiles --v",
+    "construct totaldom --budget", "construct totaldom --format",
+    "construct totaldom --g", "construct totaldom --h", "construct totaldom --k",
+    "construct totaldom --out",
+    "enumerate graphs --n",
+    "enumerate rdfs --budget", "enumerate rdfs --cap", "enumerate rdfs --format",
+    "enumerate rdfs graph",
+    "invariant --budget", "invariant --format", "invariant --k", "invariant --type",
+    "invariant graph",
+    "product --format", "product --kind", "product g", "product h",
+    "validate --format", "validate --graph", "validate --k", "validate labeling",
+    "verify --budget", "verify --cap", "verify --format", "verify --h", "verify --json",
+    "verify --ng", "verify --workers",
+]
+
+
+def _slots(parser, path=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _slots(sub, path + (name,))
+        elif not isinstance(action, argparse._HelpAction):
+            name = action.option_strings[0] if action.option_strings else action.dest
+            yield " ".join(path + (name,))
+
+
+def test_cli_slots_are_pinned():
+    assert sorted(_slots(_build_parser())) == CLI_SLOTS
+    assert len(CLI_SLOTS) == 59
+    assert len(UNREAD_SLOTS) == 24 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
+
+
+# One command per option that its path accepted without reading it.
+UNREAD_SLOTS = {
+    "product --budget": ["product", "P3", "P3", "--budget", "5"],
+    "validate --budget": ["validate", "f.txt", "--graph", "P4", "--budget", "5"],
+    "construct tiles --g": ["construct", "tiles", "--h", "P4", "--n", "9", "--g", "P9"],
+    "construct tiles --k": ["construct", "tiles", "--h", "P4", "--n", "9", "--k", "3"],
+    "construct tiles --m": ["construct", "tiles", "--h", "P4", "--n", "9", "--m", "2"],
+    "construct tiles --p2": ["construct", "tiles", "--h", "P4", "--n", "9", "--p2", "1"],
+    "construct glued --g": ["construct", "glued", "--h", "P4", "--m", "2", "--g", "P9"],
+    "construct glued --k": ["construct", "glued", "--h", "P4", "--m", "2", "--k", "3"],
+    "construct glued --n": ["construct", "glued", "--h", "P4", "--m", "2", "--n", "9"],
+    **{
+        f"construct {kind} {opt}": ["construct", kind, "--g", "P3", "--h", "P6", opt, "1"]
+        for kind in ("totaldom", "couple")
+        for opt in ("--n", "--m", "--p2", "--u", "--v")
+    },
+    "enumerate rdfs --n": ["enumerate", "rdfs", "K2", "--n", "3"],
+    "enumerate graphs graph": ["enumerate", "graphs", "P4", "--n", "3"],
+    "enumerate graphs --cap": ["enumerate", "graphs", "--n", "4", "--cap", "1"],
+    "enumerate graphs --format": ["enumerate", "graphs", "--n", "4", "--format", "edges"],
+    "enumerate graphs --budget": ["enumerate", "graphs", "--n", "4", "--budget", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_SLOTS.values(), ids=UNREAD_SLOTS.keys())
+def test_unread_option_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_options_follow_the_kind(capsys):
+    # before the kind, --h is neither the second factor nor an abbreviated --help
+    rc, out, err = run(capsys, "construct", "--h", "P4", "tiles", "--n", "9")
+    assert rc == 2 and out == ""
+    assert "invalid choice: 'P4'" in err
 
 
 class TestConsoleScript:
