@@ -91,6 +91,9 @@ def _fmt_set(vertices) -> str:
 
 
 def _cmd_invariant(args) -> int:
+    if args.k is not None and args.type != "rdk":
+        raise ParseError("--k is read only with --type rdk")
+    k = 2 if args.k is None else args.k
     g = _load_graph(args.graph, args.format)
     budget = args.budget
     if args.type == "gamma":
@@ -106,12 +109,12 @@ def _cmd_invariant(args) -> int:
         print(f"gamma_t = {res.value}")
         print(f"witness: {_fmt_set(res.witness)}")
     else:
-        res = solvers.min_rainbow(g, args.k, node_budget=budget)
+        res = solvers.min_rainbow(g, k, node_budget=budget)
         if res.witness.weight != res.value or not labelings.is_k_rainbow_dominating(
             g, res.witness
         ):
             raise RainbowDomError("internal check failed: witness invalid")
-        print(f"rd_{args.k} = {res.value}")
+        print(f"rd_{k} = {res.value}")
         sys.stdout.write(labelings.format_labeling(res.witness))
     return 0
 
@@ -249,6 +252,8 @@ def _cmd_enumerate_rdfs(args) -> int:
 
 def _cmd_verify(args) -> int:
     h_list = [_load_graph(part, args.format) for part in args.h.split(",")]
+    if args.json:
+        _write_output(args.json, "")  # an unwritable path fails before the replay
     report = certify_mod.verify_corpus(args.ng, h_list, args.cap,
                                        workers=args.workers, node_budget=args.budget)
     sys.stdout.write(report.to_text())
@@ -278,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="gamma, gamma_t, or k-rainbow number")
     p.add_argument("graph")
     p.add_argument("--type", choices=["gamma", "gammat", "rdk"], required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=None,
+                   help="colors, with --type rdk only (default 2)")
     _add_format(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_invariant)

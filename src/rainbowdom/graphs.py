@@ -74,6 +74,21 @@ class Graph:
         return out
 
 
+def _from_rows(n: int, rows: tuple[int, ...]) -> Graph:
+    """A Graph on n vertices with these adjacency rows, without the checks of
+    Graph.__post_init__, whose symmetry pass is O(m).
+
+    Only for rows this package derives from graphs that were validated
+    already (products, induced subgraphs): they are then n long, in range,
+    loop-free and symmetric by construction. Outside input goes through
+    Graph, from_edge_list or parse_graph6, which check it.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", rows)
+    return g
+
+
 def from_edge_list(n: int, edges) -> Graph:
     """Build a graph from (u, v) pairs; rejects loops and out-of-range indices."""
     if n < 0:
@@ -319,9 +334,13 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
 
     Returns the subgraph (relabeled 0..len-1 in sorted vertex order) together
     with the list mapping new indices back to the originals. The whole vertex
-    set gives g itself and the identity order, without building a copy.
+    set gives g itself and the identity order, without building a copy. A
+    vertex out of range raises PreconditionError, since the subgraph skips
+    Graph's checks (see _from_rows), which is sound only for vertices of g.
     """
     order = sorted(set(vertices))
+    if order and (order[0] < 0 or order[-1] >= g.n):
+        raise PreconditionError(f"vertices out of range 0..{g.n - 1}")
     if order == list(range(g.n)):
         return g, order
     pos = {v: i for i, v in enumerate(order)}
@@ -331,7 +350,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
             j = pos.get(u)
             if j is not None:
                 rows[i] |= 1 << j
-    return Graph(len(order), tuple(rows)), order
+    return _from_rows(len(order), tuple(rows)), order
 
 
 # ---------------------------------------------------------------------------

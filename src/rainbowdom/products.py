@@ -3,12 +3,14 @@
 A product of g and h is a plain Graph on g.n * h.n vertices in row-major
 order: the vertex (a, x), a in V(g) and x in V(h), is a * h.n + x, so the
 layer {a} x V(h) is the slice [a * h.n, (a + 1) * h.n). Every labeling of a
-product in this package uses the same order.
+product in this package uses the same order. Both factors are Graphs, so
+checked already, and the product's rows are symmetric and loop-free by
+construction: they skip Graph's re-check (graphs._from_rows).
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, _from_rows, iter_bits
 
 
 def lexicographic(g: Graph, h: Graph) -> Graph:
@@ -29,7 +31,7 @@ def lexicographic(g: Graph, h: Graph) -> Graph:
         cross = g_row_union[a]
         for x in range(nh):
             rows.append(cross | (h.adj[x] << shift))
-    return Graph(g.n * nh, tuple(rows))
+    return _from_rows(g.n * nh, tuple(rows))
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
@@ -43,4 +45,4 @@ def cartesian(g: Graph, h: Graph) -> Graph:
             for b in iter_bits(g.adj[a]):
                 m |= 1 << (b * nh + x)
             rows.append(m)
-    return Graph(g.n * nh, tuple(rows))
+    return _from_rows(g.n * nh, tuple(rows))

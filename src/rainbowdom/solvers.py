@@ -104,6 +104,7 @@ def _greedy_cover(full: int, cover: list[int], cost: list[int]):
 def _min_weighted_cover(
     full: int, cover: list[int], cost: list[int], stats: list[int], budget: int,
     collect: list | None = None, max_cost: int | None = None, limit: int = 0,
+    excl: list[int] | None = None,
 ):
     """Cheapest choice of sets cover[u], each at integer cost[u] >= 1, whose
     union covers `full`.
@@ -122,6 +123,11 @@ def _min_weighted_cover(
     exclusion before inclusion), stopping once it holds limit + 1 of them.
     It never includes a set that covers nothing new, so when max_cost is the
     minimum cost it collects every cheapest cover, once.
+
+    excl[u], a mask of sets, is banned in the subtree below a choice of set
+    u (the depth-first search, not collect mode). A caller passes it when
+    every cover can be traded for one of no higher cost that holds no u
+    together with a set of excl[u]; each level then stays complete.
     """
     by_cost: dict[int, int] = {}  # cost -> mask of the sets at that cost
     cover_by = [0] * full.bit_length()
@@ -167,7 +173,8 @@ def _min_weighted_cover(
             w = spent + cost[u]
             if w <= cap:
                 chosen.append(u)
-                r = dfs(covered | cover[u], local_ban, w, chosen, cap)
+                ban = local_ban if excl is None else local_ban | excl[u]
+                r = dfs(covered | cover[u], ban, w, chosen, cap)
                 chosen.pop()
                 if r is not None:
                     return r
@@ -467,10 +474,15 @@ def _min_rainbow_lex(
     cover of the elements (a, c), a in V(g), c in {1, 2}, by the sets
     S(a, C, R) = {(a, c) : c not in R} | {(b, c) : b ~ a, c in C} at cost
     cost_h(C, R). An option whose set lies inside another's at no higher
-    cost is dropped (on ties the first in (C, R) order stays). Two options
-    chosen at one layer merge by OR-ing their layer labelings, which costs
-    no more, so the witness is exact. h need not be connected. The table
-    solves and the cover share one node budget.
+    cost is dropped (on ties the first in (C, R) order stays). The cover
+    takes at most one option per layer. Two options (C1, R1) and (C2, R2) of
+    one layer merge into (C1 | C2, R1 & R2): its set is the union of theirs,
+    and its cost is at most the sum (OR the two witness labelings), so the
+    option the dominance rule keeps for it is at least as good. Hence some
+    minimum cover takes one option per layer, and each option bans the
+    others of its layer below it in the search (excl of _min_weighted_cover)
+    without making any deepening level incomplete. h need not be connected.
+    The table solves and the cover share one node budget.
     """
     _check_cap(g)
     _check_cap(h)
@@ -478,8 +490,9 @@ def _min_rainbow_lex(
         return SolveResult(0, RainbowLabeling(2, ()), 0)
     stats = [0]
     table = _layer_costs(h, stats, node_budget)
-    cover, cost, owner = [], [], []
+    cover, cost, owner, excl = [], [], [], []
     for a in range(g.n):
+        first = len(cover)
         # one bit per neighbor layer; times C it marks (b, c) for c in C
         nbr = 0
         for b in iter_bits(g.adj[a]):
@@ -497,7 +510,10 @@ def _min_rainbow_lex(
                 cover.append(s)
                 cost.append(w)
                 owner.append((a, key))
-    chosen = _min_weighted_cover((1 << (2 * g.n)) - 1, cover, cost, stats, node_budget)
+        layer = (1 << len(cover)) - (1 << first)
+        excl += [layer & ~(1 << u) for u in range(first, len(cover))]
+    chosen = _min_weighted_cover((1 << (2 * g.n)) - 1, cover, cost, stats, node_budget,
+                                 excl=excl)
     masks = [0] * (g.n * h.n)
     for u in chosen:
         a, key = owner[u]

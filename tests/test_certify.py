@@ -164,12 +164,12 @@ class TestCertifyCases:
 
 # the P4 refines of the benchmark ladder: (value, layer-cover nodes)
 LADDER_REFINES = {
-    "P8": (gen_path(8), 8, 124),
-    "C8": (gen_cycle(8), 8, 455),
-    "C10": (gen_cycle(10), 9, 126),
-    "P12": (gen_path(12), 11, 1609),
-    "C12": (gen_cycle(12), 11, 1110),
-    "P16": (gen_path(16), 15, 3638),
+    "P8": (gen_path(8), 8, 94),
+    "C8": (gen_cycle(8), 8, 326),
+    "C10": (gen_cycle(10), 9, 105),
+    "P12": (gen_path(12), 11, 696),
+    "C12": (gen_cycle(12), 11, 703),
+    "P16": (gen_path(16), 15, 2169),
 }
 
 
@@ -201,6 +201,11 @@ class TestRefine:
         assert cert.case == "RdH3Pair" and cert.refined_exact == value
         assert cert.notes == ()
         assert _min_rainbow_lex(g, gen_path(4), node_budget=20000).nodes_explored == nodes
+
+    def test_one_option_per_layer_fits_a_small_budget(self):
+        # 2,169 layer-cover nodes; without one option per layer, 3,638
+        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=3000)
+        assert cert.refined_exact == 15 and cert.notes == ()
 
     def test_refine_out_of_budget_says_so(self, monkeypatch):
         import rainbowdom.certify as certify_mod

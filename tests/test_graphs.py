@@ -8,6 +8,7 @@ from rainbowdom import (
     CapacityError,
     Graph,
     ParseError,
+    PreconditionError,
     canonical_form,
     components,
     enumerate_connected_graphs,
@@ -207,6 +208,12 @@ class TestPredicates:
         assert sub is not g
         assert back == [0, 1, 2, 4]
         assert sub.n == 4 and sorted(sub.edges()) == [(0, 1), (0, 3), (1, 2)]
+
+    def test_induced_subgraph_refuses_vertices_out_of_range(self):
+        # -1 would index vertex 2's row: an asymmetric subgraph
+        for vertices in ([-1, 1], [0, 3]):
+            with pytest.raises(PreconditionError, match="out of range"):
+                induced_subgraph(gen_path(3), vertices)
 
 
 class TestIsomorphism:

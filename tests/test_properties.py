@@ -5,8 +5,10 @@ import itertools
 from hypothesis import assume, given, settings, strategies as st
 
 from rainbowdom import (
+    Graph,
     RainbowLabeling,
     canonical_form,
+    cartesian,
     components,
     from_edge_list,
     gen_complete,
@@ -14,6 +16,7 @@ from rainbowdom import (
     induced_subgraph,
     is_connected,
     is_k_rainbow_dominating,
+    lexicographic,
     min_couple_cost,
     min_dominating_set,
     min_rainbow,
@@ -39,6 +42,14 @@ def graphs(draw, min_n=1, max_n=6):
 @given(graphs())
 def test_graph6_round_trip(g):
     assert parse_graph6(to_graph6(g)) == g
+
+
+@given(graphs(max_n=5), graphs(max_n=4), st.integers(0, 31))
+def test_built_graphs_pass_the_full_check(g, h, pick):
+    # products and induced subgraphs skip Graph's checks; they would pass them
+    sub, _ = induced_subgraph(g, [v for v in range(g.n) if pick >> v & 1])
+    for p in (lexicographic(g, h), cartesian(g, h), sub):
+        assert Graph(p.n, p.adj) == p
 
 
 @given(graphs(min_n=2, max_n=6), st.randoms(use_true_random=False))
