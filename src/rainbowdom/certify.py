@@ -6,7 +6,10 @@ together with machine-checkable witnesses: a validating labeling for every
 upper bound and the defining parameter (domination number, total domination
 number, or optimal dominating couple) for every lower bound. Every certificate
 is self-checked before it is returned: the upper labeling is re-validated on
-the actual product graph and must match the claimed weight.
+the actual product graph and must match the claimed weight. Every exact
+outcome, the empty product's too, is built by _exact, which returns it
+through that check; the RdH3Pair interval and the ComponentSum total are
+built directly and pass the same check.
 
 The case tags:
 
@@ -32,8 +35,8 @@ The case tags:
   components' labelings copied layer by layer into the row-major product.
 * ComponentSum-NA: second factor disconnected; no closed-form case applies,
   the value is exact by the same layer reduction, which never uses the
-  connectivity of h (refused when strict=True; the first factor is capped
-  at 64 vertices, the product is not).
+  connectivity of h (the first factor is capped at 64 vertices, the
+  product is not).
 
 Each certificate solves each sub-problem once. classify_h solves the
 2-rainbow number of h, with one minimum labeling, and runs the pair search
@@ -68,7 +71,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .couples import DominatingCouple, _lift_couple, min_couple_cost
 from .constructions import _tile_path, _universal_vertex, path_upper_bound
@@ -231,6 +234,14 @@ def _self_check(g: Graph, h: Graph, cert: Certificate) -> Certificate:
     return cert
 
 
+def _exact(
+    g: Graph, h: Graph, value: int, case: str, upper: RainbowLabeling, lower: LowerWitness,
+    *citations: str,
+) -> Certificate:
+    """The certificate of an exact value, returned through _self_check."""
+    return _self_check(g, h, Certificate(value, value, case, citations, upper, lower))
+
+
 def _certify_connected(
     g: Graph,
     h: Graph,
@@ -241,98 +252,62 @@ def _certify_connected(
 ) -> Certificate:
     if hcls.tag == "TrivialH":
         res = _min_rainbow_lex(g, h, node_budget=node_budget)
-        return _self_check(g, h, Certificate(
-            lo=res.value,
-            hi=res.value,
-            case="TrivialH",
-            citations=(
-                "second factor is a single vertex, so the product is a copy "
-                "of the first factor; value by exact layer cover",
-            ),
-            upper_labeling=res.witness,
-            lower=LowerWitness("exact_solve", res.value),
-        ))
+        return _exact(
+            g, h, res.value, "TrivialH", res.witness, LowerWitness("exact_solve", res.value),
+            "second factor is a single vertex, so the product is a copy "
+            "of the first factor; value by exact layer cover",
+        )
     if g.n == 1:
-        return _self_check(g, h, Certificate(
-            lo=hcls.rd2,
-            hi=hcls.rd2,
-            case="TrivialG",
-            citations=(
-                "first factor is a single vertex, so the product is a copy "
-                "of the second factor; value by exact solve",
-            ),
-            upper_labeling=hcls.labeling,
-            lower=LowerWitness("exact_solve", hcls.rd2),
-        ))
+        return _exact(
+            g, h, hcls.rd2, "TrivialG", hcls.labeling, LowerWitness("exact_solve", hcls.rd2),
+            "first factor is a single vertex, so the product is a copy "
+            "of the second factor; value by exact solve",
+        )
 
     def lift(a: frozenset[int], b: frozenset[int]) -> RainbowLabeling:
         return _lift_couple(g.n, h.n, 2, DominatingCouple(a, b), hcls.labeling.masks)
 
     if hcls.tag == "RdH2":
         ds = min_dominating_set(g, node_budget=node_budget)
-        upper = lift(frozenset(), ds.witness)
-        return _self_check(g, h, Certificate(
-            lo=2 * ds.value,
-            hi=2 * ds.value,
-            case="RdH2",
-            citations=(
-                "a second factor with 2-rainbow number 2 forces the product "
-                "value 2 * gamma(first factor)",
-                "upper witness: minimum dominating layers carry an "
-                "all-colors weight-2 labeling of the second factor",
-            ),
-            upper_labeling=upper,
-            lower=LowerWitness("gamma", ds.value, vertices=ds.witness),
-        ))
+        return _exact(
+            g, h, 2 * ds.value, "RdH2", lift(frozenset(), ds.witness),
+            LowerWitness("gamma", ds.value, vertices=ds.witness),
+            "a second factor with 2-rainbow number 2 forces the product "
+            "value 2 * gamma(first factor)",
+            "upper witness: minimum dominating layers carry an "
+            "all-colors weight-2 labeling of the second factor",
+        )
 
     if hcls.tag == "RdH4Plus":
         tds = min_total_dominating_set(g, node_budget=node_budget)
-        upper = lift(tds.witness, frozenset())
-        return _self_check(g, h, Certificate(
-            lo=2 * tds.value,
-            hi=2 * tds.value,
-            case="RdH4Plus",
-            citations=(
-                "a second factor with 2-rainbow number at least 4 forces the "
-                "product value 2 * gamma_t(first factor)",
-                "upper witness: full labels over a minimum total dominating set",
-            ),
-            upper_labeling=upper,
-            lower=LowerWitness("gamma_t", tds.value, vertices=tds.witness),
-        ))
+        return _exact(
+            g, h, 2 * tds.value, "RdH4Plus", lift(tds.witness, frozenset()),
+            LowerWitness("gamma_t", tds.value, vertices=tds.witness),
+            "a second factor with 2-rainbow number at least 4 forces the "
+            "product value 2 * gamma_t(first factor)",
+            "upper witness: full labels over a minimum total dominating set",
+        )
 
     if hcls.tag == "RdH3NoPair":
         value, couple = min_couple_cost(g, 2, 3, node_budget=node_budget)
-        upper = lift(couple.a, couple.b)
-        return _self_check(g, h, Certificate(
-            lo=value,
-            hi=value,
-            case="RdH3NoPair",
-            citations=(
-                "a second factor with 2-rainbow number 3 whose minimum "
-                "labelings never use {1,2} forces the product value "
-                "min(2|A| + 3|B|) over dominating couples (A, B)",
-            ),
-            upper_labeling=upper,
-            lower=LowerWitness("couple", value, couple=couple),
-        ))
+        return _exact(
+            g, h, value, "RdH3NoPair", lift(couple.a, couple.b),
+            LowerWitness("couple", value, couple=couple),
+            "a second factor with 2-rainbow number 3 whose minimum "
+            "labelings never use {1,2} forces the product value "
+            "min(2|A| + 3|B|) over dominating couples (A, B)",
+        )
 
     # RdH3Pair: 2-rainbow number 3 with a pair witness
     ds = min_dominating_set(g, node_budget=node_budget)
     tds = min_total_dominating_set(g, node_budget=node_budget)
     if tds.value == ds.value:
-        upper = lift(tds.witness, frozenset())
-        return _self_check(g, h, Certificate(
-            lo=2 * ds.value,
-            hi=2 * ds.value,
-            case="GammaEqGammaT",
-            citations=(
-                "gamma(first factor) = gamma_t(first factor) pins the "
-                "product value between 2*gamma and 2*gamma_t",
-            ),
-            upper_labeling=upper,
-            lower=LowerWitness("gamma", ds.value, vertices=ds.witness),
-        ))
+        return _exact(
+            g, h, 2 * ds.value, "GammaEqGammaT", lift(tds.witness, frozenset()),
+            LowerWitness("gamma", ds.value, vertices=ds.witness),
+            "gamma(first factor) = gamma_t(first factor) pins the "
+            "product value between 2*gamma and 2*gamma_t",
+        )
     value, couple = min_couple_cost(g, 2, 3, node_budget=node_budget)
     hi = value
     upper = lift(couple.a, couple.b)
@@ -386,40 +361,24 @@ def certify_rd_lex(
     g: Graph,
     h: Graph,
     *,
-    strict: bool = False,
     refine: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Certificate:
     """Certificate for the 2-rainbow domination number of the product of g
     and h. Disconnected g is certified per component and summed; disconnected
-    h admits no closed-form case, so the value is exact-solved unless
-    strict."""
+    h admits no closed-form case, so the value is solved exactly by the
+    layer cover."""
     if g.n == 0 or h.n == 0:
-        return Certificate(
-            lo=0,
-            hi=0,
-            case="TrivialG" if g.n == 0 else "TrivialH",
-            citations=("empty product",),
-            upper_labeling=RainbowLabeling(2, ()),
-            lower=LowerWitness("exact_solve", 0),
-        )
+        return _exact(g, h, 0, "TrivialG" if g.n == 0 else "TrivialH",
+                      RainbowLabeling(2, ()), LowerWitness("exact_solve", 0), "empty product")
     if not is_connected(h):
-        if strict:
-            raise DisconnectedError(
-                "the case theorems assume a connected second factor"
-            )
         res = _min_rainbow_lex(g, h, node_budget=node_budget)
-        return _self_check(g, h, Certificate(
-            lo=res.value,
-            hi=res.value,
-            case="ComponentSum-NA",
-            citations=(
-                "second factor disconnected: no closed-form case applies; "
-                "value by exact layer cover over the first factor",
-            ),
-            upper_labeling=res.witness,
-            lower=LowerWitness("exact_solve", res.value),
-        ))
+        return _exact(
+            g, h, res.value, "ComponentSum-NA", res.witness,
+            LowerWitness("exact_solve", res.value),
+            "second factor disconnected: no closed-form case applies; "
+            "value by exact layer cover over the first factor",
+        )
     hcls = classify_h(h, node_budget=node_budget)
     comps = components(g)
     if len(comps) == 1:
@@ -543,7 +502,7 @@ class CorpusReport:
             f"tasks: {self.tasks}",
             "checks performed:",
         ]
-        lines.extend(f"  {name}: {count}" for name, count in sorted(self.checks.items()))
+        lines.extend(f"  {name}: {count}" for name, count in self.checks.items())
         if self.skips:
             lines.append("skips:")
             lines.extend(f"  - {s}" for s in self.skips)
@@ -555,17 +514,7 @@ class CorpusReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "ng_max": self.ng_max,
-            "h_names": list(self.h_names),
-            "product_cap": self.product_cap,
-            "tasks": self.tasks,
-            "checks": dict(sorted(self.checks.items())),
-            "violations": list(self.violations),
-            "conjecture_notes": list(self.conjecture_notes),
-            "skips": list(self.skips),
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 def _fault(exc: Exception) -> tuple[bool, str]:
@@ -737,5 +686,6 @@ def verify_corpus(
         report.violations.extend(violations)
         report.conjecture_notes.extend(notes)
         report.skips.extend(skips)
+    report.checks = dict(sorted(report.checks.items()))
     report.wall_seconds = time.monotonic() - start
     return report

@@ -137,7 +137,6 @@ def _cmd_certify(args) -> int:
     cert = certify_mod.certify_rd_lex(
         g,
         h,
-        strict=args.strict,
         refine=not args.no_refine,
         node_budget=args.budget,
     )
@@ -299,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certificate for rd_2 of a lexicographic product")
     p.add_argument("g")
     p.add_argument("h")
-    p.add_argument("--strict", action="store_true",
-                   help="refuse disconnected second factors")
     p.add_argument("--no-refine", action="store_true",
                    help="skip the exact solve that tightens intervals")
     p.add_argument("--labeling-out", default=None,

@@ -21,8 +21,8 @@ must see color 2, available only at u.
 from __future__ import annotations
 
 from .couples import DominatingCouple, _lift_couple
-from .errors import DisconnectedError, PreconditionError
-from .graphs import Graph, gen_glued_paths, is_connected
+from .errors import PreconditionError
+from .graphs import Graph, gen_glued_paths
 from .labelings import RainbowLabeling, is_k_rainbow_dominating
 from .solvers import (
     DEFAULT_NODE_BUDGET,
@@ -86,11 +86,10 @@ def path_pattern_labeling(
     n: int, h: Graph, u: int, v: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> RainbowLabeling:
     """Tiled 2-rainbow labeling of the product of the standard path P_n
-    (vertices 0..n-1 in path order) with h, of weight path_upper_bound(n)."""
+    (vertices 0..n-1 in path order) with h, of weight path_upper_bound(n).
+    (u, v) must be a pair witness of h, which need not be connected."""
     if n < 2:
         raise PreconditionError("tiling needs n >= 2")
-    if not is_connected(h):
-        raise DisconnectedError("h must be connected")
     _require_pair_witness(h, u, v, node_budget)
     return _tile_path(range(n), h.n, u, v)
 
@@ -100,9 +99,15 @@ def _tile_path(order, nh: int, u: int, v: int) -> RainbowLabeling:
     are `order` (at least two), with an h on nh vertices that has the pair
     witness (u, v)."""
     tiling = [_TILES[length] for length in _tiling(len(order))]
-    u_row = "".join(u for u, _ in tiling)
-    v_row = "".join(v for _, v in tiling)
-    masks = [0] * (len(order) * nh)
+    return _two_rows(len(order), nh, u, v, order,
+                     "".join(u for u, _ in tiling), "".join(v for _, v in tiling))
+
+
+def _two_rows(ng: int, nh: int, u: int, v: int, order, u_row: str, v_row: str) -> RainbowLabeling:
+    """The labeling of the product of a g on ng vertices with an h on nh
+    vertices whose u-row and v-row carry, at vertex order[i] of g, the
+    digits u_row[i] and v_row[i]; every other label is empty."""
+    masks = [0] * (ng * nh)
     for a, du, dv in zip(order, u_row, v_row):
         masks[a * nh + u] = int(du)
         masks[a * nh + v] = int(dv)
@@ -156,10 +161,5 @@ def glued_family_labeling(
     """
     g = gen_glued_paths(m, p2)  # validates m, p2
     _require_pair_witness(h, u, v, node_budget)
-    masks = [0] * (g.n * h.n)
-    u_row = _GLUED_CENTER[0] + _GLUED_ARM[0] * m
-    v_row = _GLUED_CENTER[1] + _GLUED_ARM[1] * m
-    for a, (du, dv) in enumerate(zip(u_row, v_row)):
-        masks[a * h.n + u] = int(du)
-        masks[a * h.n + v] = int(dv)
-    return RainbowLabeling(2, tuple(masks))
+    return _two_rows(g.n, h.n, u, v, range(g.n),
+                     _GLUED_CENTER[0] + _GLUED_ARM[0] * m, _GLUED_CENTER[1] + _GLUED_ARM[1] * m)

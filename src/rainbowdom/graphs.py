@@ -323,12 +323,6 @@ def components(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(row.bit_count() for row in g.adj)
-
-
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """Subgraph induced by the given vertices.
 

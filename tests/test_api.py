@@ -54,7 +54,6 @@ PUBLIC = [
     "is_k_rainbow_dominating",
     "is_total_dominating_set",
     "lexicographic",
-    "max_degree",
     "min_couple_cost",
     "min_dominating_set",
     "min_rainbow",
@@ -74,7 +73,7 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
-    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 59
+    assert PUBLIC == sorted(PUBLIC) and len(PUBLIC) == 58
     assert rainbowdom.__all__ == PUBLIC
     assert all(hasattr(rainbowdom, name) for name in PUBLIC)
 

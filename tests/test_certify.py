@@ -96,6 +96,35 @@ class TestClassifyH:
 
 
 class TestCertifyCases:
+    def test_every_outcome_is_self_checked(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        checked, real = [], certify_mod._self_check
+
+        def recording(g, h, cert):
+            checked.append(cert)
+            return real(g, h, cert)
+
+        monkeypatch.setattr(certify_mod, "_self_check", recording)
+        empty, twok2 = from_edge_list(0, []), from_edge_list(4, [(0, 1), (2, 3)])
+        p3_c4 = from_edge_list(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        cases = {}
+        for g, h in [(empty, gen_path(4)), (gen_path(4), empty), (gen_path(4), gen_path(1)),
+                     (gen_path(1), gen_path(4)), (gen_path(4), gen_cycle(4)),
+                     (gen_path(3), gen_path(6)), (gen_path(7), gen_double_c4()),
+                     (gen_path(5), gen_path(4)), (gen_cycle(4), gen_path(4)),
+                     (gen_path(3), twok2), (p3_c4, gen_path(4))]:
+            cert = certify_rd_lex(g, h)
+            assert any(c is cert for c in checked), (g.n, h.n, cert.case)
+            for _, part in cert.parts or ():
+                assert any(c is part for c in checked)
+            cases.setdefault(cert.case, []).append(cert.exact)
+        assert cases == {
+            "TrivialG": [True, True], "TrivialH": [True, True], "RdH2": [True],
+            "RdH4Plus": [True], "RdH3NoPair": [True], "RdH3Pair": [False],
+            "GammaEqGammaT": [True], "ComponentSum-NA": [True], "ComponentSum": [True],
+        }
+
     def test_rdh2(self):
         cert = certify_rd_lex(gen_path(4), gen_cycle(4))
         assert cert.describe() == "exact 4, case RdH2"
@@ -473,16 +502,6 @@ class TestComponentSum:
         assert prod.n == 80
         assert cert.upper_labeling.weight == 20
         assert is_k_rainbow_dominating(prod, cert.upper_labeling)
-
-    def test_disconnected_h_strict_raises(self):
-        g = gen_path(3)
-        h = from_edge_list(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedError):
-            certify_rd_lex(g, h, strict=True)
-
-    def test_strict_fine_when_connected(self):
-        cert = certify_rd_lex(gen_path(4), gen_cycle(4), strict=True)
-        assert cert.value == 4
 
 
 class TestAgainstExactSolves:

@@ -170,8 +170,6 @@ class TestCertify:
         p.write_text("4 2\n0 1\n2 3\n")
         rc, out, _ = run(capsys, "certify", "P3", str(p))
         assert rc == 0 and "ComponentSum-NA" in out
-        rc, _, err = run(capsys, "certify", "P3", str(p), "--strict")
-        assert rc == 5
 
     def test_component_sum(self, capsys, tmp_path):
         p = tmp_path / "p3_c4.txt"
@@ -392,7 +390,7 @@ class TestPairOptions:
 # a command path and one option (or positional) that the path reads.
 CLI_SLOTS = [
     "certify --budget", "certify --format", "certify --labeling-out",
-    "certify --no-refine", "certify --strict", "certify g", "certify h",
+    "certify --no-refine", "certify g", "certify h",
     "construct couple --budget", "construct couple --format", "construct couple --g",
     "construct couple --h", "construct couple --k", "construct couple --out",
     "construct glued --budget", "construct glued --format", "construct glued --h",
@@ -428,13 +426,15 @@ def _slots(parser, path=()):
 
 def test_cli_slots_are_pinned():
     assert sorted(_slots(_build_parser())) == CLI_SLOTS
-    assert len(CLI_SLOTS) == 59
-    assert len(UNREAD_SLOTS) == 24 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
+    assert len(CLI_SLOTS) == 58
+    assert len(UNREAD_SLOTS) == 25 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
 
 
-# One command per option that its path accepted without reading it.
+# One command per option that its path accepted without reading it, and one
+# for the removed certify --strict.
 UNREAD_SLOTS = {
     "product --budget": ["product", "P3", "P3", "--budget", "5"],
+    "certify --strict": ["certify", "P3", "P4", "--strict"],
     "validate --budget": ["validate", "f.txt", "--graph", "P4", "--budget", "5"],
     "construct tiles --g": ["construct", "tiles", "--h", "P4", "--n", "9", "--g", "P9"],
     "construct tiles --k": ["construct", "tiles", "--h", "P4", "--n", "9", "--k", "3"],

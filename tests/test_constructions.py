@@ -1,7 +1,6 @@
 import pytest
 
 from rainbowdom import (
-    DisconnectedError,
     PreconditionError,
     from_edge_list,
     gen_cycle,
@@ -107,8 +106,16 @@ class TestPathPatternLabeling:
 
     def test_rejects_disconnected_h(self):
         h = from_edge_list(4, [(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedError):
+        with pytest.raises(PreconditionError, match=NOT_DOMINATING):
             path_pattern_labeling(5, h, 0, 1)
+
+    def test_valid_on_disconnected_h_with_a_pair_witness(self):
+        # P3 + K1: vertex 1 sees all but 3, a witness glued_family_labeling accepts too
+        h = from_edge_list(4, [(0, 1), (1, 2)])
+        for n in range(2, 30):
+            f = path_pattern_labeling(n, h, 1, 3)
+            assert f.weight == path_upper_bound(n)
+            assert is_k_rainbow_dominating(lexicographic(gen_path(n), h), f), n
 
 
 class TestTotalDomLabeling:

@@ -23,7 +23,6 @@ from rainbowdom import (
     is_connected,
     is_dominating_set,
     is_total_dominating_set,
-    max_degree,
     parse_edge_list,
     parse_graph6,
     to_graph6,
@@ -85,7 +84,7 @@ class TestGenerators:
     def test_complete(self):
         g = gen_complete(4)
         assert g.m == 6
-        assert max_degree(g) == 3
+        assert all(g.degree(v) == 3 for v in range(4))
 
     def test_star(self):
         g = gen_star(5)
