@@ -24,13 +24,19 @@ The case tags:
   couple optimum min(2|A| + 3|B|).
 * RdH3Pair: 2-rainbow number 3 with a {1,2} minimum labeling; interval
   [2 * gamma(g), best known construction], except that gamma(g) = gamma_t(g)
-  forces the exact value 2 * gamma(g) (tag GammaEqGammaT). With refine=True
+  forces the exact value 2 * gamma(g) (tag GammaEqGammaT). The best upper
+  is the optimal couple's labeling or, when g is a path or a cycle and it
+  is lighter, the path tiling along a spanning path of g. With refine=True
   and a product of at most 64 vertices the interval is refined to the exact
   value by the layer reduction (solvers._min_rainbow_lex): a layer of the
   product meets the others only through its color union, so the value is a
   weighted cover of V(g) x {1, 2} whose set costs are small weighted covers
-  of h. A refine that runs out of budget keeps the interval and says so in
-  the certificate's notes.
+  of h. The refine searches only the weights below the upper bound; when
+  none is attained, the refined value is the upper bound and the refined
+  labeling the upper one, already self-checked. A refine that runs out of
+  budget keeps the interval and says so in the certificate's notes, naming
+  the cost level it was refuting when the cover search ran out, a proven
+  lower bound.
 * ComponentSum: first factor disconnected; per-component sum, with the
   components' labelings copied layer by layer into the row-major product.
 * ComponentSum-NA: second factor disconnected; no closed-form case applies,
@@ -48,8 +54,10 @@ labeling from those witnesses without searching again: the couple labeling
 of (empty, D) for RdH2 (D a minimum dominating set), of (T, empty) for
 RdH4Plus and GammaEqGammaT (T a minimum total dominating set), and of the
 optimal couple for RdH3NoPair and RdH3Pair, each copying the labeling of h
-from the classification into its B-layers; and, when g is a path, the path
-tiling laid along g's path order from the pair witness.
+from the classification into its B-layers; and, when g is a path or a
+cycle, the path tiling laid along a spanning path of g from the pair
+witness. Adding edges to g keeps every 2-rainbow dominating labeling of
+g o h valid, and _self_check re-validates the tiling on the product itself.
 
 verify_corpus replays every claim above against brute-force-scale exact
 solves over a corpus of small first factors. It classifies each second
@@ -199,6 +207,19 @@ def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassifi
     return HClassification(tag, rd.value, pair, rd.witness)
 
 
+def _walk(g: Graph, start: int) -> list[int]:
+    """The vertices of g in the order met walking from start, never turning
+    back; g must be a connected path with start an end, or a cycle."""
+    order = [start]
+    prev = -1
+    while len(order) < g.n:
+        cur = order[-1]
+        nxt = next(w for w in iter_bits(g.adj[cur]) if w != prev)
+        prev = cur
+        order.append(nxt)
+    return order
+
+
 def _path_order(g: Graph) -> list[int] | None:
     """Vertex order realizing g as a path, or None. g must be connected."""
     if g.n == 1:
@@ -207,14 +228,16 @@ def _path_order(g: Graph) -> list[int] | None:
     ends = sorted(v for v, d in enumerate(degs) if d == 1)
     if len(ends) != 2 or any(d > 2 for d in degs):
         return None
-    order = [ends[0]]
-    prev = -1
-    while len(order) < g.n:
-        cur = order[-1]
-        nxt = next(w for w in iter_bits(g.adj[cur]) if w != prev)
-        prev = cur
-        order.append(nxt)
-    return order
+    return _walk(g, ends[0])
+
+
+def _tiling_order(g: Graph) -> list[int] | None:
+    """The order of a spanning path of g when g is a path or a cycle, else
+    None; g must be connected. The path tiling laid along a spanning path
+    stays valid on g o h: more edges in g only add neighbors."""
+    if g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)):
+        return _walk(g, 0)
+    return _path_order(g)
 
 
 def _self_check(g: Graph, h: Graph, cert: Certificate) -> Certificate:
@@ -316,7 +339,7 @@ def _certify_connected(
         "(valid for every nontrivial connected second factor)",
         "upper bound: best dominating couple, 2|A| + 3|B|",
     ]
-    order = _path_order(g)
+    order = _tiling_order(g)
     if order is not None:
         pub = path_upper_bound(g.n)
         if pub < hi:
@@ -328,16 +351,19 @@ def _certify_connected(
     notes = ()
     if refine and g.n * h.n <= SOLVER_VERTEX_CAP:
         try:
-            res = _min_rainbow_lex(g, h, node_budget=node_budget)
-        except BudgetError:
-            notes = (f"refine exhausted the node budget {node_budget}; interval kept",)
+            res = _min_rainbow_lex(g, h, node_budget=node_budget, below=hi)
+        except BudgetError as exc:
+            at = "" if exc.level is None else f" at level {exc.level}"
+            notes = (f"refine exhausted the node budget {node_budget}{at}; interval kept",)
         else:
-            if not (2 * ds.value <= res.value <= hi):
+            if res is None:  # no labeling lighter than the upper one
+                refined_exact, refined_labeling = hi, upper
+            elif not 2 * ds.value <= res.value < hi:
                 raise RainbowDomError(
                     "internal check failed: exact solve escaped certified bounds"
                 )
-            refined_exact = res.value
-            refined_labeling = res.witness
+            else:
+                refined_exact, refined_labeling = res.value, res.witness
     return _self_check(g, h, Certificate(
         lo=2 * ds.value,
         hi=hi,

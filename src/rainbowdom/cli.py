@@ -9,13 +9,16 @@ its witness first, so a zero exit status certifies the output. A package
 error prints one "error: ..." line and exits with the exit_code of its
 class, the one mapping in errors.py; an input file that cannot be read and
 an output file that cannot be written are both ParseErrors. `validate` exits
-1 on an invalid labeling, and `verify` on a violation.
+1 on an invalid labeling, and `verify` on a violation. A reader that
+closes standard output early (`| head -n 1`) ends the command quietly with
+exit status 1, the status Python gives a closed pipe.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -373,10 +376,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return rc
     except RainbowDomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head -n 1`): stop quietly, with
+        # stdout on devnull so that the flush at exit cannot raise again
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # stdout is no file, so nothing is flushed to it at exit
+        return 1
 
 
 def entry():

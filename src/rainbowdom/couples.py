@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .graphs import Graph, _vset_mask
 from .labelings import RainbowLabeling
-from .solvers import DEFAULT_NODE_BUDGET, _check_cap, _min_weighted_cover, min_rainbow
+from .solvers import (DEFAULT_NODE_BUDGET, _check_cap, _min_weighted_cover, _undominated,
+                      min_rainbow)
 
 
 @dataclass(frozen=True)
@@ -55,18 +56,24 @@ def min_couple_cost(
     (A, B) is a dominating couple exactly when the open neighborhoods N(u),
     u in A, and the closed neighborhoods N[u], u in B, cover V, so the
     optimum is a minimum-weight cover of V by {N(u) at cost_a} and {N[u] at
-    cost_b}: one search of solvers._min_weighted_cover over 2n sets, all
-    under one node_budget. Every N[u] is indexed before every N(u); that
-    order decides which of several optimal couples is returned. A and B come
-    out disjoint because N(u) lies inside N[u]: a cover holding both could
-    drop N(u) and would not be the cheapest.
+    cost_b}: one search of solvers._min_weighted_cover, under one
+    node_budget, over the 2n sets less those that another set of no higher
+    cost contains (solvers._undominated, the subset rule of exact
+    dominating-set branch and bound). Every N[u] is indexed before every
+    N(u); the subset rule, then that order, decide which of several optimal
+    couples is returned. A and B come out disjoint because N(u) lies inside
+    N[u]: a cover holding both could drop N(u) and would not be the
+    cheapest.
     """
     if cost_a < 1 or cost_b < 1:
         raise PreconditionError("costs must be at least 1")
     _check_cap(g)
     cover = [g.closed(u) for u in range(g.n)] + list(g.adj)
     cost = [cost_b] * g.n + [cost_a] * g.n
-    chosen = _min_weighted_cover(g.full_mask, cover, cost, [0], node_budget)
+    keep = _undominated(cover, cost)
+    chosen = _min_weighted_cover(g.full_mask, [cover[i] for i in keep],
+                                 [cost[i] for i in keep], [0], node_budget)
+    chosen = [keep[i] for i in chosen]
     couple = DominatingCouple(
         frozenset(u - g.n for u in chosen if u >= g.n),
         frozenset(u for u in chosen if u < g.n),

@@ -29,9 +29,12 @@ class CapacityError(RainbowDomError):
 
 
 class BudgetError(RainbowDomError):
-    """A search exhausted its branch-node budget before finishing."""
+    """A search exhausted its branch-node budget before finishing. level,
+    when set, is the cost level an iterative deepening was refuting: every
+    lower one was refuted, so it is a lower bound on that search's optimum."""
 
     exit_code = 4
+    level: int | None = None
 
 
 class CapExceededError(RainbowDomError):

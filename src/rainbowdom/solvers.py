@@ -13,11 +13,13 @@ engine (_rainbow_fixed) assigns color sets vertex by vertex for min_rainbow;
 it stays independent of the cover engine, as the oracle the corpus replay
 checks the case values against.
 
-Each engine starts from a greedy solution as the upper bound, then runs
-iterative deepening on the objective: each level is a depth-first search that
-branches on the lowest-index element (vertex) not yet satisfied, and prunes
-with an admissible bound on the remaining cost and, in the rainbow engine, an
-infeasibility test (a vertex that no future decision can fix). The collect
+Each engine starts from a greedy solution as the upper bound (the layer
+cover of a certificate's refine from the certificate's upper bound instead),
+then runs iterative deepening on the objective: each level is a depth-first
+search that branches on the lowest-index element (vertex) not yet
+satisfied, and prunes with an admissible bound on the remaining cost and,
+in the rainbow engine, an infeasibility test (a vertex that no future
+decision can fix). The collect
 mode instead decides the sets in index order at one given cost. Searches
 count branch nodes against an explicit budget and raise instead of
 approximating.
@@ -101,21 +103,49 @@ def _greedy_cover(full: int, cover: list[int], cost: list[int]):
     return chosen
 
 
+def _undominated(cover: list[int], cost: list[int]) -> list[int]:
+    """The indices, in order, of the sets that no other set of no higher
+    cost contains; of equal sets at equal cost the first stays. Some
+    cheapest cover uses only these: a dropped set can be traded for the
+    one that contains it. A set that holds s holds the lowest element of s,
+    so only the sets holding that element are tried."""
+    holding: dict[int, list[int]] = {}  # element bit -> the sets holding it
+    for j, t in enumerate(cover):
+        while t:
+            low = t & -t
+            holding.setdefault(low, []).append(j)
+            t ^= low
+    keep = []
+    for i, s in enumerate(cover):
+        w = cost[i]
+        for j in holding[s & -s] if s else range(len(cover)):
+            t = cover[j]
+            if j != i and s & ~t == 0 and cost[j] <= w and (j < i or t != s or cost[j] != w):
+                break
+        else:
+            keep.append(i)
+    return keep
+
+
 def _min_weighted_cover(
     full: int, cover: list[int], cost: list[int], stats: list[int], budget: int,
     collect: list | None = None, max_cost: int | None = None, limit: int = 0,
-    excl: list[int] | None = None,
+    excl: list[int] | None = None, below: int | None = None,
 ):
     """Cheapest choice of sets cover[u], each at integer cost[u] >= 1, whose
     union covers `full`.
 
     Iterative deepening on the total cost, from an admissible bound up to the
-    greedy cost. Each level is a depth-first search that branches on the
-    lowest-index uncovered element over its coverers in set-index order, and
-    bans each set once its branch is explored. Sets are grouped by cost; a
-    class of cost c whose best set still covers maxcov_c uncovered elements
-    needs at least |rem|*c/maxcov_c more cost on its own, so the minimum of
-    that over the classes bounds what any completion pays. Returns the chosen
+    greedy cost, or, with below, up to below - 1 in place of the greedy
+    start, returning None when no cover costs less than below. A BudgetError
+    that a deepening level raises carries that level as its `level`: every
+    lower level was refuted, so no cover costs less. Each level is a
+    depth-first search that branches on the lowest-index uncovered element
+    over its coverers in set-index order, and bans each set once its branch
+    is explored. Sets are grouped by cost; a class of cost c whose best set
+    still covers maxcov_c uncovered elements needs at least |rem|*c/maxcov_c
+    more cost on its own, so the minimum of that over the classes bounds
+    what any completion pays. Returns the chosen
     set indices, or None when infeasible. With max_cost it searches that
     one level only, and returns None when no cover costs at most max_cost.
     With a collect list as well it instead appends the covers of cost <=
@@ -210,12 +240,18 @@ def _min_weighted_cover(
         return None
     if max_cost is not None:
         return dfs(0, 0, 0, [], max_cost)
-    greedy = _greedy_cover(full, cover, cost)
-    if greedy is None:
-        return None
-    ub = sum(cost[u] for u in greedy)
-    for cap in range(bound(full, 0), ub):
-        r = dfs(0, 0, 0, [], cap)
+    greedy = None
+    if below is None:
+        greedy = _greedy_cover(full, cover, cost)
+        if greedy is None:
+            return None
+        below = sum(cost[u] for u in greedy)
+    for cap in range(bound(full, 0) or 0, below):
+        try:
+            r = dfs(0, 0, 0, [], cap)
+        except BudgetError as exc:
+            exc.level = cap
+            raise
         if r is not None:
             return r
     return greedy
@@ -460,10 +496,13 @@ def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
 
 
 def _min_rainbow_lex(
-    g: Graph, h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SolveResult:
+    g: Graph, h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET, below: int | None = None
+) -> SolveResult | None:
     """Exact 2-rainbow domination number of the lexicographic product g o h,
-    with a witness labeling in the product's row-major index.
+    with a witness labeling in the product's row-major index. With below, a
+    weight already attained (say by a certified upper labeling), the cover
+    searches only the weights under it, and None means none is attained
+    there, so the value is below.
 
     Each vertex of the layer {a} x V(h) sees every vertex of each
     neighboring layer, so a layer meets the rest of the product only through
@@ -474,22 +513,30 @@ def _min_rainbow_lex(
     cover of the elements (a, c), a in V(g), c in {1, 2}, by the sets
     S(a, C, R) = {(a, c) : c not in R} | {(b, c) : b ~ a, c in C} at cost
     cost_h(C, R). An option whose set lies inside another's at no higher
-    cost is dropped (on ties the first in (C, R) order stays). The cover
-    takes at most one option per layer. Two options (C1, R1) and (C2, R2) of
+    cost is dropped (_undominated; on ties the first in (C, R) order stays).
+    The cover takes at most one option per layer. Two options (C1, R1) and (C2, R2) of
     one layer merge into (C1 | C2, R1 & R2): its set is the union of theirs,
     and its cost is at most the sum (OR the two witness labelings), so the
     option the dominance rule keeps for it is at least as good. Hence some
     minimum cover takes one option per layer, and each option bans the
     others of its layer below it in the search (excl of _min_weighted_cover)
     without making any deepening level incomplete. h need not be connected.
-    The table solves and the cover share one node budget.
+    The table solves and the cover share one node budget; a BudgetError of
+    the cover carries the level it was refuting (see _min_weighted_cover),
+    one of the table solves none.
     """
     _check_cap(g)
     _check_cap(h)
     if g.n == 0 or h.n == 0:
         return SolveResult(0, RainbowLabeling(2, ()), 0)
     stats = [0]
-    table = _layer_costs(h, stats, node_budget)
+    try:
+        table = _layer_costs(h, stats, node_budget)
+    except BudgetError as exc:
+        exc.level = None  # a level of a cover of h bounds nothing here
+        raise
+    keys = list(table)
+    weights = [table[key][0] for key in keys]
     cover, cost, owner, excl = [], [], [], []
     for a in range(g.n):
         first = len(cover)
@@ -497,23 +544,17 @@ def _min_rainbow_lex(
         nbr = 0
         for b in iter_bits(g.adj[a]):
             nbr |= 1 << (2 * b)
-        options = [
-            (((3 & ~r) << (2 * a)) | nbr * cmask, w, (cmask, r))
-            for (cmask, r), (w, _) in table.items()
-        ]
-        for i, (s, w, key) in enumerate(options):
-            if not any(
-                s & ~t == 0 and v <= w and (j < i or (t, v) != (s, w))
-                for j, (t, v, _) in enumerate(options)
-                if j != i
-            ):
-                cover.append(s)
-                cost.append(w)
-                owner.append((a, key))
+        options = [((3 & ~r) << (2 * a)) | nbr * cmask for cmask, r in keys]
+        for i in _undominated(options, weights):
+            cover.append(options[i])
+            cost.append(weights[i])
+            owner.append((a, keys[i]))
         layer = (1 << len(cover)) - (1 << first)
         excl += [layer & ~(1 << u) for u in range(first, len(cover))]
     chosen = _min_weighted_cover((1 << (2 * g.n)) - 1, cover, cost, stats, node_budget,
-                                 excl=excl)
+                                 excl=excl, below=below)
+    if chosen is None:
+        return None
     masks = [0] * (g.n * h.n)
     for u in chosen:
         a, key = owner[u]

@@ -23,6 +23,7 @@ from rainbowdom import (
     min_rainbow,
     min_total_dominating_set,
     pair_witness,
+    path_upper_bound,
     to_graph6,
     verify_corpus,
 )
@@ -155,6 +156,25 @@ class TestCertifyCases:
         assert cert.value is None
         assert cert.refined_exact is None
 
+    def test_cycles_get_the_path_tiling(self):
+        # a spanning path of C_n carries the tiling of P_n, valid on C_n o h
+        h = gen_path(4)
+        tiled = []
+        for n in range(3, 25):
+            g = gen_cycle(n)
+            cert = certify_rd_lex(g, h, refine=False)
+            if cert.case != "RdH3Pair":
+                continue
+            couple, _ = min_couple_cost(g, 2, 3)
+            assert cert.hi == min(couple, path_upper_bound(n)), n
+            if path_upper_bound(n) < couple:
+                tiled.append(n)
+                assert cert.upper_labeling.weight == path_upper_bound(n)
+                assert is_k_rainbow_dominating(lexicographic(g, h), cert.upper_labeling)
+        assert tiled == [5, 7, *range(10, 25)]
+        cert = certify_rd_lex(gen_cycle(18), h)
+        assert cert.describe() == "interval [12,16], case RdH3Pair"
+
     def test_gamma_eq_gamma_t_beats_interval(self):
         # gamma(C_4) = gamma_t(C_4) = 2 pins the pair case exactly
         cert = certify_rd_lex(gen_cycle(4), gen_path(4))
@@ -202,6 +222,18 @@ LADDER_REFINES = {
 }
 
 
+# the same rows as certify_rd_lex refines them, searching only below the
+# certified upper bound hi: (hi, layer-cover nodes)
+CERTIFY_REFINES = {
+    "P8": (8, 94),
+    "C8": (8, 326),
+    "C10": (9, 81),
+    "P12": (11, 84),
+    "C12": (11, 448),
+    "P16": (15, 1978),
+}
+
+
 class TestTrivialH:
     """h = K_1: the product is a copy of g, certified by the layer cover,
     never by the direct search on g."""
@@ -231,6 +263,40 @@ class TestRefine:
         assert cert.notes == ()
         assert _min_rainbow_lex(g, gen_path(4), node_budget=20000).nodes_explored == nodes
 
+    @pytest.mark.parametrize("name", sorted(CERTIFY_REFINES))
+    def test_certify_refine_pinned(self, name):
+        g, value, _ = LADDER_REFINES[name]
+        hi, nodes = CERTIFY_REFINES[name]
+        h = gen_path(4)
+        cert = certify_rd_lex(g, h, node_budget=20000)
+        assert cert.hi == hi and cert.refined_exact == value
+        res = _min_rainbow_lex(g, h, node_budget=nodes, below=hi)
+        # None: no labeling lighter than the certified upper one
+        assert (res is None) == (value == hi)
+        assert res is None or res.value == value
+        with pytest.raises(BudgetError):
+            _min_rainbow_lex(g, h, node_budget=nodes - 1, below=hi)
+
+    def test_refine_below_the_upper_bound_keeps_its_labeling(self):
+        # P12 o P4: the path tiling weighs 11, the value
+        cert = certify_rd_lex(gen_path(12), gen_path(4))
+        assert cert.describe() == "interval [8,11], case RdH3Pair; refined exact 11"
+        assert cert.refined_labeling == cert.upper_labeling
+
+    def test_out_of_budget_note_names_the_level(self):
+        # the table of layer costs fits in the budget, the cover does not: every
+        # level below 14 was refuted, so rd_2(P16 o P4) >= 14
+        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=1000)
+        assert cert.describe() == "interval [12,15], case RdH3Pair"
+        assert cert.notes == ("refine exhausted the node budget 1000 at level 14; interval kept",)
+        with pytest.raises(BudgetError) as exc:
+            _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=1000, below=15)
+        assert exc.value.level == 14
+        # out of budget in the table, the level of a cover of h bounds nothing
+        with pytest.raises(BudgetError) as exc:
+            _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=5, below=15)
+        assert exc.value.level is None
+
     def test_one_option_per_layer_fits_a_small_budget(self):
         # 2,169 layer-cover nodes; without one option per layer, 3,638
         cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=3000)
@@ -239,7 +305,7 @@ class TestRefine:
     def test_refine_out_of_budget_says_so(self, monkeypatch):
         import rainbowdom.certify as certify_mod
 
-        def exhausted(g, h, *, node_budget):
+        def exhausted(g, h, *, node_budget, below=None):
             raise BudgetError(f"node budget {node_budget} exhausted")
 
         monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)
@@ -463,11 +529,13 @@ class TestComponentSum:
         assert cases <= {"RdH3Pair", "GammaEqGammaT", "TrivialG"}
 
     # the upper labeling is merged from the components' labelings layer by
-    # layer; these masks were recorded with the earlier per-vertex merge
+    # layer; these masks were recorded with the earlier per-vertex merge. The
+    # parts of P3+C5 o P4 refine to their upper labelings: the couple
+    # labeling on P3, and on C5 the path tiling along a spanning path
     MERGED = {
         "P3+C5 o P4": (gen_path(3), gen_cycle(5), gen_path(4), (
-            1, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 2, 0, 1,
-            1, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0)),
+            0, 0, 0, 0, 0, 3, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 2, 0, 1, 0, 1, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0)),
         "K2+P4 o C5": (gen_complete(2), gen_path(4), gen_cycle(5), (
             0, 1, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
             3, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0)),

@@ -1,5 +1,7 @@
 import argparse
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -148,7 +150,7 @@ class TestCertify:
         import rainbowdom.certify as certify_mod
         from rainbowdom import BudgetError
 
-        def exhausted(g, h, *, node_budget):
+        def exhausted(g, h, *, node_budget, below=None):
             raise BudgetError(f"node budget {node_budget} exhausted")
 
         monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)
@@ -482,6 +484,35 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "rd_2 = 3" in proc.stdout
+
+    def test_closed_stdout_is_quiet(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["certify", "K1", "P40", "--budget", "10000"]) == 1
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_ends_the_process_quietly(self, unbuffered):
+        import rainbowdom
+        # the read end is closed before the process starts, so its first
+        # write to stdout, or the flush of its buffer, meets a closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(rainbowdom.__file__)),
+             os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from rainbowdom.cli import entry; entry()",
+                 "certify", "K1", "P40", "--budget", "10000"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1 and proc.stderr == ""
 
     def test_entry_function_exits(self, capsys, monkeypatch):
         from rainbowdom.cli import entry

@@ -18,6 +18,7 @@ from rainbowdom import (
 )
 
 from rainbowdom.couples import _is_dominating_couple
+from rainbowdom.solvers import _undominated
 
 from conftest import brute_is_couple, brute_min_couple_cost
 
@@ -177,11 +178,17 @@ class TestCoupleCoverSearch:
 
     def test_agrees_with_oracle_corpus6(self, corpus6):
         for g in corpus6:
-            for ca, cb in [(2, 3), (2, 2), (2, 4), (3, 2)]:
+            for ca, cb in [(2, 3), (2, 2), (2, 4), (1, 3), (3, 2)]:
                 value, couple = min_couple_cost(g, ca, cb)
                 assert value == brute_min_couple_cost(g, ca, cb), (g, ca, cb)
                 assert is_dominating_couple(g, couple.a, couple.b)
                 assert couple.cost(ca, cb) == value
+
+    def test_undominated_keeps_the_first_of_equal_sets(self):
+        # set 2 equals set 0 at the same cost; set 3 lies in set 0 at no higher cost
+        assert _undominated([0b11, 0b01, 0b11, 0b10], [2, 1, 2, 3]) == [0, 1]
+        # a cheaper subset stays, and of equal sets the cheaper one
+        assert _undominated([0b01, 0b11, 0b01], [1, 2, 3]) == [0, 1]
 
     @pytest.mark.parametrize("gen", [gen_path, gen_cycle])
     def test_64_vertices_within_small_budget(self, gen):
