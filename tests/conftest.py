@@ -164,6 +164,19 @@ def brute_min_couple_cost(g: Graph, ca: int, cb: int) -> int:
     return best
 
 
+def brute_min_cover(elements: set[int], sets: list[set[int]], costs: list[int]) -> int | None:
+    """Least total cost of a choice of sets whose union holds elements; None
+    when even all of them miss an element. Every choice is tried, set by set,
+    keeping for each union reached the least cost of reaching it."""
+    best = {frozenset(): 0}
+    for s, c in zip(sets, costs):
+        for union, w in list(best.items()):
+            grown = union | (s & elements)
+            if grown not in best or best[grown] > w + c:
+                best[grown] = w + c
+    return best.get(frozenset(elements))
+
+
 def perm_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.m != b.m:
         return False

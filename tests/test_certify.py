@@ -213,24 +213,24 @@ class TestCertifyCases:
 
 # the P4 refines of the benchmark ladder: (value, layer-cover nodes)
 LADDER_REFINES = {
-    "P8": (gen_path(8), 8, 94),
+    "P8": (gen_path(8), 8, 74),
     "C8": (gen_cycle(8), 8, 326),
     "C10": (gen_cycle(10), 9, 105),
-    "P12": (gen_path(12), 11, 696),
-    "C12": (gen_cycle(12), 11, 703),
-    "P16": (gen_path(16), 15, 2169),
+    "P12": (gen_path(12), 11, 261),
+    "C12": (gen_cycle(12), 11, 593),
+    "P16": (gen_path(16), 15, 494),
 }
 
 
 # the same rows as certify_rd_lex refines them, searching only below the
 # certified upper bound hi: (hi, layer-cover nodes)
 CERTIFY_REFINES = {
-    "P8": (8, 94),
+    "P8": (8, 74),
     "C8": (8, 326),
     "C10": (9, 81),
-    "P12": (11, 84),
+    "P12": (11, 74),
     "C12": (11, 448),
-    "P16": (15, 1978),
+    "P16": (15, 437),
 }
 
 
@@ -285,12 +285,13 @@ class TestRefine:
 
     def test_out_of_budget_note_names_the_level(self):
         # the table of layer costs fits in the budget, the cover does not: every
-        # level below 14 was refuted, so rd_2(P16 o P4) >= 14
-        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=1000)
+        # level below 14 was refuted, so rd_2(P16 o P4) >= 14 (the cover is at
+        # level 14 from 52 nodes on and finishes in 437)
+        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=200)
         assert cert.describe() == "interval [12,15], case RdH3Pair"
-        assert cert.notes == ("refine exhausted the node budget 1000 at level 14; interval kept",)
+        assert cert.notes == ("refine exhausted the node budget 200 at level 14; interval kept",)
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=1000, below=15)
+            _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=200, below=15)
         assert exc.value.level == 14
         # out of budget in the table, the level of a cover of h bounds nothing
         with pytest.raises(BudgetError) as exc:
@@ -298,8 +299,9 @@ class TestRefine:
         assert exc.value.level is None
 
     def test_one_option_per_layer_fits_a_small_budget(self):
-        # 2,169 layer-cover nodes; without one option per layer, 3,638
-        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=3000)
+        # 437 layer-cover nodes below the upper bound 15; without one option
+        # per layer, 668
+        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=500)
         assert cert.refined_exact == 15 and cert.notes == ()
 
     def test_refine_out_of_budget_says_so(self, monkeypatch):

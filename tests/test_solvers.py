@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -26,11 +27,14 @@ from rainbowdom import (
     min_total_dominating_set,
     pair_witness,
 )
-from rainbowdom.solvers import _layer_costs, _min_rainbow_lex, _pair_search
+from rainbowdom import solvers
+from rainbowdom.graphs import iter_bits
+from rainbowdom.solvers import _layer_costs, _min_rainbow_lex, _min_weighted_cover, _pair_search
 
 from conftest import (
     brute_layer_costs,
     brute_min_2rdfs,
+    brute_min_cover,
     brute_min_dominating,
     brute_min_rainbow,
     brute_min_total_dominating,
@@ -115,8 +119,8 @@ NODE_PINS = {
         (0, 1), (0, 10), (0, 11), (1, 2), (1, 3), (1, 5), (1, 9), (2, 4),
         (2, 9), (3, 11), (4, 8), (4, 15), (5, 6), (5, 7), (5, 14), (6, 12),
         (6, 14), (7, 12), (11, 13),
-    ]), (6, 162, (0, 1, 4, 5, 6, 11)), (6, 96, (0, 2, 4, 5, 6, 11))),
-    "branchy18": (BRANCHY, (5, 79, (0, 2, 6, 15, 17)), (6, 111, (0, 1, 4, 6, 11, 12))),
+    ]), (6, 162, (0, 1, 4, 5, 6, 11)), (6, 88, (0, 2, 4, 5, 6, 11))),
+    "branchy18": (BRANCHY, (5, 74, (0, 2, 6, 15, 17)), (6, 111, (0, 1, 4, 6, 11, 12))),
     "P5+C7": (from_edge_list(12, [
         (0, 1), (1, 2), (2, 3), (3, 4),
         (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), (5, 11),
@@ -156,6 +160,104 @@ def test_pinned_rainbow_node_counts(name):
     for k, pin in zip((2, 3), RAINBOW_PINS[name]):
         res = min_rainbow(g, k)
         assert (res.value, res.nodes_explored, res.witness.masks) == pin, k
+
+
+def random_set_system(rng: random.Random):
+    """(full, cover, cost, excl) shaped like the couple and layer covers. The
+    elements are the vertices of a random graph on up to 10 vertices plus
+    one more, n. Each vertex u has a group of sets: the unions of one or two
+    bases, N[u] and N(u) plus random elements (only these may hold n). A
+    base costs 1 to 3 and a union one plus the sum of (cost - 1) over its
+    bases, so two sets of a group merge into a third of no higher cost, and
+    banning the rest of a set's group below it (excl) keeps a cheapest
+    cover in reach."""
+    n = rng.randint(1, 10)
+    adj = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < 0.3:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    cover, cost, excl = [], [], []
+    for u in range(n):
+        extra = rng.getrandbits(n) & rng.getrandbits(n) | rng.getrandbits(1) << n
+        bases = [adj[u] | 1 << u, adj[u] | extra]
+        weights = [rng.randint(1, 3) for _ in bases]
+        first = len(cover)
+        for pick in range(1, 1 << rng.choice((1, 2, 2))):
+            union, weight = 0, 1
+            for i in iter_bits(pick):
+                union |= bases[i]
+                weight += weights[i] - 1
+            cover.append(union)
+            cost.append(weight)
+        group = (1 << len(cover)) - (1 << first)
+        excl += [group & ~(1 << x) for x in range(first, len(cover))]
+    return (2 << n) - 1, cover, cost, excl
+
+
+class TestWeightedCover:
+    """The cover engine against exhaustive search on seeded random set
+    systems, in every depth-first mode."""
+
+    def test_matches_brute_force(self):
+        rng = random.Random(2011)
+        infeasible = 0
+        for _ in range(300):
+            full, cover, cost, excl = random_set_system(rng)
+            sets = [set(iter_bits(s)) for s in cover]
+            best = brute_min_cover(set(iter_bits(full)), sets, cost)
+
+            def weight(chosen):
+                union = set()
+                for u in chosen:
+                    union |= sets[u]
+                assert union >= set(iter_bits(full)), (cover, chosen)
+                return sum(cost[u] for u in chosen)
+
+            def solve(**mode):
+                return _min_weighted_cover(full, cover, cost, [0], 10**6, **mode)
+
+            for ex in (None, excl):
+                plain = solve(excl=ex)
+                assert (plain is None) == (best is None)
+                assert plain is None or weight(plain) == best
+            if best is None:
+                infeasible += 1
+            for limit in range(0, (best or 0) + 3):
+                # max_cost: any cover of cost <= limit
+                at_most = solve(max_cost=limit)
+                assert (at_most is None) == (best is None or best > limit)
+                assert at_most is None or weight(at_most) <= limit
+                # below: the cheapest cover, None when none costs under limit
+                for ex in (None, excl):
+                    under = solve(excl=ex, below=limit)
+                    assert (under is None) == (best is None or best >= limit)
+                    assert under is None or weight(under) == best
+        assert 0 < infeasible < 100, infeasible
+
+    @pytest.mark.parametrize("memo_cap", [0, 1])
+    def test_memo_cap_changes_no_result(self, monkeypatch, memo_cap):
+        def solve_all():
+            out = {}
+            for name, (g, _, _) in NODE_PINS.items():
+                out[name, "gamma"] = min_dominating_set(g)
+                out[name, "gamma_t"] = min_total_dominating_set(g)
+            for n in (8, 12, 16):
+                out[f"P{n}", "o P4"] = _min_rainbow_lex(gen_path(n), gen_path(4))
+            return out
+
+        expect = solve_all()
+        monkeypatch.setattr(solvers, "REFUTED_CAP", memo_cap)
+        got = solve_all()
+        for key, res in got.items():
+            assert (res.value, res.witness) == (expect[key].value, expect[key].witness), key
+            assert res.nodes_explored >= expect[key].nodes_explored, key
+        assert got["P16", "o P4"].nodes_explored > expect["P16", "o P4"].nodes_explored
+        if memo_cap == 0:
+            # no refutation kept: the plain depth-first search's counts
+            assert got["branchy18", "gamma"].nodes_explored == 79
+            assert got["sparse16", "gamma_t"].nodes_explored == 96
+            assert got["P16", "o P4"].nodes_explored == 2169
 
 
 class TestMinRainbow:
@@ -394,3 +496,7 @@ class TestMinRainbowLex:
     def test_budget(self):
         with pytest.raises(BudgetError):
             _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=50)
+
+    def test_p64_path_tiling_is_optimal_within_a_small_budget(self):
+        # no labeling of P64 o P4 weighs less than the path tiling's 56
+        assert _min_rainbow_lex(gen_path(64), gen_path(4), node_budget=20000, below=56) is None
