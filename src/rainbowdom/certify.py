@@ -59,11 +59,27 @@ cycle, the path tiling laid along a spanning path of g from the pair
 witness. Adding edges to g keeps every 2-rainbow dominating labeling of
 g o h valid, and _self_check re-validates the tiling on the product itself.
 
+Certificates in one process also share these solves, since each depends on
+one factor only. The factor memo (_solve_factor, at most FACTOR_MEMO_SIZE
+entries, least recently used out first) keeps the classification of h by
+(h, node_budget) and gamma(g), gamma_t(g) and the couple optimum (2, 3) of
+a connected first factor by (kind, g, node_budget), graphs compared by
+value. So a sweep of many g against one h classifies h once, one g against
+several h solves gamma(g) once, and equal components of a disconnected g
+share their solves. With the budget in the key, a hit returns what a fresh
+call with the same arguments returns, and a smaller budget still raises.
+Never kept: a call that raised (it is solved again), the refine
+(_min_rainbow_lex), _self_check (every certificate is validated on its own
+product), the public solvers themselves, and the corpus replay's own oracle
+solves in _corpus_task. The memo calls each solver by its name in this
+module when it runs, so a wrapper on that name sees every solve that runs.
+
 verify_corpus replays every claim above against brute-force-scale exact
 solves over a corpus of small first factors. It classifies each second
 factor once per run, and a task lifts its upper labelings from the gamma(g),
 gamma_t(g) and couple witnesses it solved once each; only general_bounds and
-_certify_connected, the code under test, solve them again. On products of at
+_certify_connected, the code under test, solve them again, the latter through
+the factor memo, so once per first factor and process. On products of at
 most _PROJECTION_CAP (14) vertices it also checks the projection property:
 every minimum labeling projects onto dominating sets of the first factor
 (second factors on at least 3 vertices), and some minimum labeling does
@@ -75,6 +91,7 @@ _dominating_projections), not by listing the minimum labelings.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 import traceback
@@ -115,6 +132,14 @@ from .solvers import (
     min_rainbow_via_cartesian,
     min_total_dominating_set,
 )
+
+
+# The most entries the factor memo (_solve_factor) keeps; the least recently
+# used goes first. A full memo of 64-vertex first factors that nothing else
+# holds took 4.8 MB (about 4.7 KB an entry, graph included; CPython 3.11,
+# tracemalloc). A certify-ladder pass leaves 80 entries, 49 KB beyond the
+# graphs its callers hold.
+FACTOR_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -188,7 +213,17 @@ def general_bounds(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) 
 
 def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassification:
     """Compute the case-analysis data for the second factor: one solve of its
-    2-rainbow number, and the pair search only when that number is 3."""
+    2-rainbow number, and the pair search only when that number is 3.
+
+    The classification is kept in the process's factor memo (_solve_factor),
+    keyed by the value of h and node_budget, so a second call with equal
+    arguments returns the first call's HClassification without solving. A
+    call that raised is not kept: the next call solves again, and a budget
+    too small for the solve still raises BudgetError."""
+    return _solve_factor("h", h, node_budget)
+
+
+def _classify(h: Graph, node_budget: int) -> HClassification:
     if h.n == 0:
         raise PreconditionError("h must be nonempty")
     if not is_connected(h):
@@ -205,6 +240,24 @@ def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassifi
         pair = _pair_search(h, rd.value, node_budget - rd.nodes_explored)
         tag = "RdH3NoPair" if pair is None else "RdH3Pair"
     return HClassification(tag, rd.value, pair, rd.witness)
+
+
+@functools.lru_cache(maxsize=FACTOR_MEMO_SIZE)
+def _solve_factor(kind: str, g: Graph, node_budget: int):
+    """The solve of one factor that certificates share, by kind: "h", the
+    classification of a second factor g; "gamma", "gamma_t" and "couple",
+    gamma(g), gamma_t(g) and the couple optimum (2, 3) of a connected first
+    factor g. Results are kept per (kind, value of g, node_budget); an
+    exception is not kept. Each solver is looked up by its name in this
+    module when the call runs, so whatever wraps that name sees every solve
+    that actually runs."""
+    if kind == "h":
+        return _classify(g, node_budget)
+    if kind == "gamma":
+        return min_dominating_set(g, node_budget=node_budget)
+    if kind == "gamma_t":
+        return min_total_dominating_set(g, node_budget=node_budget)
+    return min_couple_cost(g, 2, 3, node_budget=node_budget)
 
 
 def _walk(g: Graph, start: int) -> list[int]:
@@ -242,16 +295,20 @@ def _tiling_order(g: Graph) -> list[int] | None:
 
 def _self_check(g: Graph, h: Graph, cert: Certificate) -> Certificate:
     prod = lexicographic(g, h)
+    validated = None
     for labeling, weight in (
         (cert.upper_labeling, cert.hi),
         (cert.refined_labeling, cert.refined_exact),
     ):
         if labeling is None:
             continue
-        if labeling.weight != weight or not is_k_rainbow_dominating(prod, labeling):
+        if labeling.weight != weight or (
+            labeling is not validated and not is_k_rainbow_dominating(prod, labeling)
+        ):
             raise RainbowDomError(
                 "internal check failed: certificate witness does not validate"
             )
+        validated = labeling  # a refine that found nothing lighter keeps the upper one
     if cert.lo > cert.hi:
         raise RainbowDomError("internal check failed: crossed bounds")
     return cert
@@ -291,7 +348,7 @@ def _certify_connected(
         return _lift_couple(g.n, h.n, 2, DominatingCouple(a, b), hcls.labeling.masks)
 
     if hcls.tag == "RdH2":
-        ds = min_dominating_set(g, node_budget=node_budget)
+        ds = _solve_factor("gamma", g, node_budget)
         return _exact(
             g, h, 2 * ds.value, "RdH2", lift(frozenset(), ds.witness),
             LowerWitness("gamma", ds.value, vertices=ds.witness),
@@ -302,7 +359,7 @@ def _certify_connected(
         )
 
     if hcls.tag == "RdH4Plus":
-        tds = min_total_dominating_set(g, node_budget=node_budget)
+        tds = _solve_factor("gamma_t", g, node_budget)
         return _exact(
             g, h, 2 * tds.value, "RdH4Plus", lift(tds.witness, frozenset()),
             LowerWitness("gamma_t", tds.value, vertices=tds.witness),
@@ -312,7 +369,7 @@ def _certify_connected(
         )
 
     if hcls.tag == "RdH3NoPair":
-        value, couple = min_couple_cost(g, 2, 3, node_budget=node_budget)
+        value, couple = _solve_factor("couple", g, node_budget)
         return _exact(
             g, h, value, "RdH3NoPair", lift(couple.a, couple.b),
             LowerWitness("couple", value, couple=couple),
@@ -322,8 +379,8 @@ def _certify_connected(
         )
 
     # RdH3Pair: 2-rainbow number 3 with a pair witness
-    ds = min_dominating_set(g, node_budget=node_budget)
-    tds = min_total_dominating_set(g, node_budget=node_budget)
+    ds = _solve_factor("gamma", g, node_budget)
+    tds = _solve_factor("gamma_t", g, node_budget)
     if tds.value == ds.value:
         return _exact(
             g, h, 2 * ds.value, "GammaEqGammaT", lift(tds.witness, frozenset()),
@@ -331,7 +388,7 @@ def _certify_connected(
             "gamma(first factor) = gamma_t(first factor) pins the "
             "product value between 2*gamma and 2*gamma_t",
         )
-    value, couple = min_couple_cost(g, 2, 3, node_budget=node_budget)
+    value, couple = _solve_factor("couple", g, node_budget)
     hi = value
     upper = lift(couple.a, couple.b)
     citations = [

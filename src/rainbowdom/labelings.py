@@ -70,21 +70,26 @@ class RainbowCheck:
 
 
 def is_k_rainbow_dominating(g: Graph, f: RainbowLabeling) -> RainbowCheck:
-    """Check the rainbow condition; vertices are scanned in index order."""
+    """Check the rainbow condition; vertices are scanned in index order.
+
+    One support mask per color (the vertices whose label holds it): an empty
+    vertex v sees color c exactly when adj[v] meets the support of c."""
     if f.n != g.n:
         raise PreconditionError("labeling size does not match graph")
-    full = (1 << f.k) - 1
     masks = f.masks
-    for v in range(g.n):
-        if masks[v]:
-            continue
-        seen = 0
-        for u in iter_bits(g.adj[v]):
-            seen |= masks[u]
-            if seen == full:
-                break
-        if seen != full:
-            return RainbowCheck(False, v)
+    supports = [0] * f.k
+    for v, m in enumerate(masks):
+        while m:
+            low = m & -m
+            supports[low.bit_length() - 1] |= 1 << v
+            m ^= low
+    adj = g.adj
+    for v, m in enumerate(masks):
+        if not m:
+            row = adj[v]
+            for support in supports:
+                if not row & support:
+                    return RainbowCheck(False, v)
     return RainbowCheck(True, None)
 
 

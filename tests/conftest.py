@@ -12,6 +12,7 @@ import itertools
 import pytest
 
 from rainbowdom import Graph, enumerate_connected_graphs, from_edge_list
+from rainbowdom.certify import _solve_factor
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +68,26 @@ def brute_valid_rdf(g: Graph, k: int, labels: tuple[frozenset[int], ...]) -> boo
         if seen != full:
             return False
     return True
+
+
+def reference_rainbow_violator(g: Graph, k: int, masks: tuple[int, ...]) -> int | None:
+    """The first empty vertex, in index order, that misses a color among its
+    neighbors' labels (color c is bit c-1 of a mask), or None when the
+    labeling is k-rainbow dominating: the neighbor-by-neighbor scan that
+    is_k_rainbow_dominating used before it kept one support mask per color."""
+    full = (1 << k) - 1
+    for v in range(g.n):
+        if masks[v]:
+            continue
+        seen = 0
+        for u in range(g.n):
+            if (g.adj[v] >> u) & 1:
+                seen |= masks[u]
+                if seen == full:
+                    break
+        if seen != full:
+            return v
+    return None
 
 
 def _all_labelings(n: int, k: int):
@@ -215,6 +236,13 @@ def count_connected_by_edge_subsets(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # fixtures
+
+
+@pytest.fixture(autouse=True)
+def cold_factor_memo():
+    """Every test starts with certify's factor memo empty, as a fresh process
+    does, so a solve that an earlier test made is not skipped here."""
+    _solve_factor.cache_clear()
 
 
 @pytest.fixture(scope="session")

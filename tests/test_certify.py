@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rainbowdom import (
@@ -5,6 +7,7 @@ from rainbowdom import (
     CapacityError,
     DisconnectedError,
     Graph,
+    RainbowDomError,
     RainbowLabeling,
     certify_rd_lex,
     classify_h,
@@ -125,6 +128,31 @@ class TestCertifyCases:
             "RdH4Plus": [True], "RdH3NoPair": [True], "RdH3Pair": [False],
             "GammaEqGammaT": [True], "ComponentSum-NA": [True], "ComponentSum": [True],
         }
+
+    def test_self_check_validates_each_labeling_once(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        validated, real = [], certify_mod.is_k_rainbow_dominating
+
+        def counted(g, f):
+            validated.append(f)
+            return real(g, f)
+
+        monkeypatch.setattr(certify_mod, "is_k_rainbow_dominating", counted)
+        g, h = gen_path(8), gen_path(4)
+        # nothing lighter than the couple labeling (8): the refine keeps it
+        cert = certify_rd_lex(g, h)
+        assert cert.refined_exact == 8 and cert.refined_labeling is cert.upper_labeling
+        assert validated == [cert.upper_labeling]
+        # a broken labeling is refused wherever it sits, also when shared
+        prod = lexicographic(g, h)
+        broken = RainbowLabeling(2, (3,) * 4 + (0,) * (prod.n - 4))
+        assert not real(prod, broken)
+        for upper, refined in ((broken, None), (cert.upper_labeling, broken), (broken, broken)):
+            bad = dataclasses.replace(cert, upper_labeling=upper, refined_labeling=refined,
+                                      refined_exact=None if refined is None else 8)
+            with pytest.raises(RainbowDomError, match="does not validate"):
+                certify_mod._self_check(g, h, bad)
 
     def test_rdh2(self):
         cert = certify_rd_lex(gen_path(4), gen_cycle(4))
@@ -363,7 +391,8 @@ def solve_log(monkeypatch):
 class TestSolveOnce:
     """One certificate solves each sub-problem once: rd_2(h) exactly once,
     the pair search only when rd_2(h) = 3, and gamma, gamma_t and the couple
-    optimum at most once per component of g."""
+    optimum at most once per component of g; a second certificate of equal
+    factors in the same process solves none of them again."""
 
     @pytest.mark.parametrize("g, h, case, solves", [
         (gen_path(8), gen_path(2), "RdH2", {"min_dominating_set"}),
@@ -387,6 +416,13 @@ class TestSolveOnce:
         rest = solve_log[1:]
         assert sorted(name for name, _ in rest) == sorted(solves)
         assert all(graph == (h if name == "_pair_search" else g) for name, graph in rest)
+        # a second certificate of equal factors, in the same process, runs
+        # only the refine again
+        solve_log.clear()
+        again = certify_rd_lex(from_edge_list(g.n, list(g.edges())),
+                               from_edge_list(h.n, list(h.edges())), node_budget=20000)
+        assert again == cert
+        assert solve_log == [(name, g) for name, _ in rest if name == "_min_rainbow_lex"]
 
     def test_disconnected_g(self, solve_log):
         # P5 is RdH3Pair (gamma 2 < gamma_t 3), C4 is GammaEqGammaT
@@ -402,6 +438,43 @@ class TestSolveOnce:
             ("min_dominating_set", 4), ("min_total_dominating_set", 4),
         ])
         assert all(graph in (p5, c4) for _, graph in solve_log[2:])
+
+
+class TestFactorMemo:
+    """Certificates in one process share the solves that depend on one
+    factor: the classification of h, and gamma, gamma_t and the couple
+    optimum of a first factor, each keyed by the graph's value and the node
+    budget. The refine is never shared."""
+
+    def test_first_factor_shared_across_second_factors(self, solve_log):
+        p8 = gen_path(8)
+        assert certify_rd_lex(p8, gen_path(2), node_budget=20000).case == "RdH2"
+        assert certify_rd_lex(p8, gen_path(4), node_budget=20000).case == "RdH3Pair"
+        assert solve_log.count(("min_dominating_set", p8)) == 1
+        assert solve_log.count(("min_total_dominating_set", p8)) == 1
+
+    def test_equal_components_share_solves(self, solve_log):
+        g = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
+        cert = certify_rd_lex(g, gen_path(4), node_budget=20000)
+        assert [part.case for _, part in cert.parts] == ["RdH3Pair", "RdH3Pair"]
+        p5 = gen_path(5)
+        for name in ("min_dominating_set", "min_total_dominating_set", "min_couple_cost"):
+            assert solve_log.count((name, p5)) == 1
+        # each component refines on its own
+        assert solve_log.count(("_min_rainbow_lex", p5)) == 2
+
+    def test_budget_is_part_of_the_key(self, solve_log):
+        h = gen_double_c4()
+        cls = classify_h(h)
+        assert classify_h(h) is cls
+        assert [name for name, _ in solve_log] == ["min_rainbow", "_pair_search"]
+        rd = min_rainbow(h, 2)
+        solve_log.clear()
+        # a smaller budget still raises, and a call that raised is solved again
+        for _ in range(2):
+            with pytest.raises(BudgetError):
+                classify_h(h, node_budget=rd.nodes_explored)
+        assert [name for name, _ in solve_log] == ["min_rainbow", "_pair_search"] * 2
 
 
 class TestCorpusSolveOnce:

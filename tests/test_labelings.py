@@ -1,12 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowdom import (
     ParseError,
     RainbowLabeling,
     cartesian,
     format_labeling,
+    from_edge_list,
     gen_complete,
     gen_cycle,
     gen_path,
@@ -17,7 +19,7 @@ from rainbowdom import (
 )
 from rainbowdom.solvers import _dominating_set_to_rdf
 
-from conftest import brute_valid_rdf
+from conftest import brute_valid_rdf, reference_rainbow_violator
 
 
 def masks_to_sets(masks, k):
@@ -85,6 +87,27 @@ class TestValidity:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             is_k_rainbow_dominating(gen_path(3), RainbowLabeling(2, (0, 3)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_verdict_and_violator_as_the_neighbor_scan(self, data):
+        n = data.draw(st.integers(1, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        g = from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        k = data.draw(st.integers(1, 4))
+        masks = list(data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)))
+        repair = data.draw(st.booleans())
+        if repair:
+            # a labeled vertex never breaks another's condition, so labeling
+            # each violator in turn leaves a valid labeling
+            while (v := reference_rainbow_violator(g, k, tuple(masks))) is not None:
+                masks[v] = data.draw(st.integers(1, (1 << k) - 1))
+        expected = reference_rainbow_violator(g, k, tuple(masks))
+        chk = is_k_rainbow_dominating(g, RainbowLabeling(k, tuple(masks)))
+        assert (bool(chk), chk.violator) == (expected is None, expected)
+        if repair:
+            assert chk
 
 
 class TestConversions:
