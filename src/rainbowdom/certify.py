@@ -505,7 +505,8 @@ def _projection_gap(
     minimum labeling has both projections dominating.
 
     For each a in turn, one search at cost rd2 of the cover engine over
-    _rainbow_cover(prod) without the color-1 sets on the layers of N_g[a].
+    _rainbow_cover(prod) without the color-1 sets on the layers of N_g[a]:
+    in the row-major order of prod x K_2, set 2p is color 1 on p.
     Swapping the colors maps minimum labelings onto minimum labelings, so a
     color-2 gap exists iff a color-1 gap does. The searches share one node
     counter.
@@ -515,11 +516,11 @@ def _projection_gap(
         cut = list(cover)
         for b in iter_bits(g.closed(a)):
             for p in range(b * nh, (b + 1) * nh):
-                cut[2 * p + 1] = 0
+                cut[2 * p] = 0
         chosen = _min_weighted_cover((1 << len(cut)) - 1, cut, [1] * len(cut), stats, budget,
                                      max_cost=rd2)
         if chosen is not None:
-            return a, _cover_labeling(prod.n, chosen)
+            return a, _cover_labeling(prod.n, chosen, 2)
     return None
 
 
@@ -531,9 +532,10 @@ def _dominating_projections(
     project onto dominating sets of g, or None when there is none.
 
     One search at cost rd2 of the cover engine over _rainbow_cover(prod)
-    plus an element (a, c) for each vertex a of g and color c, at bit
-    2|prod| + 2a + t for color 2 - t, as in _rainbow_cover. Color c on a
-    vertex of layer b covers (a, c) for every a in N_g[b].
+    plus an element (a, c + 1) for each vertex a of g and color c + 1, at
+    bit 2|prod| + 2a + c, in the row-major order of _rainbow_cover, where
+    set 2p + c is color c + 1 on p. Color c + 1 on a vertex of layer b
+    covers (a, c + 1) for every a in N_g[b].
     """
     cover, base = _rainbow_cover(prod), 2 * prod.n
     for p in range(prod.n):
@@ -542,7 +544,7 @@ def _dominating_projections(
         cover[2 * p + 1] |= spread << 1
     chosen = _min_weighted_cover((1 << (base + 2 * g.n)) - 1, cover, [1] * len(cover), [0],
                                  budget, max_cost=rd2)
-    return None if chosen is None else _cover_labeling(prod.n, chosen)
+    return None if chosen is None else _cover_labeling(prod.n, chosen, 2)
 
 
 def _labels_text(nh: int, f: RainbowLabeling) -> str:

@@ -23,10 +23,9 @@ from __future__ import annotations
 from .couples import DominatingCouple, _lift_couple
 from .errors import PreconditionError
 from .graphs import Graph, gen_glued_paths
-from .labelings import RainbowLabeling, is_k_rainbow_dominating
+from .labelings import RainbowLabeling, _validate_k, is_k_rainbow_dominating
 from .solvers import (
     DEFAULT_NODE_BUDGET,
-    _validate_k,
     min_dominating_set,
     min_rainbow,
     min_total_dominating_set,

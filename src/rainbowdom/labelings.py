@@ -14,17 +14,9 @@ from .errors import ParseError, PreconditionError
 from .graphs import Graph, iter_bits
 
 
-def _mask_to_colors(mask: int) -> frozenset[int]:
-    return frozenset(b + 1 for b in iter_bits(mask))
-
-
-def _colors_to_mask(colors, k: int) -> int:
-    m = 0
-    for c in colors:
-        if not (1 <= c <= k):
-            raise PreconditionError(f"color {c} outside 1..{k}")
-        m |= 1 << (c - 1)
-    return m
+def _validate_k(k: int):
+    if not (1 <= k <= 8):
+        raise PreconditionError("k must be between 1 and 8")
 
 
 @dataclass(frozen=True)
@@ -35,23 +27,15 @@ class RainbowLabeling:
     masks: tuple[int, ...]
 
     def __post_init__(self):
-        if not (1 <= self.k <= 8):
-            raise PreconditionError("k must be between 1 and 8")
+        _validate_k(self.k)
         top = (1 << self.k) - 1
         for v, m in enumerate(self.masks):
             if m & ~top:
                 raise PreconditionError(f"label at vertex {v} uses colors beyond k")
 
-    @classmethod
-    def from_sets(cls, k: int, labels) -> "RainbowLabeling":
-        return cls(k, tuple(_colors_to_mask(s, k) for s in labels))
-
     @property
     def n(self) -> int:
         return len(self.masks)
-
-    def label(self, v: int) -> frozenset[int]:
-        return _mask_to_colors(self.masks[v])
 
     @property
     def weight(self) -> int:

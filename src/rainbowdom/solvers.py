@@ -4,8 +4,10 @@ Two exact engines. The weighted cover engine (_min_weighted_cover) finds the
 cheapest family of sets, each with an integer cost, whose union covers a
 given set of elements. Closed and open neighborhoods at unit cost give the
 domination and total domination numbers, and couples.min_couple_cost mixes
-both at two costs. The closed neighborhoods of g x K_2 give the minimum
-2-rainbow labelings in label order (enumerate_min_2rdfs, collect mode), and
+both at two costs. Vertex k v + c of products.cartesian(g, K_k) is color
+c + 1 on v (_cover_labeling), and a set dominates g x K_k iff its labeling
+is k-rainbow dominating. That gives min_rainbow_via_cartesian, the minimum
+2-rainbow labelings in label order (enumerate_min_2rdfs, collect mode) and,
 with one more element that only "{1,2} on u" sets cover, the pair witness.
 The 2-rainbow number of g o h (_min_rainbow_lex) is one cover of
 V(g) x {1, 2} whose set costs are twelve small covers of h. The rainbow
@@ -46,10 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, CapExceededError, CapacityError, PreconditionError
+from .errors import (BudgetError, CapExceededError, CapacityError, PreconditionError,
+                     RainbowDomError)
 from .graphs import (Graph, components, gen_complete, induced_subgraph, is_dominating_set,
                      iter_bits)
-from .labelings import RainbowLabeling
+from .labelings import RainbowLabeling, _validate_k
 from .products import cartesian
 
 DEFAULT_NODE_BUDGET = 10**8
@@ -436,11 +439,6 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
     return tuple(fullc if v in chosen else 0 for v in range(n))
 
 
-def _validate_k(k: int):
-    if not (1 <= k <= 8):
-        raise PreconditionError("k must be between 1 and 8")
-
-
 def min_rainbow(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exact minimum k-rainbow domination number with a witness labeling.
 
@@ -462,7 +460,8 @@ def min_rainbow_via_cartesian(
     g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SolveResult:
     """Minimum k-rainbow domination computed as a minimum dominating set of
-    the Cartesian product with K_k, then mapped back to a labeling."""
+    the Cartesian product with K_k, re-checked (one that does not dominate
+    is an internal fault) and read as a labeling by _cover_labeling."""
     _validate_k(k)
     if g.n * k > SOLVER_VERTEX_CAP:
         raise CapacityError(
@@ -470,21 +469,9 @@ def min_rainbow_via_cartesian(
         )
     prod = cartesian(g, gen_complete(k))
     res = min_dominating_set(prod, node_budget=node_budget)
-    return SolveResult(res.value, _dominating_set_to_rdf(prod, k, res.witness),
-                       res.nodes_explored)
-
-
-def _dominating_set_to_rdf(prod: Graph, k: int, dom) -> RainbowLabeling:
-    """The k-RDF of g, of weight |dom|, that a dominating set dom of prod =
-    g x K_k stands for: (v, color i) is vertex v*k + i - 1. Raises when dom
-    does not dominate prod, so the search's witness is re-checked here."""
-    if not is_dominating_set(prod, dom):
-        raise PreconditionError("set does not dominate the Cartesian product")
-    masks = [0] * (prod.n // k)
-    for x in dom:
-        v, b = divmod(x, k)
-        masks[v] |= 1 << b
-    return RainbowLabeling(k, tuple(masks))
+    if not is_dominating_set(prod, res.witness):
+        raise RainbowDomError("internal check failed: the witness does not dominate g x K_k")
+    return SolveResult(res.value, _cover_labeling(g.n, res.witness, k), res.nodes_explored)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +485,14 @@ def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
     cost_h(C, R) is the least weight of a 2-labeling of h whose labels use
     exactly the colors of C and in which every empty vertex sees, among its
     own neighbors in h, each color outside R. Each entry is one weighted
-    cover: the elements are (x, c) for each vertex x and color c outside R,
-    plus one "c is used" element per color of C; putting color c of C on x
-    is a unit-cost set that covers every element of x, covers (y, c) for
-    the neighbors y of x, and covers "c is used". Every entry is feasible
+    cover, read as h x K_2 is (2x + c is color c + 1 on x): the elements are
+    2x + c for each x and color c + 1 outside R, plus "c is used" at bit
+    2|h| + c per color of C; color c + 1 of C on x is the unit-cost set
+    closed(2x + c) of h x K_2 plus "c is used". Every entry is feasible
     for nonempty h, since the sets of x alone cover every element of x.
     """
     n = h.n
+    prod = cartesian(h, gen_complete(2))
     table = {}
     for cmask in (1, 2, 3):
         for r in range(4):
@@ -515,11 +503,7 @@ def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
             cover, owner = [], []
             for x in range(n):
                 for c in iter_bits(cmask):
-                    s = (3 << (2 * x)) | (1 << (2 * n + c))
-                    if need >> c & 1:
-                        for y in iter_bits(h.adj[x]):
-                            s |= 1 << (2 * y + c)
-                    cover.append(s)
+                    cover.append(prod.closed(2 * x + c) | 1 << (2 * n + c))
                     owner.append((x, c))
             chosen = _min_weighted_cover(full, cover, [1] * len(cover), stats, budget)
             masks = [0] * n
@@ -600,23 +584,20 @@ def _min_rainbow_lex(
 
 
 def _rainbow_cover(g: Graph) -> list[int]:
-    """The closed neighborhoods of the Cartesian product g x K_2, element and
-    set 2v + t standing for color 2 - t on v: a choice of sets is a
-    2-labeling of its size, valid iff the sets cover every element."""
-    cover = []
-    for v in range(g.n):
-        spread = sum(1 << 2 * w for w in iter_bits(g.adj[v]))
-        cover += [3 << 2 * v | spread, 3 << 2 * v | spread << 1]
-    return cover
+    """The closed neighborhoods of the Cartesian product g x K_2: a choice of
+    them is a 2-labeling of its size (_cover_labeling; set 2v + c is color
+    c + 1 on v), valid iff the sets cover every element."""
+    prod = cartesian(g, gen_complete(2))
+    return [prod.closed(x) for x in range(prod.n)]
 
 
-def _cover_labeling(n: int, chosen: list[int]) -> RainbowLabeling:
-    """The 2-labeling of an n-vertex graph that a choice of sets of
-    _rainbow_cover stands for."""
+def _cover_labeling(n: int, chosen, k: int) -> RainbowLabeling:
+    """The k-labeling of an n-vertex graph g that a choice of vertices (or
+    closed neighborhoods) of g x K_k stands for: k v + c is color c + 1 on v."""
     masks = [0] * n
     for i in chosen:
-        masks[i // 2] |= 2 - i % 2
-    return RainbowLabeling(2, tuple(masks))
+        masks[i // k] |= 1 << (i % k)
+    return RainbowLabeling(k, tuple(masks))
 
 
 def enumerate_min_2rdfs(
@@ -627,18 +608,19 @@ def enumerate_min_2rdfs(
     yielding `cap` labelings if more exist; treat the results as partial.
 
     After min_rainbow, the collect mode of the cover engine lists the covers
-    of _rainbow_cover(g) at that weight in label order (set 2v, color 2, is
-    the higher mask bit of v, so it is decided first) and stops at cap + 1:
-    the work grows with cap, not with how many labelings exist. Both
-    searches draw on the one node budget."""
+    of _rainbow_cover(g) at that weight in label order (index i holds set
+    i ^ 1, so color 2 on v, the higher mask bit, is decided first) and stops
+    at cap + 1: the work grows with cap, not with how many labelings exist.
+    Both searches draw on the one node budget."""
     if cap <= 0:
         raise PreconditionError("cap must be positive")
     base = min_rainbow(g, 2, node_budget=node_budget)
     cover, found = _rainbow_cover(g), []
-    _min_weighted_cover((1 << len(cover)) - 1, cover, [1] * len(cover), [base.nodes_explored],
+    swapped = [cover[i ^ 1] for i in range(len(cover))]
+    _min_weighted_cover((1 << len(cover)) - 1, swapped, [1] * len(cover), [base.nodes_explored],
                         node_budget, found, base.value, cap)
     for chosen in found[:cap]:
-        yield _cover_labeling(g.n, chosen)
+        yield _cover_labeling(g.n, [i ^ 1 for i in chosen], 2)
     if len(found) > cap:
         raise CapExceededError(f"more than {cap} minimum labelings exist")
 
@@ -660,13 +642,14 @@ def _pair_search(h: Graph, rd2: int, budget: int) -> PairWitness | None:
     One level, cost rd2, of the cover engine over the elements of
     _rainbow_cover(h), moved up one bit, and a "pair used" element at bit 0,
     which only the cost-2 sets "{1,2} on u" cover. Per vertex u the sets are
-    3u ({1,2}), 3u + 1 ({2}) and 3u + 2 ({1}). The search branches on the
-    lowest uncovered element, the pair element first, so u is tried in
-    index order. A pair exists iff some cover costs rd2 (none costs less).
+    3u ({1,2}), 3u + 1 ({2}, set 2u + 1 of _rainbow_cover) and 3u + 2 ({1},
+    set 2u). The search branches on the lowest uncovered element, the pair
+    element first, so u is tried in index order. A pair exists iff some
+    cover costs rd2 (none costs less).
     """
     units, cover = _rainbow_cover(h), []
-    for a, b in zip(units[::2], units[1::2]):
-        cover += [(a | b) << 1 | 1, a << 1, b << 1]
+    for one, two in zip(units[::2], units[1::2]):
+        cover += [(one | two) << 1 | 1, two << 1, one << 1]
     chosen = _min_weighted_cover((2 << 2 * h.n) - 1, cover, [2, 1, 1] * h.n, [0], budget,
                                  max_cost=rd2)
     if chosen is None:

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowdom import (
     ParseError,
+    PreconditionError,
+    RainbowDomError,
     RainbowLabeling,
+    SolveResult,
     cartesian,
     format_labeling,
     from_edge_list,
@@ -15,9 +18,11 @@ from rainbowdom import (
     gen_star,
     is_dominating_set,
     is_k_rainbow_dominating,
+    min_rainbow_via_cartesian,
     parse_labeling,
 )
-from rainbowdom.solvers import _dominating_set_to_rdf
+from rainbowdom import solvers
+from rainbowdom.solvers import _cover_labeling
 
 from conftest import brute_valid_rdf, reference_rainbow_violator
 
@@ -45,17 +50,13 @@ class TestRainbowLabeling:
             RainbowLabeling(9, (0,))
 
     def test_label_access(self):
+        # a vertex's label is its color mask, bit c - 1 for color c, and
+        # reads back as a color set in the text format
         f = RainbowLabeling(3, (5, 0))
-        assert f.label(0) == {1, 3}
-        assert f.label(1) == frozenset()
+        assert f.masks == (5, 0)
+        assert masks_to_sets(f.masks, 3) == ({1, 3}, frozenset())
+        assert format_labeling(f) == "0: {1,3}\n1: -\n"
         assert f.n == 2
-
-    def test_from_sets(self):
-        f = RainbowLabeling.from_sets(2, [{1, 2}, set(), {2}])
-        assert f == RainbowLabeling(2, (3, 0, 2))
-        with pytest.raises(ValueError):
-            RainbowLabeling.from_sets(2, [{3}])
-
 
 
 class TestValidity:
@@ -111,8 +112,10 @@ class TestValidity:
 
 
 class TestConversions:
-    """The last step of min_rainbow_via_cartesian: a dominating set of
-    G x K_k, vertex (v, color i) at v*k + i - 1, back to a k-RDF of G."""
+    """A set of vertices of G x K_k, vertex (v, color c + 1) at k v + c in
+    the product's row-major order, read back as a k-labeling of G by
+    _cover_labeling, as min_rainbow_via_cartesian and every cover search
+    over G x K_2 read theirs."""
 
     def test_product_set_to_rdf_round_trip(self):
         g = gen_path(4)
@@ -121,12 +124,42 @@ class TestConversions:
         assert s == {2, 3, 6}
         prod = cartesian(g, gen_complete(2))
         assert is_dominating_set(prod, s)
-        assert _dominating_set_to_rdf(prod, 2, s) == f
+        assert _cover_labeling(4, s, 2) == f
 
-    def test_non_dominating_set_rejected(self):
-        prod = cartesian(gen_path(4), gen_complete(2))
-        with pytest.raises(ValueError):
-            _dominating_set_to_rdf(prod, 2, {0})
+    def test_non_dominating_set_rejected(self, monkeypatch):
+        # a search that returns a set that does not dominate the product is
+        # an internal fault, not a bad argument
+        def broken_search(prod, *, node_budget):
+            return SolveResult(1, frozenset({0}), 1)
+
+        monkeypatch.setattr(solvers, "min_dominating_set", broken_search)
+        with pytest.raises(RainbowDomError) as exc:
+            min_rainbow_via_cartesian(gen_path(4), 2)
+        assert str(exc.value).startswith("internal check failed")
+        assert not isinstance(exc.value, PreconditionError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_set_dominates_the_product_iff_its_labeling_is_rainbow(self, data):
+        n = data.draw(st.integers(1, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+        g = from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        k = data.draw(st.integers(1, 4))
+        prod = cartesian(g, gen_complete(k))
+        chosen = set(data.draw(st.lists(st.integers(0, prod.n - 1))))
+        if data.draw(st.booleans()):
+            # add each vertex that is still undominated: the set then dominates
+            covered = 0
+            for x in chosen:
+                covered |= prod.closed(x)
+            for x in range(prod.n):
+                if not covered >> x & 1:
+                    chosen.add(x)
+                    covered |= prod.closed(x)
+        f = _cover_labeling(g.n, chosen, k)
+        assert f.weight == len(chosen)
+        assert bool(is_k_rainbow_dominating(g, f)) == is_dominating_set(prod, chosen)
 
 
 class TestFormatParse:

@@ -297,6 +297,15 @@ class TestMinRainbow:
         for g in (gen_path(5), gen_cycle(6), gen_star(5)):
             assert min_rainbow(g, 3).value == min_rainbow_via_cartesian(g, 3).value
 
+    def test_cartesian_witness_validates_and_weighs_its_value(self, corpus5):
+        for g in corpus5:
+            for k in (1, 2, 3, 4):
+                res = min_rainbow_via_cartesian(g, k)
+                assert res.witness.k == k and res.witness.n == g.n
+                assert is_k_rainbow_dominating(g, res.witness), (g.adj, k)
+                assert res.witness.weight == res.value, (g.adj, k)
+                assert res.value == min_rainbow(g, k).value, (g.adj, k)
+
     def test_disconnected_sum(self):
         g = from_edge_list(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4)])
         assert min_rainbow(g, 2).value == \
@@ -350,6 +359,13 @@ class TestEnumerate:
                   gen_cycle(4), gen_cycle(5), gen_star(4)] + corpus5:
             got = sorted(f.masks for f in enumerate_min_2rdfs(g, 100000))
             assert got == brute_min_2rdfs(g), g.adj
+
+    def test_label_order_is_strictly_increasing(self, corpus5):
+        two_k2 = from_edge_list(4, [(0, 1), (2, 3)])
+        p3_k1 = from_edge_list(4, [(0, 1), (1, 2)])
+        for g in corpus5 + [two_k2, p3_k1]:
+            got = [f.masks for f in enumerate_min_2rdfs(g, 100000)]
+            assert all(a < b for a, b in zip(got, got[1:])), g.adj
 
     def test_p4_count(self):
         assert sum(1 for _ in enumerate_min_2rdfs(gen_path(4), 100000)) == 12
