@@ -21,7 +21,8 @@ The case tags:
 * RdH2: second factor has 2-rainbow number 2; exact value 2 * gamma(g).
 * RdH4Plus: second factor has 2-rainbow number >= 4; exact 2 * gamma_t(g).
 * RdH3NoPair: 2-rainbow number 3 and no minimum labeling uses {1,2}; exact
-  couple optimum min(2|A| + 3|B|).
+  couple optimum min(2|A| + 3|B|), whose search starts at twice a greedy
+  2-packing of g (couples.min_couple_cost).
 * RdH3Pair: 2-rainbow number 3 with a {1,2} minimum labeling; interval
   [2 * gamma(g), best known construction], except that gamma(g) = gamma_t(g)
   forces the exact value 2 * gamma(g) (tag GammaEqGammaT). The best upper
@@ -33,10 +34,14 @@ The case tags:
   weighted cover of V(g) x {1, 2} whose set costs are small weighted covers
   of h. The refine searches only the weights below the upper bound; when
   none is attained, the refined value is the upper bound and the refined
-  labeling the upper one, already self-checked. A refine that runs out of
-  budget keeps the interval and says so in the certificate's notes, naming
-  the cost level it was refuting when the cover search ran out, a proven
-  lower bound.
+  labeling the upper one, already self-checked. The cover visits g in
+  bandwidth order, keeps one of each color-swapped pair of options at its
+  first layer, and reads h's twelve costs from a table solved once per
+  process (see solvers._min_rainbow_lex for why each is sound); on paths
+  and trees the search then works much like a dynamic program along g. A
+  refine that runs out of budget keeps the interval and says so in the
+  certificate's notes, naming the cost level it was refuting when the
+  cover search ran out, a proven lower bound.
 * ComponentSum: first factor disconnected; per-component sum, with the
   components' labelings copied layer by layer into the row-major product.
 * ComponentSum-NA: second factor disconnected; no closed-form case applies,

@@ -12,7 +12,12 @@ of u in A and the closed neighborhoods N[u] of u in B together cover V. So
 the couple optimum min(a|A| + b|B|), the value of the RdH3NoPair case, is a
 minimum-weight cover of V by {N(u) at cost a} and {N[u] at cost b}, and
 min_couple_cost solves it with the same exact cover engine as the domination
-and total domination numbers. No optimal cover takes both N(u) and N[u]:
+and total domination numbers. A 2-packing P (vertices whose closed
+neighborhoods are pairwise disjoint) bounds it from below: no vertex
+neighbors two of P, so no set of the cover holds two of P, and the optimum
+is at least min(a, b)|P|. As A u B dominates, it is also at least
+min(a, b) gamma, and on trees gamma is the 2-packing number (Meir & Moon,
+Pacific J. Math. 61, 1975). No optimal cover takes both N(u) and N[u]:
 N(u) lies inside N[u], so dropping N(u) would leave a cheaper cover. That is
 why A and B come out disjoint without a constraint in the search.
 """
@@ -48,6 +53,19 @@ def _is_dominating_couple(g: Graph, couple: DominatingCouple) -> bool:
     return all(g.adj[x] & inside for x in range(g.n) if not (maskb >> x) & 1)
 
 
+def _two_packing(g: Graph) -> list[int]:
+    """A greedy 2-packing of g: the vertices in order of degree (lowest index
+    on ties), each kept when its closed neighborhood meets none of the kept
+    ones'. No vertex neighbors two kept ones, so no set N(u) or N[u] holds
+    two of them, and every couple cover takes a set per kept vertex."""
+    kept, taken = [], 0
+    for v in sorted(range(g.n), key=g.degree):
+        if not g.closed(v) & taken:
+            kept.append(v)
+            taken |= g.closed(v)
+    return kept
+
+
 def min_couple_cost(
     g: Graph, cost_a: int, cost_b: int, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[int, DominatingCouple]:
@@ -63,7 +81,11 @@ def min_couple_cost(
     N(u); the subset rule, then that order, decide which of several optimal
     couples is returned. A and B come out disjoint because N(u) lies inside
     N[u]: a cover holding both could drop N(u) and would not be the
-    cheapest.
+    cheapest. The deepening starts at min(cost_a, cost_b) times a greedy
+    2-packing (_two_packing) when that is above the engine's own bound, and
+    no level is searched when the greedy cover costs that much; the levels
+    skipped hold no cover, so the couple returned is the one the search from
+    the engine's bound returns.
     """
     if cost_a < 1 or cost_b < 1:
         raise PreconditionError("costs must be at least 1")
@@ -72,7 +94,8 @@ def min_couple_cost(
     cost = [cost_b] * g.n + [cost_a] * g.n
     keep = _undominated(cover, cost)
     chosen = _min_weighted_cover(g.full_mask, [cover[i] for i in keep],
-                                 [cost[i] for i in keep], [0], node_budget)
+                                 [cost[i] for i in keep], [0], node_budget,
+                                 at_least=min(cost_a, cost_b) * len(_two_packing(g)))
     chosen = [keep[i] for i in chosen]
     couple = DominatingCouple(
         frozenset(u - g.n for u in chosen if u >= g.n),

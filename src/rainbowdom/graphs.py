@@ -347,6 +347,28 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     return _from_rows(len(order), tuple(rows)), order
 
 
+def _bandwidth_order(g: Graph) -> list[int]:
+    """The vertices of g in Cuthill-McKee order: breadth first from a vertex
+    of least degree, each vertex's unvisited neighbors appended by degree,
+    and each further component from its own least-degree vertex (lowest
+    index on every tie). Neighbors then sit close together in the order: it
+    is the identity on gen_path, and on gen_cycle no edge spans more than 2
+    places."""
+    order, seen = [], 0
+    for start in sorted(range(g.n), key=g.degree):
+        if seen >> start & 1:
+            continue
+        seen |= 1 << start
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            order.extend(sorted(iter_bits(g.adj[v] & ~seen), key=g.degree))
+            seen |= g.adj[v]
+    return order
+
+
 # ---------------------------------------------------------------------------
 # canonical forms and enumeration of small connected graphs
 

@@ -10,18 +10,21 @@ is k-rainbow dominating. That gives min_rainbow_via_cartesian, the minimum
 2-rainbow labelings in label order (enumerate_min_2rdfs, collect mode) and,
 with one more element that only "{1,2} on u" sets cover, the pair witness.
 The 2-rainbow number of g o h (_min_rainbow_lex) is one cover of
-V(g) x {1, 2} whose set costs are twelve small covers of h. The rainbow
-engine (_rainbow_fixed) assigns color sets vertex by vertex for min_rainbow;
-it stays independent of the cover engine, as the oracle the corpus replay
+V(g) x {1, 2} whose set costs are twelve small covers of h (_layer_table,
+solved once per process), with g numbered in bandwidth order and the
+1 <-> 2 color swap broken at the first layer. The rainbow engine
+(_rainbow_fixed) assigns color sets vertex by vertex for min_rainbow; it
+stays independent of the cover engine, as the oracle the corpus replay
 checks the case values against.
 
 Each engine starts from a greedy solution as the upper bound (the layer
 cover of a certificate's refine from the certificate's upper bound instead),
-then runs iterative deepening on the objective: each level is a depth-first
-search that branches on the lowest-index element (vertex) not yet
-satisfied, and prunes with an admissible bound on the remaining cost and,
-in the rainbow engine, an infeasibility test (a vertex that no future
-decision can fix). The cover engine also remembers each sub-cover it
+then runs iterative deepening on the objective, from an admissible bound (or
+a proven lower bound the caller passes, as the couple cover does with a
+2-packing) up: each level is a depth-first search that branches on the
+lowest-index element (vertex) not yet satisfied, and prunes with an
+admissible bound on the remaining cost and, in the rainbow engine, an
+infeasibility test (a vertex that no future decision can fix). The cover engine also remembers each sub-cover it
 refuted, keyed by the uncovered elements and the bans that can still
 matter, with the largest remaining cost it was refuted for, and cuts a
 node whose key was refuted for at least its own remaining cost; that holds
@@ -46,18 +49,20 @@ results are merged, so every invariant is the sum over components.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (BudgetError, CapExceededError, CapacityError, PreconditionError,
                      RainbowDomError)
-from .graphs import (Graph, components, gen_complete, induced_subgraph, is_dominating_set,
-                     iter_bits)
+from .graphs import (Graph, _bandwidth_order, components, gen_complete, induced_subgraph,
+                     is_dominating_set, iter_bits)
 from .labelings import RainbowLabeling, _validate_k
 from .products import cartesian
 
 DEFAULT_NODE_BUDGET = 10**8
 SOLVER_VERTEX_CAP = 64
 REFUTED_CAP = 1 << 18  # the most refuted sub-covers one cover search keeps
+LAYER_TABLE_MEMO_SIZE = 256  # the most second factors whose layer table is kept
 
 
 @dataclass(frozen=True)
@@ -139,19 +144,21 @@ def _undominated(cover: list[int], cost: list[int]) -> list[int]:
 def _min_weighted_cover(
     full: int, cover: list[int], cost: list[int], stats: list[int], budget: int,
     collect: list | None = None, max_cost: int | None = None, limit: int = 0,
-    excl: list[int] | None = None, below: int | None = None,
+    excl: list[int] | None = None, below: int | None = None, at_least: int = 0,
 ):
     """Cheapest choice of sets cover[u], each at integer cost[u] >= 1, whose
     union covers `full`.
 
     Iterative deepening on the total cost, from an admissible bound up to the
     greedy cost, or, with below, up to below - 1 in place of the greedy
-    start, returning None when no cover costs less than below. A BudgetError
-    that a deepening level raises carries that level as its `level`: every
-    lower level was refuted, so no cover costs less. Each level is a
-    depth-first search that branches on the lowest-index uncovered element
-    over its coverers in set-index order, and bans each set once its branch
-    is explored. Sets are grouped by cost; a class of cost c whose best set
+    start, returning None when no cover costs less than below. at_least, a
+    lower bound the caller has proven (say by a packing), raises the first
+    level to it; when the greedy cover already costs that much, no level is
+    searched. A BudgetError that a deepening level raises carries that level
+    as its `level`: every lower level was refuted or lies under at_least, so
+    no cover costs less. Each level is a depth-first search that branches
+    on the lowest-index uncovered element over its coverers in set-index
+    order, and bans each set once its branch is explored. Sets are grouped by cost; a class of cost c whose best set
     still covers maxcov_c uncovered elements needs at least |rem|*c/maxcov_c
     more cost on its own, so the minimum of that over the classes bounds
     what any completion pays. Returns the chosen
@@ -284,7 +291,7 @@ def _min_weighted_cover(
         if greedy is None:
             return None
         below = sum(cost[u] for u in greedy)
-    for cap in range(bound(full, 0) or 0, below):
+    for cap in range(max(bound(full, 0) or 0, at_least), below):
         try:
             r = dfs(0, 0, 0, [], cap)
         except BudgetError as exc:
@@ -514,6 +521,21 @@ def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
     return table
 
 
+@functools.lru_cache(maxsize=LAYER_TABLE_MEMO_SIZE)
+def _layer_table(h: Graph, budget: int) -> tuple[dict, int]:
+    """_layer_costs(h) and the nodes its twelve covers took, solved once per
+    process for each (value of h, budget). A solve that raised is not kept,
+    so a budget too small for the table raises on every call. Callers only
+    read the table."""
+    stats = [0]
+    return _layer_costs(h, stats, budget), stats[0]
+
+
+def _swap_colors(mask: int) -> int:
+    """The color mask with colors 1 and 2 exchanged."""
+    return (mask & 1) << 1 | mask >> 1
+
+
 def _min_rainbow_lex(
     g: Graph, h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET, below: int | None = None
 ) -> SolveResult | None:
@@ -540,34 +562,64 @@ def _min_rainbow_lex(
     minimum cover takes one option per layer, and each option bans the
     others of its layer below it in the search (excl of _min_weighted_cover)
     without making any deepening level incomplete. h need not be connected.
+
+    The layers are numbered in _bandwidth_order(g) (Cuthill-McKee; the
+    identity on a path), so the elements of neighboring layers sit close
+    together. The search branches on the lowest uncovered element and
+    remembers the sub-covers it refuted, so it then works along the order
+    much like a dynamic program over its frontier; the witness is mapped
+    back to the vertices of g.
+
+    Swapping colors 1 and 2 in every layer maps a cover to a cover of equal
+    cost, since cost_h(C, R) = cost_h(sC, sR), s the swap. So the first
+    layer drops an option whose swap is also kept there and comes earlier in
+    (C, R) order. That is sound whatever _undominated kept on ties: take a
+    minimum cover with one kept option per layer; if its first layer's
+    option was dropped, swap the colors everywhere, then trade each swapped
+    option of a later layer for the kept option that contains it at no
+    higher cost. The first layer's swapped option is kept and not dropped
+    (its own swap comes after it), so a minimum cover of the same shape
+    remains, and every deepening level below the value is still refuted.
+
     The table solves and the cover share one node budget; a BudgetError of
     the cover carries the level it was refuting (see _min_weighted_cover),
-    one of the table solves none.
+    one of the table solves none. The table is solved once per process for
+    each (h, node_budget) (_layer_table) and its nodes are charged to every
+    call, so nodes_explored, a BudgetError and its level are those of a
+    fresh solve.
     """
     _check_cap(g)
     _check_cap(h)
     if g.n == 0 or h.n == 0:
         return SolveResult(0, RainbowLabeling(2, ()), 0)
-    stats = [0]
     try:
-        table = _layer_costs(h, stats, node_budget)
+        table, table_nodes = _layer_table(h, node_budget)
     except BudgetError as exc:
         exc.level = None  # a level of a cover of h bounds nothing here
         raise
+    stats = [table_nodes]
     keys = list(table)
     weights = [table[key][0] for key in keys]
+    swapped = [keys.index((_swap_colors(cmask), _swap_colors(r))) for cmask, r in keys]
+    order = _bandwidth_order(g)
+    place = [0] * g.n
+    for i, a in enumerate(order):
+        place[a] = i
     cover, cost, owner, excl = [], [], [], []
-    for a in range(g.n):
+    for i, a in enumerate(order):
         first = len(cover)
         # one bit per neighbor layer; times C it marks (b, c) for c in C
         nbr = 0
         for b in iter_bits(g.adj[a]):
-            nbr |= 1 << (2 * b)
-        options = [((3 & ~r) << (2 * a)) | nbr * cmask for cmask, r in keys]
-        for i in _undominated(options, weights):
-            cover.append(options[i])
-            cost.append(weights[i])
-            owner.append((a, keys[i]))
+            nbr |= 1 << (2 * place[b])
+        options = [((3 & ~r) << (2 * i)) | nbr * cmask for cmask, r in keys]
+        kept = _undominated(options, weights)
+        if i == 0:  # the color swap: of an option and its kept swap, the earlier
+            kept = [j for j in kept if not (swapped[j] < j and swapped[j] in kept)]
+        for j in kept:
+            cover.append(options[j])
+            cost.append(weights[j])
+            owner.append((a, keys[j]))
         layer = (1 << len(cover)) - (1 << first)
         excl += [layer & ~(1 << u) for u in range(first, len(cover))]
     chosen = _min_weighted_cover((1 << (2 * g.n)) - 1, cover, cost, stats, node_budget,
@@ -662,5 +714,5 @@ def _pair_search(h: Graph, rd2: int, budget: int) -> PairWitness | None:
     if rd2 == 3:
         v = next(i for i, m in enumerate(masks) if m and i != u)
         if masks[v] == 2:
-            masks = [(m & 1) << 1 | m >> 1 for m in masks]  # swap colors 1 and 2
+            masks = [_swap_colors(m) for m in masks]
     return PairWitness(u, v, RainbowLabeling(2, tuple(masks)))

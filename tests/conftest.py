@@ -13,6 +13,7 @@ import pytest
 
 from rainbowdom import Graph, enumerate_connected_graphs, from_edge_list
 from rainbowdom.certify import _solve_factor
+from rainbowdom.solvers import _layer_table
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +175,13 @@ def brute_is_couple(g: Graph, a, b) -> bool:
 
 
 def brute_min_couple_cost(g: Graph, ca: int, cb: int) -> int:
+    nb = nbrs(g)
     best = None
     for assign in itertools.product((0, 1, 2), repeat=g.n):
         a = {v for v, t in enumerate(assign) if t == 1}
         b = {v for v, t in enumerate(assign) if t == 2}
-        if brute_is_couple(g, a, b):
+        # the couple condition of brute_is_couple, with the neighbor sets built once
+        if all(nb[x] & (a | b) for x in range(g.n) if x not in b):
             cost = ca * len(a) + cb * len(b)
             best = cost if best is None else min(best, cost)
     assert best is not None, "every graph has the couple (emptyset, V)"
@@ -240,9 +243,11 @@ def count_connected_by_edge_subsets(n: int) -> int:
 
 @pytest.fixture(autouse=True)
 def cold_factor_memo():
-    """Every test starts with certify's factor memo empty, as a fresh process
-    does, so a solve that an earlier test made is not skipped here."""
+    """Every test starts with certify's factor memo and the layer tables of
+    the layer cover empty, as a fresh process does, so a solve that an
+    earlier test made is not skipped here."""
     _solve_factor.cache_clear()
+    _layer_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

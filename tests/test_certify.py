@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -32,7 +33,7 @@ from rainbowdom import (
 )
 from rainbowdom.certify import _dominating_projections, _projection_gap
 from rainbowdom.graphs import iter_bits
-from rainbowdom.solvers import _min_rainbow_lex, _pair_search
+from rainbowdom.solvers import _layer_table, _min_rainbow_lex, _pair_search
 
 from conftest import brute_min_dominating, brute_min_rainbow, projection_property
 
@@ -241,24 +242,24 @@ class TestCertifyCases:
 
 # the P4 refines of the benchmark ladder: (value, layer-cover nodes)
 LADDER_REFINES = {
-    "P8": (gen_path(8), 8, 74),
-    "C8": (gen_cycle(8), 8, 326),
-    "C10": (gen_cycle(10), 9, 105),
-    "P12": (gen_path(12), 11, 261),
-    "C12": (gen_cycle(12), 11, 593),
-    "P16": (gen_path(16), 15, 494),
+    "P8": (gen_path(8), 8, 72),
+    "C8": (gen_cycle(8), 8, 241),
+    "C10": (gen_cycle(10), 9, 104),
+    "P12": (gen_path(12), 11, 241),
+    "C12": (gen_cycle(12), 11, 542),
+    "P16": (gen_path(16), 15, 480),
 }
 
 
 # the same rows as certify_rd_lex refines them, searching only below the
 # certified upper bound hi: (hi, layer-cover nodes)
 CERTIFY_REFINES = {
-    "P8": (8, 74),
-    "C8": (8, 326),
-    "C10": (9, 81),
-    "P12": (11, 74),
-    "C12": (11, 448),
-    "P16": (15, 437),
+    "P8": (8, 72),
+    "C8": (8, 241),
+    "C10": (9, 69),
+    "P12": (11, 72),
+    "C12": (11, 309),
+    "P16": (15, 417),
 }
 
 
@@ -314,7 +315,7 @@ class TestRefine:
     def test_out_of_budget_note_names_the_level(self):
         # the table of layer costs fits in the budget, the cover does not: every
         # level below 14 was refuted, so rd_2(P16 o P4) >= 14 (the cover is at
-        # level 14 from 52 nodes on and finishes in 437)
+        # level 14 from 50 nodes on and finishes in 417)
         cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=200)
         assert cert.describe() == "interval [12,15], case RdH3Pair"
         assert cert.notes == ("refine exhausted the node budget 200 at level 14; interval kept",)
@@ -327,10 +328,23 @@ class TestRefine:
         assert exc.value.level is None
 
     def test_one_option_per_layer_fits_a_small_budget(self):
-        # 437 layer-cover nodes below the upper bound 15; without one option
-        # per layer, 668
+        # 417 layer-cover nodes below the upper bound 15; without one option
+        # per layer, 638
         cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=500)
         assert cert.refined_exact == 15 and cert.notes == ()
+
+    def test_seeded_tree_refines_within_a_small_budget(self):
+        # a 16-vertex tree: in bandwidth order, with the color swap broken, the
+        # refine below hi = 13 takes 511 nodes (20 of them the table of P4);
+        # in index order it took 26,637
+        r = random.Random(6)
+        g = from_edge_list(16, [(r.randrange(i), i) for i in range(1, 16)])
+        cert = certify_rd_lex(g, gen_path(4), node_budget=2000)
+        assert cert.describe() == "interval [12,13], case RdH3Pair; refined exact 13"
+        assert cert.notes == ()
+        assert _min_rainbow_lex(g, gen_path(4), node_budget=511, below=13) is None
+        with pytest.raises(BudgetError):
+            _min_rainbow_lex(g, gen_path(4), node_budget=510, below=13)
 
     def test_refine_out_of_budget_says_so(self, monkeypatch):
         import rainbowdom.certify as certify_mod
@@ -348,6 +362,39 @@ class TestRefine:
         assert cert.case == "ComponentSum"
         assert cert.notes == (f"component [0, 1, 2, 3, 4]: {note}",
                               f"component [5, 6, 7, 8, 9]: {note}")
+
+
+class TestLayerTable:
+    """The table of layer costs of h is solved once per (h, budget) in a
+    process; the layer cover charges its nodes as a fresh solve would."""
+
+    def test_cold_and_warm_count_the_same(self):
+        g, h = gen_cycle(10), gen_path(4)
+        cold = _min_rainbow_lex(g, h, node_budget=20000)
+        assert _layer_table.cache_info().currsize == 1
+        warm = _min_rainbow_lex(g, h, node_budget=20000)
+        assert _layer_table.cache_info().hits == 1
+        assert (warm.value, warm.witness, warm.nodes_explored) == \
+            (cold.value, cold.witness, cold.nodes_explored)
+        # a second first factor reuses the table and still counts its nodes
+        _layer_table.cache_clear()
+        fresh = _min_rainbow_lex(gen_path(8), h, node_budget=20000).nodes_explored
+        _min_rainbow_lex(g, h, node_budget=20000)
+        assert _min_rainbow_lex(gen_path(8), h, node_budget=20000).nodes_explored == fresh
+
+    def test_a_budget_too_small_for_the_table_still_raises(self):
+        g, h = gen_path(16), gen_path(4)
+        _min_rainbow_lex(g, h, node_budget=20000, below=15)
+        with pytest.raises(BudgetError) as exc:
+            _min_rainbow_lex(g, h, node_budget=5, below=15)
+        assert exc.value.level is None
+        # the table takes 20 nodes: a budget of 19 fails in it, of 20 in the cover
+        with pytest.raises(BudgetError) as exc:
+            _min_rainbow_lex(g, h, node_budget=19, below=15)
+        assert exc.value.level is None
+        with pytest.raises(BudgetError) as exc:
+            _min_rainbow_lex(g, h, node_budget=20, below=15)
+        assert exc.value.level == 13
 
 
 # every solve a certificate can make, by the module that defines it

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from rainbowdom import (
@@ -17,7 +20,7 @@ from rainbowdom import (
     min_rainbow,
 )
 
-from rainbowdom.couples import _is_dominating_couple
+from rainbowdom.couples import _is_dominating_couple, _two_packing
 from rainbowdom.solvers import _undominated
 
 from conftest import brute_is_couple, brute_min_couple_cost
@@ -183,6 +186,30 @@ class TestCoupleCoverSearch:
                 assert value == brute_min_couple_cost(g, ca, cb), (g, ca, cb)
                 assert is_dominating_couple(g, couple.a, couple.b)
                 assert couple.cost(ca, cb) == value
+
+    def test_packing_bound_agrees_with_oracle(self):
+        # the search starts at min(cost_a, cost_b) times a greedy 2-packing,
+        # which must be a 2-packing and never pass the optimum
+        rng = random.Random(1961)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g = from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < 0.3])
+            packing = _two_packing(g)
+            for u, v in itertools.combinations(packing, 2):
+                assert not g.closed(u) & g.closed(v), (g.adj, packing)
+            for ca, cb in [(2, 3), (3, 2), (1, 1), (2, 4)]:
+                value, couple = min_couple_cost(g, ca, cb)
+                assert value == brute_min_couple_cost(g, ca, cb), (g.adj, ca, cb)
+                assert min(ca, cb) * len(packing) <= value
+                assert is_dominating_couple(g, couple.a, couple.b)
+                assert couple.cost(ca, cb) == value
+
+    def test_no_search_when_the_greedy_cover_meets_the_packing(self):
+        # P3 + K1: {N[1], N[3]} is the greedy cover and 2 * |{0, 3}| its cost
+        g = from_edge_list(4, [(0, 1), (1, 2)])
+        assert _two_packing(g) == [3, 0]
+        assert min_couple_cost(g, 2, 2, node_budget=0)[0] == 4
 
     def test_undominated_keeps_the_first_of_equal_sets(self):
         # set 2 equals set 0 at the same cost; set 3 lies in set 0 at no higher cost

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import networkx as nx
@@ -27,6 +28,7 @@ from rainbowdom import (
     parse_graph6,
     to_graph6,
 )
+from rainbowdom.graphs import _bandwidth_order
 
 from conftest import (
     brute_is_dominating,
@@ -269,3 +271,35 @@ class TestEnumeration:
     def test_rejects_large_n(self):
         with pytest.raises(CapacityError):
             next(enumerate_connected_graphs(8))
+
+
+class TestBandwidthOrder:
+    """_bandwidth_order, the order the layer cover visits the first factor in."""
+
+    def test_a_permutation(self, corpus6):
+        rng = random.Random(19)
+        gs = list(corpus6) + [Graph(0, ()), from_edge_list(5, [(0, 4), (1, 2)])]
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            gs.append(from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                                         if rng.random() < 0.25]))
+        for g in gs:
+            assert sorted(_bandwidth_order(g)) == list(range(g.n)), g.adj
+
+    def test_identity_on_paths(self):
+        for n in range(1, 65):
+            assert _bandwidth_order(gen_path(n)) == list(range(n))
+
+    def test_cycles_have_bandwidth_two(self):
+        for n in range(3, 65):
+            g = gen_cycle(n)
+            place = {v: i for i, v in enumerate(_bandwidth_order(g))}
+            assert max(abs(place[u] - place[v]) for u, v in g.edges()) <= 2, n
+
+    def test_breadth_first_from_a_least_degree_vertex(self):
+        # the star's leaves come first from the least degree; the center
+        # follows, then the other leaves
+        assert _bandwidth_order(gen_star(5)) == [1, 0, 2, 3, 4]
+        # each component starts again from its own least-degree vertex
+        g = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+        assert _bandwidth_order(g) == [1, 0, 2, 3, 4, 5]

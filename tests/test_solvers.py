@@ -257,7 +257,7 @@ class TestWeightedCover:
             # no refutation kept: the plain depth-first search's counts
             assert got["branchy18", "gamma"].nodes_explored == 79
             assert got["sparse16", "gamma_t"].nodes_explored == 96
-            assert got["P16", "o P4"].nodes_explored == 2169
+            assert got["P16", "o P4"].nodes_explored == 1933
 
 
 class TestMinRainbow:
@@ -503,6 +503,28 @@ class TestMinRainbowLex:
                             if h.has_edge(x, y):
                                 seen |= masks[y]
                         assert (3 & ~r) & ~seen == 0, (h.adj, cmask, r, masks)
+
+    def test_order_and_color_swap_match_direct_search(self):
+        # the layer cover runs in _bandwidth_order and keeps one of each
+        # color-swapped pair of options at its first layer; neither may change
+        # a value, the answer to below, or the validity of a witness
+        rng = random.Random(1975)
+        hs = [gen_complete(1), gen_path(2), gen_path(4), gen_cycle(5),
+              from_edge_list(4, [(0, 1), (1, 2)])]
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            g = from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < 0.35])
+            for h in hs:
+                prod = lexicographic(g, h)
+                value = min_rainbow(prod, 2).value
+                res = _min_rainbow_lex(g, h)
+                assert res.value == value, (g.adj, h.adj)
+                assert res.witness.weight == value
+                assert is_k_rainbow_dominating(prod, res.witness), (g.adj, h.adj)
+                assert _min_rainbow_lex(g, h, below=value) is None
+                res = _min_rainbow_lex(g, h, below=value + 1)
+                assert res.value == value and is_k_rainbow_dominating(prod, res.witness)
 
     def test_empty_and_capacity(self):
         assert _min_rainbow_lex(gen_path(3), Graph(0, ())).value == 0
