@@ -27,20 +27,16 @@ The case tags:
   [2 * gamma(g), best known construction], except that gamma(g) = gamma_t(g)
   forces the exact value 2 * gamma(g) (tag GammaEqGammaT). The best upper
   is the optimal couple's labeling or, when g is a path or a cycle and it
-  is lighter, the path tiling along a spanning path of g. With refine=True
-  and a product of at most 64 vertices the interval is refined to the exact
-  value by the layer reduction (solvers._min_rainbow_lex): a layer of the
-  product meets the others only through its color union, so the value is a
-  weighted cover of V(g) x {1, 2} whose set costs are small weighted covers
-  of h. The refine searches only the weights below the upper bound; when
-  none is attained, the refined value is the upper bound and the refined
-  labeling the upper one, already self-checked. The cover visits g in
-  bandwidth order, keeps one of each color-swapped pair of options at its
-  first layer, and reads h's twelve costs from a table solved once per
-  process (see solvers._min_rainbow_lex for why each is sound); on paths
-  and trees the search then works much like a dynamic program along g. A
-  refine that runs out of budget keeps the interval and says so in the
-  certificate's notes, naming the cost level it was refuting when the
+  is lighter, the path tiling along a spanning path of g. On a path or a
+  cycle the tiling is optimal by theorem (README, "The open case on paths
+  and cycles"): the refined value is path_upper_bound(n), with the upper
+  labeling, and no search runs whatever refine says. Otherwise, with
+  refine=True and a product of at most 64 vertices, the interval is refined
+  to the exact value by the layer cover (solvers._min_rainbow_lex), which
+  searches only the weights below the upper bound; when none is attained,
+  the refined value is the upper bound and the refined labeling the upper
+  one. A refine that runs out of budget keeps the interval and says so in
+  the certificate's notes, naming the cost level it was refuting when the
   cover search ran out, a proven lower bound.
 * ComponentSum: first factor disconnected; per-component sum, with the
   components' labelings copied layer by layer into the row-major product.
@@ -278,24 +274,19 @@ def _walk(g: Graph, start: int) -> list[int]:
     return order
 
 
-def _path_order(g: Graph) -> list[int] | None:
-    """Vertex order realizing g as a path, or None. g must be connected."""
-    if g.n == 1:
-        return [0]
-    degs = [g.degree(v) for v in range(g.n)]
-    ends = sorted(v for v, d in enumerate(degs) if d == 1)
-    if len(ends) != 2 or any(d > 2 for d in degs):
-        return None
-    return _walk(g, ends[0])
-
-
 def _tiling_order(g: Graph) -> list[int] | None:
     """The order of a spanning path of g when g is a path or a cycle, else
     None; g must be connected. The path tiling laid along a spanning path
     stays valid on g o h: more edges in g only add neighbors."""
-    if g.n >= 3 and all(g.degree(v) == 2 for v in range(g.n)):
+    if g.n == 1:
+        return [0]
+    degs = [g.degree(v) for v in range(g.n)]
+    if g.n >= 3 and all(d == 2 for d in degs):
         return _walk(g, 0)
-    return _path_order(g)
+    ends = [v for v, d in enumerate(degs) if d == 1]
+    if len(ends) != 2 or any(d > 2 for d in degs):
+        return None
+    return _walk(g, ends[0])
 
 
 def _self_check(g: Graph, h: Graph, cert: Certificate) -> Certificate:
@@ -402,16 +393,20 @@ def _certify_connected(
         "upper bound: best dominating couple, 2|A| + 3|B|",
     ]
     order = _tiling_order(g)
+    refined_exact = refined_labeling = None
+    notes = ()
     if order is not None:
         pub = path_upper_bound(g.n)
+        if value < pub:
+            raise RainbowDomError("internal check failed: couple optimum below the path theorem")
         if pub < hi:
             hi = pub
             upper = _tile_path(order, h.n, hcls.pair.u, hcls.pair.v)
             citations[1] = "upper bound: path tiling of weight path_upper_bound(n)"
-    refined_exact = None
-    refined_labeling = None
-    notes = ()
-    if refine and g.n * h.n <= SOLVER_VERTEX_CAP:
+        refined_exact, refined_labeling = hi, upper
+        citations.append("exact value: path_upper_bound(n), by the theorem on the "
+                         "open case on paths and cycles (README)")
+    elif refine and g.n * h.n <= SOLVER_VERTEX_CAP:
         try:
             res = _min_rainbow_lex(g, h, node_budget=node_budget, below=hi)
         except BudgetError as exc:
@@ -575,6 +570,7 @@ class CorpusReport:
     tasks: int
     checks: dict[str, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
+    # empty since the path theorem settled what the notes observed; kept so the JSON keys hold
     conjecture_notes: list[str] = field(default_factory=list)
     skips: list[str] = field(default_factory=list)
     wall_seconds: float = 0.0
@@ -596,9 +592,6 @@ class CorpusReport:
         if self.skips:
             lines.append("skips:")
             lines.extend(f"  - {s}" for s in self.skips)
-        if self.conjecture_notes:
-            lines.append("conjecture notes:")
-            lines.extend(f"  - {s}" for s in self.conjecture_notes)
         lines.append(f"violations: {len(self.violations)}")
         lines.extend(f"  - {v}" for v in self.violations)
         return "\n".join(lines) + "\n"
@@ -617,11 +610,10 @@ def _fault(exc: Exception) -> tuple[bool, str]:
     return False, f"raised {type(exc).__name__}: {exc} (at {place})"
 
 
-def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
+def _corpus_task(args: tuple) -> tuple[dict, list, list]:
     (name, g, h, hcls, hstar, run_g_checks, product_cap, node_budget) = args
     checks: dict[str, int] = {}
     violations: list[str] = []
-    notes: list[str] = []
     skips: list[str] = []
 
     def bump(key: str):
@@ -652,13 +644,13 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
 
         if g.n * h.n > product_cap:
             skips.append(f"{name}: product has {g.n * h.n} > {product_cap} vertices")
-            return checks, violations, notes, skips
+            return checks, violations, skips
 
         prod = lexicographic(g, h)
         exact = min_rainbow(prod, 2, node_budget=node_budget)
         if not isinstance(hcls, HClassification):
             record(*hcls)  # classifying h raised
-            return checks, violations, notes, skips
+            return checks, violations, skips
 
         def upper(key: str, what: str, bound: str, weight: int, a, b, h_masks=()):
             # the lifted couple labeling of (a, b) is valid, weighs weight, and exact <= weight
@@ -690,13 +682,10 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
         bump("case_value")
         if not (cert.lo <= exact.value <= cert.hi):
             violate(f"certificate {cert.describe()} excludes exact {exact.value}")
-        if cert.case == "RdH3Pair" and _path_order(g) is not None and g.n >= 2:
-            pub = path_upper_bound(g.n)
-            verdict = "attained" if exact.value == pub else "strict"
-            notes.append(
-                f"{name}: path conjecture {verdict}: exact {exact.value}, "
-                f"tile bound {pub}"
-            )
+        if cert.case == "RdH3Pair" and _tiling_order(g) is not None:
+            bump("path_theorem")
+            if cert.refined_exact != exact.value:
+                violate(f"path theorem gives {cert.refined_exact}, exact {exact.value}")
 
         if g.n >= 2 and h.n >= 3 and g.n * h.n <= _PROJECTION_CAP:
             gap = _projection_gap(g, prod, h.n, exact.value, node_budget)
@@ -716,7 +705,7 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, list]:
     except Exception as exc:
         # a fault in one task is that task's record, not the end of the run
         record(*_fault(exc))
-    return checks, violations, notes, skips
+    return checks, violations, skips
 
 
 def verify_corpus(
@@ -770,11 +759,10 @@ def verify_corpus(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_task, tasks, chunksize=4))
-    for checks, violations, notes, skips in results:
+    for checks, violations, skips in results:
         for key, count in checks.items():
             report.checks[key] = report.checks.get(key, 0) + count
         report.violations.extend(violations)
-        report.conjecture_notes.extend(notes)
         report.skips.extend(skips)
     report.checks = dict(sorted(report.checks.items()))
     report.wall_seconds = time.monotonic() - start

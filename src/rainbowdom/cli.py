@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("h")
     p.add_argument("--no-refine", action="store_true",
-                   help="skip the exact solve that tightens intervals")
+                   help="skip the exact search that tightens intervals")
     p.add_argument("--labeling-out", default=None,
                    help="also write the best labeling to this file")
     _add_format(p)

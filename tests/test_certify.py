@@ -38,6 +38,15 @@ from rainbowdom.solvers import _layer_table, _min_rainbow_lex, _pair_search
 from conftest import brute_min_dominating, brute_min_rainbow, projection_property
 
 
+# P4 with two leaves at one end: a tree that is neither a path nor a cycle, so
+# certify refines its RdH3Pair interval [4,6] with P4 by search (value 5)
+FORK6 = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+
+
+def _two_copies(g: Graph) -> Graph:
+    return from_edge_list(2 * g.n, list(g.edges()) + [(u + g.n, v + g.n) for u, v in g.edges()])
+
+
 class TestGeneralBounds:
     def test_frozen_values(self):
         assert general_bounds(gen_path(7), 2) == (3, 6)
@@ -180,8 +189,8 @@ class TestCertifyCases:
         assert cert.refined_labeling.weight == 5
 
     def test_rdh3pair_no_refine(self):
-        cert = certify_rd_lex(gen_path(5), gen_path(4), refine=False)
-        assert cert.describe() == "interval [4,5], case RdH3Pair"
+        cert = certify_rd_lex(FORK6, gen_path(4), refine=False)
+        assert cert.describe() == "interval [4,6], case RdH3Pair"
         assert cert.value is None
         assert cert.refined_exact is None
 
@@ -201,8 +210,14 @@ class TestCertifyCases:
                 assert cert.upper_labeling.weight == path_upper_bound(n)
                 assert is_k_rainbow_dominating(lexicographic(g, h), cert.upper_labeling)
         assert tiled == [5, 7, *range(10, 25)]
+        # the tiling is optimal (the path theorem), also past the refine's
+        # 64-vertex gate; a product past the gate that is not settled by the
+        # theorem keeps its interval
         cert = certify_rd_lex(gen_cycle(18), h)
-        assert cert.describe() == "interval [12,16], case RdH3Pair"
+        assert cert.describe() == "interval [12,16], case RdH3Pair; refined exact 16"
+        fork18 = from_edge_list(18, [(i, i + 1) for i in range(16)] + [(15, 17)])
+        cert = certify_rd_lex(fork18, h)
+        assert cert.describe() == "interval [12,17], case RdH3Pair"
 
     def test_gamma_eq_gamma_t_beats_interval(self):
         # gamma(C_4) = gamma_t(C_4) = 2 pins the pair case exactly
@@ -314,17 +329,17 @@ class TestRefine:
 
     def test_out_of_budget_note_names_the_level(self):
         # the table of layer costs fits in the budget, the cover does not: every
-        # level below 14 was refuted, so rd_2(P16 o P4) >= 14 (the cover is at
-        # level 14 from 50 nodes on and finishes in 417)
-        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=200)
-        assert cert.describe() == "interval [12,15], case RdH3Pair"
-        assert cert.notes == ("refine exhausted the node budget 200 at level 14; interval kept",)
+        # level below 5 was refuted, so rd_2(FORK6 o P4) >= 5 (the cover is at
+        # level 5 from 26 nodes on and finishes in 36; the table takes 20)
+        cert = certify_rd_lex(FORK6, gen_path(4), node_budget=30)
+        assert cert.describe() == "interval [4,6], case RdH3Pair"
+        assert cert.notes == ("refine exhausted the node budget 30 at level 5; interval kept",)
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=200, below=15)
-        assert exc.value.level == 14
+            _min_rainbow_lex(FORK6, gen_path(4), node_budget=30, below=6)
+        assert exc.value.level == 5
         # out of budget in the table, the level of a cover of h bounds nothing
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(gen_path(16), gen_path(4), node_budget=5, below=15)
+            _min_rainbow_lex(FORK6, gen_path(4), node_budget=5, below=6)
         assert exc.value.level is None
 
     def test_one_option_per_layer_fits_a_small_budget(self):
@@ -354,14 +369,13 @@ class TestRefine:
 
         monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)
         note = "refine exhausted the node budget 777; interval kept"
-        cert = certify_rd_lex(gen_path(5), gen_path(4), node_budget=777)
-        assert cert.describe() == "interval [4,5], case RdH3Pair"
+        cert = certify_rd_lex(FORK6, gen_path(4), node_budget=777)
+        assert cert.describe() == "interval [4,6], case RdH3Pair"
         assert cert.refined_exact is None and cert.notes == (note,)
-        g = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
-        cert = certify_rd_lex(g, gen_path(4), node_budget=777)
+        cert = certify_rd_lex(_two_copies(FORK6), gen_path(4), node_budget=777)
         assert cert.case == "ComponentSum"
-        assert cert.notes == (f"component [0, 1, 2, 3, 4]: {note}",
-                              f"component [5, 6, 7, 8, 9]: {note}")
+        assert cert.notes == (f"component [0, 1, 2, 3, 4, 5]: {note}",
+                              f"component [6, 7, 8, 9, 10, 11]: {note}")
 
 
 class TestLayerTable:
@@ -445,17 +459,22 @@ class TestSolveOnce:
         (gen_path(8), gen_path(2), "RdH2", {"min_dominating_set"}),
         (gen_path(8), gen_path(6), "RdH4Plus", {"min_total_dominating_set"}),
         (gen_path(8), gen_double_c4(), "RdH3NoPair", {"_pair_search", "min_couple_cost"}),
-        # the couple optimum 8 is the upper bound, and the refine runs
+        # the couple optimum 8 is the upper bound; on a path the theorem gives
+        # the value and no refine runs
         (gen_path(8), gen_path(4), "RdH3Pair",
          {"_pair_search", "min_dominating_set", "min_total_dominating_set",
-          "min_couple_cost", "_min_rainbow_lex"}),
-        # the path tiling (11) beats the couple optimum (12), and the refine runs
+          "min_couple_cost"}),
+        # the path tiling (11) beats the couple optimum (12), and no refine runs
         (gen_path(12), gen_path(4), "RdH3Pair",
+         {"_pair_search", "min_dominating_set", "min_total_dominating_set",
+          "min_couple_cost"}),
+        # not a path or a cycle: the refine runs
+        (FORK6, gen_path(4), "RdH3Pair",
          {"_pair_search", "min_dominating_set", "min_total_dominating_set",
           "min_couple_cost", "_min_rainbow_lex"}),
         (gen_path(4), gen_path(4), "GammaEqGammaT",
          {"_pair_search", "min_dominating_set", "min_total_dominating_set"}),
-    ], ids=["P8xP2", "P8xP6", "P8xDC4", "P8xP4", "P12xP4", "P4xP4"])
+    ], ids=["P8xP2", "P8xP6", "P8xDC4", "P8xP4", "P12xP4", "FORK6xP4", "P4xP4"])
     def test_connected_g(self, solve_log, g, h, case, solves):
         cert = certify_rd_lex(g, h, node_budget=20000)
         assert cert.case == case
@@ -472,19 +491,57 @@ class TestSolveOnce:
         assert solve_log == [(name, g) for name, _ in rest if name == "_min_rainbow_lex"]
 
     def test_disconnected_g(self, solve_log):
-        # P5 is RdH3Pair (gamma 2 < gamma_t 3), C4 is GammaEqGammaT
-        g = from_edge_list(9, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 5)])
+        # FORK6 is RdH3Pair (gamma 2 < gamma_t 3), C4 is GammaEqGammaT
+        g = from_edge_list(10, list(FORK6.edges()) + [(6, 7), (7, 8), (8, 9), (9, 6)])
         h = gen_path(4)
         cert = certify_rd_lex(g, h, node_budget=20000)
         assert [part.case for _, part in cert.parts] == ["RdH3Pair", "GammaEqGammaT"]
         assert solve_log[:2] == [("min_rainbow", h), ("_pair_search", h)]
-        p5, c4 = gen_path(5), gen_cycle(4)
+        c4 = gen_cycle(4)
         assert sorted((name, graph.n) for name, graph in solve_log[2:]) == sorted([
-            ("min_dominating_set", 5), ("min_total_dominating_set", 5),
-            ("min_couple_cost", 5), ("_min_rainbow_lex", 5),
+            ("min_dominating_set", 6), ("min_total_dominating_set", 6),
+            ("min_couple_cost", 6), ("_min_rainbow_lex", 6),
             ("min_dominating_set", 4), ("min_total_dominating_set", 4),
         ])
-        assert all(graph in (p5, c4) for _, graph in solve_log[2:])
+        assert all(graph in (FORK6, c4) for _, graph in solve_log[2:])
+
+
+class TestPathTheorem:
+    """A path or cycle g with an RdH3Pair h gets the exact value
+    path_upper_bound(n) from the theorem (tests/test_path_theorem.py), with
+    the upper labeling and no search, whatever the product's size."""
+
+    @pytest.mark.parametrize("g, budget, text", [
+        (gen_path(20), 500, "interval [14,18], case RdH3Pair; refined exact 18"),
+        (gen_cycle(18), 20000, "interval [12,16], case RdH3Pair; refined exact 16"),
+        (gen_cycle(64), 200, "interval [44,56], case RdH3Pair; refined exact 56"),
+        (gen_path(64), 200, "interval [44,56], case RdH3Pair; refined exact 56"),
+    ], ids=["P20", "C18", "C64", "P64"])
+    def test_no_refine_search(self, solve_log, g, budget, text):
+        cert = certify_rd_lex(g, gen_path(4), node_budget=budget)
+        assert cert.describe() == text
+        assert cert.refined_labeling is cert.upper_labeling and cert.notes == ()
+        assert "by the theorem" in cert.citations[-1]
+        assert all(name != "_min_rainbow_lex" for name, _ in solve_log)
+
+    def test_whatever_refine_says(self, solve_log):
+        cert = certify_rd_lex(gen_path(5), gen_path(4), refine=False)
+        assert cert.describe() == "interval [4,5], case RdH3Pair; refined exact 5"
+        assert all(name != "_min_rainbow_lex" for name, _ in solve_log)
+
+    def test_couple_below_the_tiling_is_an_internal_fault(self, monkeypatch, solve_log):
+        import rainbowdom.certify as certify_mod
+
+        real = certify_mod.min_couple_cost
+
+        def lighter(g, *args, **kwargs):
+            value, couple = real(g, *args, **kwargs)
+            return path_upper_bound(g.n) - 1, couple
+
+        monkeypatch.setattr(certify_mod, "min_couple_cost", lighter)
+        with pytest.raises(RainbowDomError, match="couple optimum below the path theorem"):
+            certify_rd_lex(gen_path(8), gen_path(4))
+        assert all(name != "_min_rainbow_lex" for name, _ in solve_log)
 
 
 class TestFactorMemo:
@@ -501,14 +558,12 @@ class TestFactorMemo:
         assert solve_log.count(("min_total_dominating_set", p8)) == 1
 
     def test_equal_components_share_solves(self, solve_log):
-        g = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
-        cert = certify_rd_lex(g, gen_path(4), node_budget=20000)
+        cert = certify_rd_lex(_two_copies(FORK6), gen_path(4), node_budget=20000)
         assert [part.case for _, part in cert.parts] == ["RdH3Pair", "RdH3Pair"]
-        p5 = gen_path(5)
         for name in ("min_dominating_set", "min_total_dominating_set", "min_couple_cost"):
-            assert solve_log.count((name, p5)) == 1
+            assert solve_log.count((name, FORK6)) == 1
         # each component refines on its own
-        assert solve_log.count(("_min_rainbow_lex", p5)) == 2
+        assert solve_log.count(("_min_rainbow_lex", FORK6)) == 2
 
     def test_budget_is_part_of_the_key(self, solve_log):
         h = gen_double_c4()
@@ -530,10 +585,11 @@ class TestCorpusSolveOnce:
     solving again."""
 
     H = (gen_path(2), gen_path(4), gen_cycle(5))
-    # recorded at the parent of this change, where each task classified h itself
+    # recorded where each task classified h itself, before the path theorem's
+    # check (P2, P3 and C3 with P4) joined them
     CHECKS = {"rainbow_vs_cartesian": 20, "general_bounds": 20, "upper_universal": 10,
               "upper_couple": 30, "case_value": 30, "upper_total_dom": 27, "lower_2gamma": 27,
-              "projection_exists": 9, "projection_all_minima": 4}
+              "projection_exists": 9, "projection_all_minima": 4, "path_theorem": 3}
     TRACKED = {
         "certify": ("classify_h",),
         # min_rainbow_via_cartesian so that its solve of g x K_k counts as nested
@@ -827,8 +883,11 @@ class TestVerifyCorpus:
         assert rep.ok
 
     def test_pair_h_produces_conjecture_notes(self):
+        # the path theorem settled the notes' conjecture: each RdH3Pair task on
+        # a path or a cycle (P2, P3, C3) now checks it against the oracle
         rep = verify_corpus(3, [gen_path(4)], 16)
-        assert any("path conjecture" in note for note in rep.conjecture_notes)
+        assert rep.checks["path_theorem"] == 3
+        assert rep.conjecture_notes == []
         assert rep.ok
 
     def test_skips_recorded_beyond_cap(self):

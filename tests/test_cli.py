@@ -140,13 +140,18 @@ class TestCertify:
         assert rc == 0
         assert "certificate: interval [4,5], case RdH3Pair; refined exact 5" in out
 
-    def test_no_refine(self, capsys):
-        rc, out, _ = run(capsys, "certify", "P5", "P4", "--no-refine")
+    # P4 with two leaves at one end: not a path or a cycle, so the refine searches
+    FORK6 = "6 5\n0 1\n1 2\n2 3\n3 4\n3 5\n"
+
+    def test_no_refine(self, capsys, tmp_path):
+        g = tmp_path / "fork6.txt"
+        g.write_text(self.FORK6)
+        rc, out, _ = run(capsys, "certify", str(g), "P4", "--no-refine")
         assert rc == 0
-        assert "certificate: interval [4,5], case RdH3Pair" in out
+        assert "certificate: interval [4,6], case RdH3Pair" in out
         assert "refined" not in out
 
-    def test_refine_note_printed(self, capsys, monkeypatch):
+    def test_refine_note_printed(self, capsys, monkeypatch, tmp_path):
         import rainbowdom.certify as certify_mod
         from rainbowdom import BudgetError
 
@@ -154,9 +159,11 @@ class TestCertify:
             raise BudgetError(f"node budget {node_budget} exhausted")
 
         monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)
-        rc, out, _ = run(capsys, "certify", "P5", "P4", "--budget", "777")
+        g = tmp_path / "fork6.txt"
+        g.write_text(self.FORK6)
+        rc, out, _ = run(capsys, "certify", str(g), "P4", "--budget", "777")
         assert rc == 0
-        assert "certificate: interval [4,5], case RdH3Pair\n" in out
+        assert "certificate: interval [4,6], case RdH3Pair\n" in out
         assert "note: refine exhausted the node budget 777; interval kept" in out
 
     def test_labeling_out(self, capsys, tmp_path):
