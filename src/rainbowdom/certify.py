@@ -33,11 +33,11 @@ The case tags:
   labeling, and no search runs whatever refine says. Otherwise, with
   refine=True and a product of at most 64 vertices, the interval is refined
   to the exact value by the layer cover (solvers._min_rainbow_lex), which
-  searches only the weights below the upper bound; when none is attained,
-  the refined value is the upper bound and the refined labeling the upper
-  one. A refine that runs out of budget keeps the interval and says so in
-  the certificate's notes, naming the cost level it was refuting when the
-  cover search ran out, a proven lower bound.
+  searches only the weights in [lo, hi); when none is attained, the refined
+  value is hi and the refined labeling the upper one. A refine that runs out
+  of budget keeps the interval and says so in the certificate's notes,
+  naming the cost level it was refuting when the cover search ran out, a
+  proven lower bound.
 * ComponentSum: first factor disconnected; per-component sum, with the
   components' labelings copied layer by layer into the row-major product.
 * ComponentSum-NA: second factor disconnected; no closed-form case applies,
@@ -408,7 +408,7 @@ def _certify_connected(
                          "open case on paths and cycles (README)")
     elif refine and g.n * h.n <= SOLVER_VERTEX_CAP:
         try:
-            res = _min_rainbow_lex(g, h, node_budget=node_budget, below=hi)
+            res = _min_rainbow_lex(g, h, node_budget=node_budget, lo=2 * ds.value, hi=hi)
         except BudgetError as exc:
             at = "" if exc.level is None else f" at level {exc.level}"
             notes = (f"refine exhausted the node budget {node_budget}{at}; interval kept",)
@@ -518,7 +518,7 @@ def _projection_gap(
             for p in range(b * nh, (b + 1) * nh):
                 cut[2 * p] = 0
         chosen = _min_weighted_cover((1 << len(cut)) - 1, cut, [1] * len(cut), stats, budget,
-                                     max_cost=rd2)
+                                     lo=rd2, hi=rd2 + 1)
         if chosen is not None:
             return a, _cover_labeling(prod.n, chosen, 2)
     return None
@@ -543,7 +543,7 @@ def _dominating_projections(
         cover[2 * p] |= spread
         cover[2 * p + 1] |= spread << 1
     chosen = _min_weighted_cover((1 << (base + 2 * g.n)) - 1, cover, [1] * len(cover), [0],
-                                 budget, max_cost=rd2)
+                                 budget, lo=rd2, hi=rd2 + 1)
     return None if chosen is None else _cover_labeling(prod.n, chosen, 2)
 
 
@@ -570,8 +570,6 @@ class CorpusReport:
     tasks: int
     checks: dict[str, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
-    # empty since the path theorem settled what the notes observed; kept so the JSON keys hold
-    conjecture_notes: list[str] = field(default_factory=list)
     skips: list[str] = field(default_factory=list)
     wall_seconds: float = 0.0
 

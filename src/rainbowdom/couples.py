@@ -81,7 +81,7 @@ def min_couple_cost(
     N(u); the subset rule, then that order, decide which of several optimal
     couples is returned. A and B come out disjoint because N(u) lies inside
     N[u]: a cover holding both could drop N(u) and would not be the
-    cheapest. The deepening starts at min(cost_a, cost_b) times a greedy
+    cheapest. The deepening starts at lo = min(cost_a, cost_b) times a greedy
     2-packing (_two_packing) when that is above the engine's own bound, and
     no level is searched when the greedy cover costs that much; the levels
     skipped hold no cover, so the couple returned is the one the search from
@@ -95,7 +95,7 @@ def min_couple_cost(
     keep = _undominated(cover, cost)
     chosen = _min_weighted_cover(g.full_mask, [cover[i] for i in keep],
                                  [cost[i] for i in keep], [0], node_budget,
-                                 at_least=min(cost_a, cost_b) * len(_two_packing(g)))
+                                 lo=min(cost_a, cost_b) * len(_two_packing(g)))
     chosen = [keep[i] for i in chosen]
     couple = DominatingCouple(
         frozenset(u - g.n for u in chosen if u >= g.n),

@@ -10,29 +10,31 @@ is k-rainbow dominating. That gives min_rainbow_via_cartesian, the minimum
 2-rainbow labelings in label order (enumerate_min_2rdfs, collect mode) and,
 with one more element that only "{1,2} on u" sets cover, the pair witness.
 The 2-rainbow number of g o h (_min_rainbow_lex) is one cover of
-V(g) x {1, 2} whose set costs are twelve small covers of h (_layer_table,
-solved once per process), with g numbered in bandwidth order and the
-1 <-> 2 color swap broken at the first layer. The rainbow engine
-(_rainbow_fixed) assigns color sets vertex by vertex for min_rainbow; it
-stays independent of the cover engine, as the oracle the corpus replay
-checks the case values against.
+V(g) x {1, 2} whose set costs are twelve small covers of h (_layer_costs),
+with g numbered in bandwidth order and the 1 <-> 2 color swap broken at the
+first layer. The rainbow engine (_rainbow_fixed) assigns color sets vertex
+by vertex for min_rainbow; it stays independent of the cover engine, as the
+oracle the corpus replay checks the case values against.
 
-Each engine starts from a greedy solution as the upper bound (the layer
-cover of a certificate's refine from the certificate's upper bound instead),
-then runs iterative deepening on the objective, from an admissible bound (or
-a proven lower bound the caller passes, as the couple cover does with a
-2-packing) up: each level is a depth-first search that branches on the
-lowest-index element (vertex) not yet satisfied, and prunes with an
-admissible bound on the remaining cost and, in the rainbow engine, an
-infeasibility test (a vertex that no future decision can fix). The cover engine also remembers each sub-cover it
+Each engine runs iterative deepening on the objective, from an admissible
+bound up to, not including, a greedy solution's cost. The cover engine
+searches one range of levels [lo, hi) instead: lo a proven lower bound the
+caller passes (a 2-packing for the couple cover, 2 gamma(g) for a
+certificate's refine) or the one level a yes/no question asks about, hi
+the greedy cost or a weight already attained (a certificate's upper
+bound). Each level is a
+depth-first search that branches on the lowest-index element (vertex) not
+yet satisfied, and prunes with an admissible bound on the remaining cost
+and, in the rainbow engine, an infeasibility test (a vertex that no future
+decision can fix). The cover engine also remembers each sub-cover it
 refuted, keyed by the uncovered elements and the bans that can still
 matter, with the largest remaining cost it was refuted for, and cuts a
 node whose key was refuted for at least its own remaining cost; that holds
 across deepening levels, and only subtrees holding no cover are cut, so
 the covers found are the ones the search without the memo finds. The
-collect mode instead decides the sets in index order at one given cost.
-Searches count branch nodes against an explicit budget and raise instead
-of approximating.
+collect mode instead decides the sets in index order, listing the covers
+of cost below hi. Searches count branch nodes against an explicit budget
+and raise instead of approximating.
 
 The rainbow engine's first bound counts pairs: each (v, c) with v empty or
 unassigned and no assigned neighbor carrying c is served by v itself being
@@ -49,7 +51,6 @@ results are merged, so every invariant is the sum over components.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import (BudgetError, CapExceededError, CapacityError, PreconditionError,
@@ -62,7 +63,6 @@ from .products import cartesian
 DEFAULT_NODE_BUDGET = 10**8
 SOLVER_VERTEX_CAP = 64
 REFUTED_CAP = 1 << 18  # the most refuted sub-covers one cover search keeps
-LAYER_TABLE_MEMO_SIZE = 256  # the most second factors whose layer table is kept
 
 
 @dataclass(frozen=True)
@@ -143,32 +143,35 @@ def _undominated(cover: list[int], cost: list[int]) -> list[int]:
 
 def _min_weighted_cover(
     full: int, cover: list[int], cost: list[int], stats: list[int], budget: int,
-    collect: list | None = None, max_cost: int | None = None, limit: int = 0,
-    excl: list[int] | None = None, below: int | None = None, at_least: int = 0,
+    *, lo: int = 0, hi: int | None = None, excl: list[int] | None = None,
+    collect: int | None = None,
 ):
     """Cheapest choice of sets cover[u], each at integer cost[u] >= 1, whose
-    union covers `full`.
+    union covers `full`: the chosen set indices.
 
-    Iterative deepening on the total cost, from an admissible bound up to the
-    greedy cost, or, with below, up to below - 1 in place of the greedy
-    start, returning None when no cover costs less than below. at_least, a
-    lower bound the caller has proven (say by a packing), raises the first
-    level to it; when the greedy cover already costs that much, no level is
-    searched. A BudgetError that a deepening level raises carries that level
-    as its `level`: every lower level was refuted or lies under at_least, so
-    no cover costs less. Each level is a depth-first search that branches
-    on the lowest-index uncovered element over its coverers in set-index
-    order, and bans each set once its branch is explored. Sets are grouped by cost; a class of cost c whose best set
+    Iterative deepening on the total cost over the levels [lo, hi): from the
+    larger of an admissible bound and lo up to hi - 1, each level a
+    depth-first search for a cover of cost at most that level; the first
+    cover found is returned, or None when no level holds one. With hi None
+    the levels stop below the greedy cover's cost, and the greedy cover is
+    returned when none below it holds a cover (None when infeasible). So
+    when lo is at most the optimum (a lower bound the caller has proven, say
+    by a packing, or 0), the cover returned is a cheapest one, and one level
+    [m, m + 1) asks whether some cover costs at most m. A BudgetError that a
+    level raises carries that level as its `level`: every level from lo
+    below it was refuted, so it is a lower bound on the optimum when lo is.
+    Each level branches on the lowest-index uncovered element over its
+    coverers in set-index order, and bans each set once its branch is
+    explored. Sets are grouped by cost; a class of cost c whose best set
     still covers maxcov_c uncovered elements needs at least |rem|*c/maxcov_c
     more cost on its own, so the minimum of that over the classes bounds
-    what any completion pays. Returns the chosen
-    set indices, or None when infeasible. With max_cost it searches that
-    one level only, and returns None when no cover costs at most max_cost.
-    With a collect list as well it instead appends the covers of cost <=
-    max_cost in lexicographic order of their sets' inclusion (set 0 first,
-    exclusion before inclusion), stopping once it holds limit + 1 of them.
-    It never includes a set that covers nothing new, so when max_cost is the
-    minimum cost it collects every cheapest cover, once.
+    what any completion pays.
+
+    With collect, a count, it instead returns the covers of cost < hi (lo
+    unused) in lexicographic order of their sets' inclusion (set 0 first,
+    exclusion before inclusion), stopping once it holds collect + 1 of them.
+    It never includes a set that covers nothing new, so when hi - 1 is the
+    minimum cost it lists every cheapest cover, once.
 
     excl[u], a mask of sets, is banned in the subtree below a choice of set
     u (the depth-first search, not collect mode). A caller passes it when
@@ -258,19 +261,19 @@ def _min_weighted_cover(
         return None
 
     def lex(i: int, covered: int, spent: int, chosen: list[int]) -> bool:
-        """Collect the covers extending chosen by sets >= i; True at limit + 1."""
+        """Collect the covers extending chosen by sets >= i; True at collect + 1."""
         stats[0] += 1
         if stats[0] > budget:
             raise BudgetError(f"node budget {budget} exhausted")
         rem = full & ~covered
         if not rem:
-            collect.append(list(chosen))
-            return len(collect) > limit
-        if rem & gone[i] or spent + bound(rem, (1 << i) - 1) > max_cost:
+            found.append(list(chosen))
+            return len(found) > collect
+        if rem & gone[i] or spent + bound(rem, (1 << i) - 1) >= hi:
             return False
         if lex(i + 1, covered, spent, chosen):
             return True
-        if not cover[i] & rem or spent + cost[i] > max_cost:
+        if not cover[i] & rem or spent + cost[i] >= hi:
             return False
         chosen.append(i)
         stop = lex(i + 1, covered | cover[i], spent + cost[i], chosen)
@@ -278,20 +281,19 @@ def _min_weighted_cover(
         return stop
 
     if collect is not None:
+        found: list[list[int]] = []
         gone = [full] * (len(cover) + 1)  # gone[i]: what no set >= i covers
         for i in range(len(cover) - 1, -1, -1):
             gone[i] = gone[i + 1] & ~cover[i]
         lex(0, 0, 0, [])
-        return None
-    if max_cost is not None:
-        return dfs(0, 0, 0, [], max_cost)
+        return found
     greedy = None
-    if below is None:
+    if hi is None:
         greedy = _greedy_cover(full, cover, cost)
         if greedy is None:
             return None
-        below = sum(cost[u] for u in greedy)
-    for cap in range(max(bound(full, 0) or 0, at_least), below):
+        hi = sum(cost[u] for u in greedy)
+    for cap in range(max(bound(full, 0) or 0, lo), hi):
         try:
             r = dfs(0, 0, 0, [], cap)
         except BudgetError as exc:
@@ -521,29 +523,21 @@ def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
     return table
 
 
-@functools.lru_cache(maxsize=LAYER_TABLE_MEMO_SIZE)
-def _layer_table(h: Graph, budget: int) -> tuple[dict, int]:
-    """_layer_costs(h) and the nodes its twelve covers took, solved once per
-    process for each (value of h, budget). A solve that raised is not kept,
-    so a budget too small for the table raises on every call. Callers only
-    read the table."""
-    stats = [0]
-    return _layer_costs(h, stats, budget), stats[0]
-
-
 def _swap_colors(mask: int) -> int:
     """The color mask with colors 1 and 2 exchanged."""
     return (mask & 1) << 1 | mask >> 1
 
 
 def _min_rainbow_lex(
-    g: Graph, h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET, below: int | None = None
+    g: Graph, h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET, lo: int = 0,
+    hi: int | None = None,
 ) -> SolveResult | None:
     """Exact 2-rainbow domination number of the lexicographic product g o h,
-    with a witness labeling in the product's row-major index. With below, a
-    weight already attained (say by a certified upper labeling), the cover
-    searches only the weights under it, and None means none is attained
-    there, so the value is below.
+    with a witness labeling in the product's row-major index. The cover
+    searches the weights [lo, hi) (see _min_weighted_cover): lo a proven
+    lower bound, hi a weight already attained (say by a certified upper
+    labeling), and None means no weight under hi is attained, so the value
+    is hi.
 
     Each vertex of the layer {a} x V(h) sees every vertex of each
     neighboring layer, so a layer meets the rest of the product only through
@@ -583,21 +577,18 @@ def _min_rainbow_lex(
 
     The table solves and the cover share one node budget; a BudgetError of
     the cover carries the level it was refuting (see _min_weighted_cover),
-    one of the table solves none. The table is solved once per process for
-    each (h, node_budget) (_layer_table) and its nodes are charged to every
-    call, so nodes_explored, a BudgetError and its level are those of a
-    fresh solve.
+    one of the table solves none.
     """
     _check_cap(g)
     _check_cap(h)
     if g.n == 0 or h.n == 0:
         return SolveResult(0, RainbowLabeling(2, ()), 0)
+    stats = [0]
     try:
-        table, table_nodes = _layer_table(h, node_budget)
+        table = _layer_costs(h, stats, node_budget)
     except BudgetError as exc:
         exc.level = None  # a level of a cover of h bounds nothing here
         raise
-    stats = [table_nodes]
     keys = list(table)
     weights = [table[key][0] for key in keys]
     swapped = [keys.index((_swap_colors(cmask), _swap_colors(r))) for cmask, r in keys]
@@ -623,7 +614,7 @@ def _min_rainbow_lex(
         layer = (1 << len(cover)) - (1 << first)
         excl += [layer & ~(1 << u) for u in range(first, len(cover))]
     chosen = _min_weighted_cover((1 << (2 * g.n)) - 1, cover, cost, stats, node_budget,
-                                 excl=excl, below=below)
+                                 lo=lo, hi=hi, excl=excl)
     if chosen is None:
         return None
     masks = [0] * (g.n * h.n)
@@ -667,10 +658,10 @@ def enumerate_min_2rdfs(
     if cap <= 0:
         raise PreconditionError("cap must be positive")
     base = min_rainbow(g, 2, node_budget=node_budget)
-    cover, found = _rainbow_cover(g), []
+    cover = _rainbow_cover(g)
     swapped = [cover[i ^ 1] for i in range(len(cover))]
-    _min_weighted_cover((1 << len(cover)) - 1, swapped, [1] * len(cover), [base.nodes_explored],
-                        node_budget, found, base.value, cap)
+    found = _min_weighted_cover((1 << len(cover)) - 1, swapped, [1] * len(cover),
+                                [base.nodes_explored], node_budget, hi=base.value + 1, collect=cap)
     for chosen in found[:cap]:
         yield _cover_labeling(g.n, [i ^ 1 for i in chosen], 2)
     if len(found) > cap:
@@ -703,7 +694,7 @@ def _pair_search(h: Graph, rd2: int, budget: int) -> PairWitness | None:
     for one, two in zip(units[::2], units[1::2]):
         cover += [(one | two) << 1 | 1, two << 1, one << 1]
     chosen = _min_weighted_cover((2 << 2 * h.n) - 1, cover, [2, 1, 1] * h.n, [0], budget,
-                                 max_cost=rd2)
+                                 lo=rd2, hi=rd2 + 1)
     if chosen is None:
         return None
     masks = [0] * h.n

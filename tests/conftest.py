@@ -13,7 +13,6 @@ import pytest
 
 from rainbowdom import Graph, enumerate_connected_graphs, from_edge_list
 from rainbowdom.certify import _solve_factor
-from rainbowdom.solvers import _layer_table
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +242,9 @@ def count_connected_by_edge_subsets(n: int) -> int:
 
 @pytest.fixture(autouse=True)
 def cold_factor_memo():
-    """Every test starts with certify's factor memo and the layer tables of
-    the layer cover empty, as a fresh process does, so a solve that an
-    earlier test made is not skipped here."""
+    """Every test starts with certify's factor memo empty, as a fresh process
+    does, so a solve that an earlier test made is not skipped here."""
     _solve_factor.cache_clear()
-    _layer_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

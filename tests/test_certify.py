@@ -33,7 +33,7 @@ from rainbowdom import (
 )
 from rainbowdom.certify import _dominating_projections, _projection_gap
 from rainbowdom.graphs import iter_bits
-from rainbowdom.solvers import _layer_table, _min_rainbow_lex, _pair_search
+from rainbowdom.solvers import _min_rainbow_lex, _pair_search
 
 from conftest import brute_min_dominating, brute_min_rainbow, projection_property
 
@@ -41,6 +41,12 @@ from conftest import brute_min_dominating, brute_min_rainbow, projection_propert
 # P4 with two leaves at one end: a tree that is neither a path nor a cycle, so
 # certify refines its RdH3Pair interval [4,6] with P4 by search (value 5)
 FORK6 = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+
+# two more trees that certify refines with P4: a seeded 16-vertex tree, and a
+# 16-vertex spider with three legs of 5
+_r = random.Random(6)
+TREE16 = from_edge_list(16, [(_r.randrange(i), i) for i in range(1, 16)])
+SPIDER16 = from_edge_list(16, [(0 if i % 5 == 1 else i - 1, i) for i in range(1, 16)])
 
 
 def _two_copies(g: Graph) -> Graph:
@@ -255,7 +261,8 @@ class TestCertifyCases:
         assert all(isinstance(c, str) and c for c in cert.citations)
 
 
-# the P4 refines of the benchmark ladder: (value, layer-cover nodes)
+# the layer cover's own pins, on the paths and cycles of the benchmark ladder
+# times P4 (certify settles these by the path theorem): (g, value, nodes)
 LADDER_REFINES = {
     "P8": (gen_path(8), 8, 72),
     "C8": (gen_cycle(8), 8, 241),
@@ -266,15 +273,12 @@ LADDER_REFINES = {
 }
 
 
-# the same rows as certify_rd_lex refines them, searching only below the
-# certified upper bound hi: (hi, layer-cover nodes)
+# first factors that certify_rd_lex refines with P4, searching only its own
+# bracket [lo, hi) = [2 gamma(g), upper bound): (g, lo, hi, value, nodes)
 CERTIFY_REFINES = {
-    "P8": (8, 72),
-    "C8": (8, 241),
-    "C10": (9, 69),
-    "P12": (11, 72),
-    "C12": (11, 309),
-    "P16": (15, 417),
+    "tree16": (TREE16, 12, 13, 13, 288),
+    "spider16": (SPIDER16, 12, 15, 14, 965),
+    "FORK6": (FORK6, 4, 6, 5, 36),
 }
 
 
@@ -309,17 +313,16 @@ class TestRefine:
 
     @pytest.mark.parametrize("name", sorted(CERTIFY_REFINES))
     def test_certify_refine_pinned(self, name):
-        g, value, _ = LADDER_REFINES[name]
-        hi, nodes = CERTIFY_REFINES[name]
+        g, lo, hi, value, nodes = CERTIFY_REFINES[name]
         h = gen_path(4)
         cert = certify_rd_lex(g, h, node_budget=20000)
-        assert cert.hi == hi and cert.refined_exact == value
-        res = _min_rainbow_lex(g, h, node_budget=nodes, below=hi)
+        assert (cert.lo, cert.hi, cert.refined_exact) == (lo, hi, value)
+        res = _min_rainbow_lex(g, h, node_budget=nodes, lo=lo, hi=hi)
         # None: no labeling lighter than the certified upper one
         assert (res is None) == (value == hi)
         assert res is None or res.value == value
         with pytest.raises(BudgetError):
-            _min_rainbow_lex(g, h, node_budget=nodes - 1, below=hi)
+            _min_rainbow_lex(g, h, node_budget=nodes - 1, lo=lo, hi=hi)
 
     def test_refine_below_the_upper_bound_keeps_its_labeling(self):
         # P12 o P4: the path tiling weighs 11, the value
@@ -335,11 +338,11 @@ class TestRefine:
         assert cert.describe() == "interval [4,6], case RdH3Pair"
         assert cert.notes == ("refine exhausted the node budget 30 at level 5; interval kept",)
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(FORK6, gen_path(4), node_budget=30, below=6)
+            _min_rainbow_lex(FORK6, gen_path(4), node_budget=30, lo=4, hi=6)
         assert exc.value.level == 5
         # out of budget in the table, the level of a cover of h bounds nothing
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(FORK6, gen_path(4), node_budget=5, below=6)
+            _min_rainbow_lex(FORK6, gen_path(4), node_budget=5, lo=4, hi=6)
         assert exc.value.level is None
 
     def test_one_option_per_layer_fits_a_small_budget(self):
@@ -350,21 +353,24 @@ class TestRefine:
 
     def test_seeded_tree_refines_within_a_small_budget(self):
         # a 16-vertex tree: in bandwidth order, with the color swap broken, the
-        # refine below hi = 13 takes 511 nodes (20 of them the table of P4);
-        # in index order it took 26,637
-        r = random.Random(6)
-        g = from_edge_list(16, [(r.randrange(i), i) for i in range(1, 16)])
-        cert = certify_rd_lex(g, gen_path(4), node_budget=2000)
+        # refine in [12, 13) takes 288 nodes (CERTIFY_REFINES; 20 of them the
+        # table of P4); from the cover's own root bound it took 511, in index
+        # order 26,637
+        cert = certify_rd_lex(TREE16, gen_path(4), node_budget=300)
         assert cert.describe() == "interval [12,13], case RdH3Pair; refined exact 13"
         assert cert.notes == ()
-        assert _min_rainbow_lex(g, gen_path(4), node_budget=511, below=13) is None
-        with pytest.raises(BudgetError):
-            _min_rainbow_lex(g, gen_path(4), node_budget=510, below=13)
+
+    def test_out_of_budget_refine_starts_at_twice_gamma(self):
+        # the refine searches only its own bracket [2 gamma, hi) = [12, 13), so
+        # the level it runs out at is 12, not the layer cover's root bound 10
+        cert = certify_rd_lex(TREE16, gen_path(4), node_budget=150)
+        assert cert.describe() == "interval [12,13], case RdH3Pair"
+        assert cert.notes == ("refine exhausted the node budget 150 at level 12; interval kept",)
 
     def test_refine_out_of_budget_says_so(self, monkeypatch):
         import rainbowdom.certify as certify_mod
 
-        def exhausted(g, h, *, node_budget, below=None):
+        def exhausted(g, h, *, node_budget, lo=0, hi=None):
             raise BudgetError(f"node budget {node_budget} exhausted")
 
         monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)
@@ -379,35 +385,32 @@ class TestRefine:
 
 
 class TestLayerTable:
-    """The table of layer costs of h is solved once per (h, budget) in a
-    process; the layer cover charges its nodes as a fresh solve would."""
+    """The layer cover solves the table of layer costs of h on every call and
+    charges its nodes to the call's budget."""
 
     def test_cold_and_warm_count_the_same(self):
         g, h = gen_cycle(10), gen_path(4)
         cold = _min_rainbow_lex(g, h, node_budget=20000)
-        assert _layer_table.cache_info().currsize == 1
         warm = _min_rainbow_lex(g, h, node_budget=20000)
-        assert _layer_table.cache_info().hits == 1
         assert (warm.value, warm.witness, warm.nodes_explored) == \
             (cold.value, cold.witness, cold.nodes_explored)
-        # a second first factor reuses the table and still counts its nodes
-        _layer_table.cache_clear()
+        # a call on another first factor in between changes no count
         fresh = _min_rainbow_lex(gen_path(8), h, node_budget=20000).nodes_explored
         _min_rainbow_lex(g, h, node_budget=20000)
         assert _min_rainbow_lex(gen_path(8), h, node_budget=20000).nodes_explored == fresh
 
     def test_a_budget_too_small_for_the_table_still_raises(self):
         g, h = gen_path(16), gen_path(4)
-        _min_rainbow_lex(g, h, node_budget=20000, below=15)
+        _min_rainbow_lex(g, h, node_budget=20000, hi=15)
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(g, h, node_budget=5, below=15)
+            _min_rainbow_lex(g, h, node_budget=5, hi=15)
         assert exc.value.level is None
         # the table takes 20 nodes: a budget of 19 fails in it, of 20 in the cover
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(g, h, node_budget=19, below=15)
+            _min_rainbow_lex(g, h, node_budget=19, hi=15)
         assert exc.value.level is None
         with pytest.raises(BudgetError) as exc:
-            _min_rainbow_lex(g, h, node_budget=20, below=15)
+            _min_rainbow_lex(g, h, node_budget=20, hi=15)
         assert exc.value.level == 13
 
 
@@ -882,12 +885,11 @@ class TestVerifyCorpus:
         assert rep.checks.get("projection_exists", 0) > 0
         assert rep.ok
 
-    def test_pair_h_produces_conjecture_notes(self):
-        # the path theorem settled the notes' conjecture: each RdH3Pair task on
-        # a path or a cycle (P2, P3, C3) now checks it against the oracle
+    def test_pair_h_checks_the_path_theorem(self):
+        # each RdH3Pair task on a path or a cycle (P2, P3, C3) checks the path
+        # theorem against the oracle
         rep = verify_corpus(3, [gen_path(4)], 16)
         assert rep.checks["path_theorem"] == 3
-        assert rep.conjecture_notes == []
         assert rep.ok
 
     def test_skips_recorded_beyond_cap(self):

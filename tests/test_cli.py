@@ -155,7 +155,7 @@ class TestCertify:
         import rainbowdom.certify as certify_mod
         from rainbowdom import BudgetError
 
-        def exhausted(g, h, *, node_budget, below=None):
+        def exhausted(g, h, *, node_budget, lo=0, hi=None):
             raise BudgetError(f"node budget {node_budget} exhausted")
 
         monkeypatch.setattr(certify_mod, "_min_rainbow_lex", exhausted)

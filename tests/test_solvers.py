@@ -224,16 +224,57 @@ class TestWeightedCover:
             if best is None:
                 infeasible += 1
             for limit in range(0, (best or 0) + 3):
-                # max_cost: any cover of cost <= limit
-                at_most = solve(max_cost=limit)
+                # the one level [limit, limit + 1): any cover of cost <= limit
+                at_most = solve(lo=limit, hi=limit + 1)
                 assert (at_most is None) == (best is None or best > limit)
                 assert at_most is None or weight(at_most) <= limit
-                # below: the cheapest cover, None when none costs under limit
+                # hi: the cheapest cover, None when none costs under limit
                 for ex in (None, excl):
-                    under = solve(excl=ex, below=limit)
+                    under = solve(excl=ex, hi=limit)
                     assert (under is None) == (best is None or best >= limit)
                     assert under is None or weight(under) == best
+                # lo at most the optimum: the levels under lo hold no cover
+                if best is not None and limit <= best:
+                    for ex in (None, excl):
+                        assert weight(solve(excl=ex, lo=limit)) == best
         assert 0 < infeasible < 100, infeasible
+
+    def test_collect_lists_every_cheapest_cover_once(self):
+        # collect with hi = best + 1: every cheapest cover, once, in
+        # lexicographic order of inclusion (set 0 first, exclusion first),
+        # stopping at collect + 1 of them
+        rng = random.Random(1994)
+        checked = 0
+        while checked < 60:
+            full, cover, cost, _ = random_set_system(rng)
+            best = brute_min_cover(set(iter_bits(full)), [set(iter_bits(s)) for s in cover], cost)
+            if len(cover) > 12 or best is None:
+                continue
+            cheapest = []
+            for pick in range(1 << len(cover)):
+                chosen, union = list(iter_bits(pick)), 0
+                for u in chosen:
+                    union |= cover[u]
+                if union & full == full and sum(cost[u] for u in chosen) == best:
+                    cheapest.append(chosen)
+            cheapest.sort(key=lambda c: [u in c for u in range(len(cover))])
+
+            def collect(count):
+                return _min_weighted_cover(full, cover, cost, [0], 10**6, hi=best + 1,
+                                           collect=count)
+
+            assert collect(len(cheapest)) == cheapest
+            assert collect(0) == cheapest[:1]
+            assert collect(len(cheapest) - 1) == cheapest
+            checked += 1
+
+    def test_one_level_out_of_budget_names_its_level(self):
+        # [m, m + 1) is a level like any other: a BudgetError carries m
+        g = gen_path(9)  # gamma 3, and the engine's root bound is 3
+        cover = [g.closed(v) for v in range(g.n)]
+        with pytest.raises(BudgetError) as exc:
+            _min_weighted_cover(g.full_mask, cover, [1] * g.n, [0], 1, lo=3, hi=4)
+        assert exc.value.level == 3
 
     @pytest.mark.parametrize("memo_cap", [0, 1])
     def test_memo_cap_changes_no_result(self, monkeypatch, memo_cap):
@@ -507,7 +548,7 @@ class TestMinRainbowLex:
     def test_order_and_color_swap_match_direct_search(self):
         # the layer cover runs in _bandwidth_order and keeps one of each
         # color-swapped pair of options at its first layer; neither may change
-        # a value, the answer to below, or the validity of a witness
+        # a value, the answer to hi, or the validity of a witness
         rng = random.Random(1975)
         hs = [gen_complete(1), gen_path(2), gen_path(4), gen_cycle(5),
               from_edge_list(4, [(0, 1), (1, 2)])]
@@ -522,8 +563,8 @@ class TestMinRainbowLex:
                 assert res.value == value, (g.adj, h.adj)
                 assert res.witness.weight == value
                 assert is_k_rainbow_dominating(prod, res.witness), (g.adj, h.adj)
-                assert _min_rainbow_lex(g, h, below=value) is None
-                res = _min_rainbow_lex(g, h, below=value + 1)
+                assert _min_rainbow_lex(g, h, hi=value) is None
+                res = _min_rainbow_lex(g, h, hi=value + 1)
                 assert res.value == value and is_k_rainbow_dominating(prod, res.witness)
 
     def test_empty_and_capacity(self):
@@ -537,4 +578,4 @@ class TestMinRainbowLex:
 
     def test_p64_path_tiling_is_optimal_within_a_small_budget(self):
         # no labeling of P64 o P4 weighs less than the path tiling's 56
-        assert _min_rainbow_lex(gen_path(64), gen_path(4), node_budget=20000, below=56) is None
+        assert _min_rainbow_lex(gen_path(64), gen_path(4), node_budget=20000, hi=56) is None
