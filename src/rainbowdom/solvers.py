@@ -7,8 +7,9 @@ domination and total domination numbers, and couples.min_couple_cost mixes
 both at two costs. Vertex k v + c of products.cartesian(g, K_k) is color
 c + 1 on v (_cover_labeling), and a set dominates g x K_k iff its labeling
 is k-rainbow dominating. That gives min_rainbow_via_cartesian, the minimum
-2-rainbow labelings in label order (enumerate_min_2rdfs, collect mode) and,
-with one more element that only "{1,2} on u" sets cover, the pair witness.
+2-rainbow labelings in label order (enumerate_min_2rdfs lists these covers
+at the minimum weight with a search of its own) and, with one more element
+that only "{1,2} on u" sets cover, the pair witness.
 The 2-rainbow number of g o h (_min_rainbow_lex) is one cover of
 V(g) x {1, 2} whose set costs are twelve small covers of h (_layer_costs),
 with g numbered in bandwidth order and the 1 <-> 2 color swap broken at the
@@ -31,10 +32,9 @@ refuted, keyed by the uncovered elements and the bans that can still
 matter, with the largest remaining cost it was refuted for, and cuts a
 node whose key was refuted for at least its own remaining cost; that holds
 across deepening levels, and only subtrees holding no cover are cut, so
-the covers found are the ones the search without the memo finds. The
-collect mode instead decides the sets in index order, listing the covers
-of cost below hi. Searches count branch nodes against an explicit budget
-and raise instead of approximating.
+the covers found are the ones the search without the memo finds.
+Searches count branch nodes against an explicit budget and raise instead
+of approximating.
 
 The rainbow engine's first bound counts pairs: each (v, c) with v empty or
 unassigned and no assigned neighbor carrying c is served by v itself being
@@ -144,7 +144,6 @@ def _undominated(cover: list[int], cost: list[int]) -> list[int]:
 def _min_weighted_cover(
     full: int, cover: list[int], cost: list[int], stats: list[int], budget: int,
     *, lo: int = 0, hi: int | None = None, excl: list[int] | None = None,
-    collect: int | None = None,
 ):
     """Cheapest choice of sets cover[u], each at integer cost[u] >= 1, whose
     union covers `full`: the chosen set indices.
@@ -167,18 +166,12 @@ def _min_weighted_cover(
     more cost on its own, so the minimum of that over the classes bounds
     what any completion pays.
 
-    With collect, a count, it instead returns the covers of cost < hi (lo
-    unused) in lexicographic order of their sets' inclusion (set 0 first,
-    exclusion before inclusion), stopping once it holds collect + 1 of them.
-    It never includes a set that covers nothing new, so when hi - 1 is the
-    minimum cost it lists every cheapest cover, once.
-
     excl[u], a mask of sets, is banned in the subtree below a choice of set
-    u (the depth-first search, not collect mode). A caller passes it when
-    every cover can be traded for one of no higher cost that holds no u
-    together with a set of excl[u]; each level then stays complete.
+    u. A caller passes it when every cover can be traded for one of no
+    higher cost that holds no u together with a set of excl[u]; each level
+    then stays complete.
 
-    The depth-first search keeps the sub-covers it refuted. A node's subtree
+    The search keeps the sub-covers it refuted. A node's subtree
     depends only on the uncovered elements rem, on the remaining cost
     cap - spent, and on the banned sets that touch rem: a set that covers
     nothing in rem is never chosen below it and counts in no bound. Each
@@ -191,12 +184,12 @@ def _min_weighted_cover(
     search within less remaining cost visits only nodes it visits within
     more. Nothing is recorded on success or while a BudgetError unwinds, so
     the memo holds refutations (lower bounds), never values, and cuts only
-    subtrees without a cover: every mode returns what it returns without
+    subtrees without a cover: every call returns what it returns without
     the memo, and only nodes_explored (and a BudgetError's level) can
-    change. Collect mode does not use it. At most REFUTED_CAP = 2^18 keys
-    are kept; once that many are held, no more are added. A full memo took
-    45 MB (about 180 bytes a key, CPython 3.11, the layer cover of a random
-    sparse 24-vertex graph times P4).
+    change. At most REFUTED_CAP = 2^18 keys are kept; once that many are
+    held, no more are added. A full memo took 45 MB (about 180 bytes a key,
+    CPython 3.11, the layer cover of a random sparse 24-vertex graph times
+    P4).
     """
     by_cost: dict[int, int] = {}  # cost -> mask of the sets at that cost
     cover_by = [0] * full.bit_length()
@@ -260,33 +253,6 @@ def _min_weighted_cover(
             refuted[key] = cap - spent
         return None
 
-    def lex(i: int, covered: int, spent: int, chosen: list[int]) -> bool:
-        """Collect the covers extending chosen by sets >= i; True at collect + 1."""
-        stats[0] += 1
-        if stats[0] > budget:
-            raise BudgetError(f"node budget {budget} exhausted")
-        rem = full & ~covered
-        if not rem:
-            found.append(list(chosen))
-            return len(found) > collect
-        if rem & gone[i] or spent + bound(rem, (1 << i) - 1) >= hi:
-            return False
-        if lex(i + 1, covered, spent, chosen):
-            return True
-        if not cover[i] & rem or spent + cost[i] >= hi:
-            return False
-        chosen.append(i)
-        stop = lex(i + 1, covered | cover[i], spent + cost[i], chosen)
-        chosen.pop()
-        return stop
-
-    if collect is not None:
-        found: list[list[int]] = []
-        gone = [full] * (len(cover) + 1)  # gone[i]: what no set >= i covers
-        for i in range(len(cover) - 1, -1, -1):
-            gone[i] = gone[i + 1] & ~cover[i]
-        lex(0, 0, 0, [])
-        return found
     greedy = None
     if hi is None:
         greedy = _greedy_cover(full, cover, cost)
@@ -494,32 +460,26 @@ def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
     cost_h(C, R) is the least weight of a 2-labeling of h whose labels use
     exactly the colors of C and in which every empty vertex sees, among its
     own neighbors in h, each color outside R. Each entry is one weighted
-    cover, read as h x K_2 is (2x + c is color c + 1 on x): the elements are
-    2x + c for each x and color c + 1 outside R, plus "c is used" at bit
-    2|h| + c per color of C; color c + 1 of C on x is the unit-cost set
-    closed(2x + c) of h x K_2 plus "c is used". Every entry is feasible
+    cover over the sets of _rainbow_cover(h), read by _cover_labeling: the
+    elements are 2x + c for each x and color c + 1 outside R, plus "c is
+    used" at bit 2|h| + c per color of C; set 2x + c, color c + 1 on x, is
+    the closed neighborhood of 2x + c in h x K_2 plus "c is used" when c + 1
+    is in C, and empty (never taken) when it is not. Every entry is feasible
     for nonempty h, since the sets of x alone cover every element of x.
     """
     n = h.n
-    prod = cartesian(h, gen_complete(2))
+    units = _rainbow_cover(h)
     table = {}
     for cmask in (1, 2, 3):
+        cover = [s | 1 << (2 * n + i % 2) if cmask >> i % 2 & 1 else 0
+                 for i, s in enumerate(units)]
         for r in range(4):
             need = 3 & ~r
             full = cmask << (2 * n)
             for x in range(n):
                 full |= need << (2 * x)
-            cover, owner = [], []
-            for x in range(n):
-                for c in iter_bits(cmask):
-                    cover.append(prod.closed(2 * x + c) | 1 << (2 * n + c))
-                    owner.append((x, c))
-            chosen = _min_weighted_cover(full, cover, [1] * len(cover), stats, budget)
-            masks = [0] * n
-            for u in chosen:
-                x, c = owner[u]
-                masks[x] |= 1 << c
-            table[cmask, r] = (len(chosen), tuple(masks))
+            chosen = _min_weighted_cover(full, cover, [1] * (2 * n), stats, budget)
+            table[cmask, r] = (len(chosen), _cover_labeling(n, chosen, 2).masks)
     return table
 
 
@@ -650,18 +610,52 @@ def enumerate_min_2rdfs(
     duplicates, in lexicographic label order. Raises CapExceededError after
     yielding `cap` labelings if more exist; treat the results as partial.
 
-    After min_rainbow, the collect mode of the cover engine lists the covers
-    of _rainbow_cover(g) at that weight in label order (index i holds set
-    i ^ 1, so color 2 on v, the higher mask bit, is decided first) and stops
-    at cap + 1: the work grows with cap, not with how many labelings exist.
-    Both searches draw on the one node budget."""
+    After min_rainbow gives the weight w, a depth-first search lists the
+    covers of _rainbow_cover(g) of size w in label order: index i holds set
+    i ^ 1, so color 2 on v, the higher mask bit, is decided first, and each
+    set is decided in index order, exclusion before inclusion. A set that
+    covers nothing new is never included, so each labeling comes once. A
+    node is cut when some element is covered by no set from i on, or when
+    ceil(|rem| / maxcov) more sets, maxcov the most of the uncovered
+    elements rem that one set from i on covers, would pass w. The
+    search stops at cap + 1 labelings, so the work grows with cap, not with
+    how many labelings exist. Both searches draw on the one node budget, and
+    nothing is yielded before the listing ends."""
     if cap <= 0:
         raise PreconditionError("cap must be positive")
     base = min_rainbow(g, 2, node_budget=node_budget)
-    cover = _rainbow_cover(g)
-    swapped = [cover[i ^ 1] for i in range(len(cover))]
-    found = _min_weighted_cover((1 << len(cover)) - 1, swapped, [1] * len(cover),
-                                [base.nodes_explored], node_budget, hi=base.value + 1, collect=cap)
+    units = _rainbow_cover(g)
+    cover = [units[i ^ 1] for i in range(len(units))]
+    full, w = (1 << len(cover)) - 1, base.value
+    gone = [full] * (len(cover) + 1)  # gone[i]: what no set >= i covers
+    for i in range(len(cover) - 1, -1, -1):
+        gone[i] = gone[i + 1] & ~cover[i]
+    nodes, found = [base.nodes_explored], []
+
+    def lex(i: int, covered: int, chosen: list[int]) -> bool:
+        """Collect the covers extending chosen by sets >= i; True at cap + 1."""
+        nodes[0] += 1
+        if nodes[0] > node_budget:
+            raise BudgetError(f"node budget {node_budget} exhausted")
+        rem = full & ~covered
+        if not rem:
+            found.append(list(chosen))
+            return len(found) > cap
+        if rem & gone[i]:
+            return False
+        maxcov = max((s & rem).bit_count() for s in cover[i:])
+        if len(chosen) + -(-rem.bit_count() // maxcov) > w:
+            return False
+        if lex(i + 1, covered, chosen):
+            return True
+        if not cover[i] & rem or len(chosen) >= w:
+            return False
+        chosen.append(i)
+        stop = lex(i + 1, covered | cover[i], chosen)
+        chosen.pop()
+        return stop
+
+    lex(0, 0, [])
     for chosen in found[:cap]:
         yield _cover_labeling(g.n, [i ^ 1 for i in chosen], 2)
     if len(found) > cap:

@@ -190,15 +190,18 @@ def test_criterion_8_glued_family(announce):
                 prod = lexicographic(g, h)
                 assert is_k_rainbow_dominating(prod, f), (m, p2)
             # with a pendant the domination number hits 2m+1 and the chain
-            # 2*gamma <= value <= construction weight closes exactly
+            # 2*gamma <= value <= construction weight closes exactly: at m = 1
+            # the bounds meet, at m = 2 the refine proves the lower one
             g1 = gen_glued_paths(m, 1)
             gamma = min_dominating_set(g1).value
             assert gamma == 2 * m + 1
             assert 2 * gamma == 4 * m + 2
-            cert = certify_rd_lex(g1, h, refine=(m == 1))
-            assert cert.lo == 4 * m + 2, (m, cert.describe())
-            if m == 1:
-                assert cert.describe() == "exact 6, case RdH3Pair"
+            cert = certify_rd_lex(g1, h)
+            assert cert.lo == cert.value == 4 * m + 2, (m, cert.describe())
+            assert cert.describe() == {
+                1: "exact 6, case RdH3Pair",
+                2: "interval [10,11], case RdH3Pair; refined exact 10",
+            }[m]
             # without the pendant the first-factor domination number is 2m,
             # not 2m+1 as originally claimed (checked by brute force; see the
             # p2 >= 1 hypothesis): the chain does not close there
@@ -209,6 +212,7 @@ def test_criterion_8_glued_family(announce):
         assert min_rainbow(prod, 2).value == 6
         _finish(announce, 8, 60.0, start,
                 "construction validates at weight 4m+2 in all four cases; "
-                "gamma = 2m+1 and the certified value 2*gamma hold with a "
-                "pendant (p2 = 1); without pendants gamma is 2m, so the "
+                "with a pendant (p2 = 1) gamma = 2m+1 and the chain "
+                "2*gamma = value = 4m+2 closes at m = 1 and m = 2 (refined "
+                "exact 10 at m = 2); without pendants gamma is 2m, so the "
                 "claimed chain applies only to the pendant variants")

@@ -346,10 +346,11 @@ class TestRefine:
         assert exc.value.level is None
 
     def test_one_option_per_layer_fits_a_small_budget(self):
-        # 417 layer-cover nodes below the upper bound 15; without one option
-        # per layer, 638
-        cert = certify_rd_lex(gen_path(16), gen_path(4), node_budget=500)
-        assert cert.refined_exact == 15 and cert.notes == ()
+        # the refine of SPIDER16 o P4 in [12, 15) takes 965 nodes
+        # (CERTIFY_REFINES); without one option per layer (no excl bans), 1,152
+        cert = certify_rd_lex(SPIDER16, gen_path(4), node_budget=1000)
+        assert cert.describe() == "interval [12,15], case RdH3Pair; refined exact 14"
+        assert cert.notes == ()
 
     def test_seeded_tree_refines_within_a_small_budget(self):
         # a 16-vertex tree: in bandwidth order, with the color swap broken, the

@@ -239,35 +239,6 @@ class TestWeightedCover:
                         assert weight(solve(excl=ex, lo=limit)) == best
         assert 0 < infeasible < 100, infeasible
 
-    def test_collect_lists_every_cheapest_cover_once(self):
-        # collect with hi = best + 1: every cheapest cover, once, in
-        # lexicographic order of inclusion (set 0 first, exclusion first),
-        # stopping at collect + 1 of them
-        rng = random.Random(1994)
-        checked = 0
-        while checked < 60:
-            full, cover, cost, _ = random_set_system(rng)
-            best = brute_min_cover(set(iter_bits(full)), [set(iter_bits(s)) for s in cover], cost)
-            if len(cover) > 12 or best is None:
-                continue
-            cheapest = []
-            for pick in range(1 << len(cover)):
-                chosen, union = list(iter_bits(pick)), 0
-                for u in chosen:
-                    union |= cover[u]
-                if union & full == full and sum(cost[u] for u in chosen) == best:
-                    cheapest.append(chosen)
-            cheapest.sort(key=lambda c: [u in c for u in range(len(cover))])
-
-            def collect(count):
-                return _min_weighted_cover(full, cover, cost, [0], 10**6, hi=best + 1,
-                                           collect=count)
-
-            assert collect(len(cheapest)) == cheapest
-            assert collect(0) == cheapest[:1]
-            assert collect(len(cheapest) - 1) == cheapest
-            checked += 1
-
     def test_one_level_out_of_budget_names_its_level(self):
         # [m, m + 1) is a level like any other: a BudgetError carries m
         g = gen_path(9)  # gamma 3, and the engine's root bound is 3
@@ -390,7 +361,37 @@ class TestMinRainbow:
             min_rainbow_via_cartesian(gen_path(33), 2)
 
 
+def disjoint_edges(k: int) -> Graph:
+    return from_edge_list(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+# (graph, cap, N): the listing of enumerate_min_2rdfs, min_rainbow's nodes
+# included, ends within node budget N (normally, or with CapExceededError
+# when more than cap labelings exist) and not within N - 1. The search is
+# deterministic, so a changed N means the listing now explores a different
+# tree, even when what it yields holds
+ENUM_PINS = {
+    "P2": (gen_path(2), 10, 19),
+    "P4": (gen_path(4), 100, 84),
+    "C6": (gen_cycle(6), 1000, 424),
+    "DC4": (gen_double_c4(), 1000, 48),
+    "P10": (gen_path(10), 1000, 568),
+    "12K2": (disjoint_edges(12), 10, 106),
+    "20K2": (disjoint_edges(20), 40, 266),
+}
+
+
 class TestEnumerate:
+    @pytest.mark.parametrize("name", sorted(ENUM_PINS))
+    def test_pinned_node_counts(self, name):
+        g, cap, nodes = ENUM_PINS[name]
+        try:
+            list(enumerate_min_2rdfs(g, cap, node_budget=nodes))
+        except CapExceededError:
+            pass
+        with pytest.raises(BudgetError):
+            list(enumerate_min_2rdfs(g, cap, node_budget=nodes - 1))
+
     def test_k2_complete_list(self):
         got = [f.masks for f in enumerate_min_2rdfs(gen_path(2), 10)]
         assert got == [(0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0)]
@@ -429,7 +430,7 @@ class TestEnumerate:
     def test_cap_bounds_the_work(self, n_edges, cap):
         # n disjoint edges have 6**n minimum labelings; the search stops at the
         # first cap + 1 in label order, well inside a small node budget
-        g = from_edge_list(2 * n_edges, [(2 * i, 2 * i + 1) for i in range(n_edges)])
+        g = disjoint_edges(n_edges)
         k2 = [(0, 3), (1, 1), (1, 2), (2, 1), (2, 2), (3, 0)]
         want = [sum(p, ()) for p in itertools.islice(itertools.product(k2, repeat=n_edges), cap)]
         seen = []
