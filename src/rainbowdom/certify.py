@@ -24,20 +24,23 @@ The case tags:
   couple optimum min(2|A| + 3|B|), whose search starts at twice a greedy
   2-packing of g (couples.min_couple_cost).
 * RdH3Pair: 2-rainbow number 3 with a {1,2} minimum labeling; interval
-  [2 * gamma(g), best known construction], except that gamma(g) = gamma_t(g)
-  forces the exact value 2 * gamma(g) (tag GammaEqGammaT). The best upper
-  is the optimal couple's labeling or, when g is a path or a cycle and it
-  is lighter, the path tiling along a spanning path of g. On a path or a
-  cycle the tiling is optimal by theorem (README, "The open case on paths
-  and cycles"): the refined value is path_upper_bound(n), with the upper
+  [2 * gamma(g), best known construction]. The best upper is the optimal
+  couple's labeling or, when g is a path or a cycle and it is lighter, the
+  path tiling along a spanning path of g. The interval is exact when its
+  ends meet, as they do when gamma(g) = gamma_t(g): A and B together
+  dominate g for every dominating couple (A, B), and (T, empty), T a
+  minimum total dominating set, costs 2 * gamma_t(g), so
+  2 * gamma(g) <= couple optimum <= 2 * gamma_t(g). On a path or a cycle
+  the tiling is optimal by theorem (README, "The open case on paths and
+  cycles"): the refined value is path_upper_bound(n), with the upper
   labeling, and no search runs whatever refine says. Otherwise, with
-  refine=True and a product of at most 64 vertices, the interval is refined
-  to the exact value by the layer cover (solvers._min_rainbow_lex), which
-  searches only the weights in [lo, hi); when none is attained, the refined
-  value is hi and the refined labeling the upper one. A refine that runs out
-  of budget keeps the interval and says so in the certificate's notes,
-  naming the cost level it was refuting when the cover search ran out, a
-  proven lower bound.
+  refine=True, an open interval and a product of at most 64 vertices, the
+  interval is refined to the exact value by the layer cover
+  (solvers._min_rainbow_lex), which searches only the weights in [lo, hi);
+  when none is attained, the refined value is hi and the refined labeling
+  the upper one. A refine that runs out of budget keeps the interval and
+  says so in the certificate's notes, naming the cost level it was refuting
+  when the cover search ran out, a proven lower bound.
 * ComponentSum: first factor disconnected; per-component sum, with the
   components' labelings copied layer by layer into the row-major product.
 * ComponentSum-NA: second factor disconnected; no closed-form case applies,
@@ -53,12 +56,12 @@ search (min_rainbow). Per component, the case code solves gamma(g),
 gamma_t(g) and the couple optimum at most once each, and builds its upper
 labeling from those witnesses without searching again: the couple labeling
 of (empty, D) for RdH2 (D a minimum dominating set), of (T, empty) for
-RdH4Plus and GammaEqGammaT (T a minimum total dominating set), and of the
-optimal couple for RdH3NoPair and RdH3Pair, each copying the labeling of h
-from the classification into its B-layers; and, when g is a path or a
-cycle, the path tiling laid along a spanning path of g from the pair
-witness. Adding edges to g keeps every 2-rainbow dominating labeling of
-g o h valid, and _self_check re-validates the tiling on the product itself.
+RdH4Plus (T a minimum total dominating set), and of the optimal couple for
+RdH3NoPair and RdH3Pair, each copying the labeling of h from the
+classification into its B-layers; and, when g is a path or a cycle, the
+path tiling laid along a spanning path of g from the pair witness. Adding
+edges to g keeps every 2-rainbow dominating labeling of g o h valid, and
+_self_check re-validates the tiling on the product itself.
 
 Certificates in one process also share these solves, since each depends on
 one factor only. The factor memo (_solve_factor, at most FACTOR_MEMO_SIZE
@@ -95,8 +98,6 @@ from __future__ import annotations
 import functools
 import os
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .couples import DominatingCouple, _lift_couple, min_couple_cost
@@ -276,10 +277,9 @@ def _walk(g: Graph, start: int) -> list[int]:
 
 def _tiling_order(g: Graph) -> list[int] | None:
     """The order of a spanning path of g when g is a path or a cycle, else
-    None; g must be connected. The path tiling laid along a spanning path
-    stays valid on g o h: more edges in g only add neighbors."""
-    if g.n == 1:
-        return [0]
+    None; g must be connected, on at least 2 vertices. The path tiling laid
+    along a spanning path stays valid on g o h: more edges in g only add
+    neighbors."""
     degs = [g.degree(v) for v in range(g.n)]
     if g.n >= 3 and all(d == 2 for d in degs):
         return _walk(g, 0)
@@ -376,16 +376,8 @@ def _certify_connected(
 
     # RdH3Pair: 2-rainbow number 3 with a pair witness
     ds = _solve_factor("gamma", g, node_budget)
-    tds = _solve_factor("gamma_t", g, node_budget)
-    if tds.value == ds.value:
-        return _exact(
-            g, h, 2 * ds.value, "GammaEqGammaT", lift(tds.witness, frozenset()),
-            LowerWitness("gamma", ds.value, vertices=ds.witness),
-            "gamma(first factor) = gamma_t(first factor) pins the "
-            "product value between 2*gamma and 2*gamma_t",
-        )
     value, couple = _solve_factor("couple", g, node_budget)
-    hi = value
+    lo, hi = 2 * ds.value, value
     upper = lift(couple.a, couple.b)
     citations = [
         "lower bound: twice the domination number of the first factor "
@@ -406,23 +398,23 @@ def _certify_connected(
         refined_exact, refined_labeling = hi, upper
         citations.append("exact value: path_upper_bound(n), by the theorem on the "
                          "open case on paths and cycles (README)")
-    elif refine and g.n * h.n <= SOLVER_VERTEX_CAP:
+    elif refine and lo < hi and g.n * h.n <= SOLVER_VERTEX_CAP:
         try:
-            res = _min_rainbow_lex(g, h, node_budget=node_budget, lo=2 * ds.value, hi=hi)
+            res = _min_rainbow_lex(g, h, node_budget=node_budget, lo=lo, hi=hi)
         except BudgetError as exc:
             at = "" if exc.level is None else f" at level {exc.level}"
             notes = (f"refine exhausted the node budget {node_budget}{at}; interval kept",)
         else:
             if res is None:  # no labeling lighter than the upper one
                 refined_exact, refined_labeling = hi, upper
-            elif not 2 * ds.value <= res.value < hi:
+            elif not lo <= res.value < hi:
                 raise RainbowDomError(
                     "internal check failed: exact solve escaped certified bounds"
                 )
             else:
                 refined_exact, refined_labeling = res.value, res.witness
     return _self_check(g, h, Certificate(
-        lo=2 * ds.value,
+        lo=lo,
         hi=hi,
         case="RdH3Pair",
         citations=tuple(citations),
@@ -603,6 +595,7 @@ def _fault(exc: Exception) -> tuple[bool, str]:
     is a budget skip; any other is a violation naming it and where it rose."""
     if isinstance(exc, BudgetError):
         return True, f"budget exhausted ({exc})"
+    import traceback  # here, not at the top: importing the package stays light
     where = traceback.extract_tb(exc.__traceback__)[-1]
     place = f"{os.path.basename(where.filename)}:{where.lineno}"
     return False, f"raised {type(exc).__name__}: {exc} (at {place})"
@@ -755,6 +748,8 @@ def verify_corpus(
     if workers <= 1:
         results = [_corpus_task(t) for t in tasks]
     else:
+        # imported here: the pool pulls in multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_task, tasks, chunksize=4))
     for checks, violations, skips in results:

@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rainbowdom
@@ -91,3 +94,18 @@ def test_every_benchmark_name_resolves():
     used = {name for path in PERFBENCH.glob("*.py")
             for name in re.findall(r"\brb\.([A-Za-z_]\w*)", path.read_text())}
     assert used and not [name for name in sorted(used) if not hasattr(rainbowdom, name)]
+
+
+def test_import_leaves_the_process_pool_out():
+    # only verify_corpus(workers > 1) uses the pool, and only a corpus fault
+    # reads a traceback: importing the package loads neither
+    code = ("import sys; before = set(sys.modules); import rainbowdom; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(rainbowdom.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "rainbowdom.certify" in loaded
+    assert not loaded & {"multiprocessing", "concurrent.futures.process", "traceback"}

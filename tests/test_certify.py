@@ -141,8 +141,8 @@ class TestCertifyCases:
             cases.setdefault(cert.case, []).append(cert.exact)
         assert cases == {
             "TrivialG": [True, True], "TrivialH": [True, True], "RdH2": [True],
-            "RdH4Plus": [True], "RdH3NoPair": [True], "RdH3Pair": [False],
-            "GammaEqGammaT": [True], "ComponentSum-NA": [True], "ComponentSum": [True],
+            "RdH4Plus": [True], "RdH3NoPair": [True], "RdH3Pair": [False, True],
+            "ComponentSum-NA": [True], "ComponentSum": [True],
         }
 
     def test_self_check_validates_each_labeling_once(self, monkeypatch):
@@ -226,9 +226,24 @@ class TestCertifyCases:
         assert cert.describe() == "interval [12,17], case RdH3Pair"
 
     def test_gamma_eq_gamma_t_beats_interval(self):
-        # gamma(C_4) = gamma_t(C_4) = 2 pins the pair case exactly
+        # gamma(C_4) = gamma_t(C_4) = 2: the couple optimum 2 * gamma_t meets
+        # 2 * gamma, so the pair case's bracket closes by itself
         cert = certify_rd_lex(gen_cycle(4), gen_path(4))
-        assert cert.describe() == "exact 4, case GammaEqGammaT"
+        assert cert.describe() == "exact 4, case RdH3Pair"
+        assert cert.lower.kind == "gamma" and cert.lower.value == 2
+        assert cert.upper_labeling.weight == 4
+
+    def test_closed_bracket_runs_no_refine(self, solve_log):
+        # the bull (a triangle 0-1-2, pendants 3 on 1 and 4 on 2) is no path
+        # or cycle, and gamma = gamma_t = 2: the bracket [4, 4] is exact
+        # without the layer cover, and gamma_t is never solved
+        bull = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
+        cert = certify_rd_lex(bull, gen_path(4))
+        assert cert.describe() == "exact 4, case RdH3Pair"
+        assert cert.refined_exact is None and cert.notes == ()
+        assert cert.lower.kind == "gamma" and cert.lower.value == 2
+        assert sorted(name for name, _ in solve_log) == [
+            "_pair_search", "min_couple_cost", "min_dominating_set", "min_rainbow"]
 
     def test_trivial_factors(self):
         cert = certify_rd_lex(gen_path(4), gen_path(1))
@@ -466,18 +481,16 @@ class TestSolveOnce:
         # the couple optimum 8 is the upper bound; on a path the theorem gives
         # the value and no refine runs
         (gen_path(8), gen_path(4), "RdH3Pair",
-         {"_pair_search", "min_dominating_set", "min_total_dominating_set",
-          "min_couple_cost"}),
+         {"_pair_search", "min_dominating_set", "min_couple_cost"}),
         # the path tiling (11) beats the couple optimum (12), and no refine runs
         (gen_path(12), gen_path(4), "RdH3Pair",
-         {"_pair_search", "min_dominating_set", "min_total_dominating_set",
-          "min_couple_cost"}),
+         {"_pair_search", "min_dominating_set", "min_couple_cost"}),
         # not a path or a cycle: the refine runs
         (FORK6, gen_path(4), "RdH3Pair",
-         {"_pair_search", "min_dominating_set", "min_total_dominating_set",
-          "min_couple_cost", "_min_rainbow_lex"}),
-        (gen_path(4), gen_path(4), "GammaEqGammaT",
-         {"_pair_search", "min_dominating_set", "min_total_dominating_set"}),
+         {"_pair_search", "min_dominating_set", "min_couple_cost", "_min_rainbow_lex"}),
+        # gamma = gamma_t = 2: the couple optimum 4 closes the bracket
+        (gen_path(4), gen_path(4), "RdH3Pair",
+         {"_pair_search", "min_dominating_set", "min_couple_cost"}),
     ], ids=["P8xP2", "P8xP6", "P8xDC4", "P8xP4", "P12xP4", "FORK6xP4", "P4xP4"])
     def test_connected_g(self, solve_log, g, h, case, solves):
         cert = certify_rd_lex(g, h, node_budget=20000)
@@ -495,17 +508,17 @@ class TestSolveOnce:
         assert solve_log == [(name, g) for name, _ in rest if name == "_min_rainbow_lex"]
 
     def test_disconnected_g(self, solve_log):
-        # FORK6 is RdH3Pair (gamma 2 < gamma_t 3), C4 is GammaEqGammaT
+        # FORK6 is RdH3Pair with an open bracket (gamma 2 < gamma_t 3), C4
+        # RdH3Pair with a closed one (gamma = gamma_t = 2)
         g = from_edge_list(10, list(FORK6.edges()) + [(6, 7), (7, 8), (8, 9), (9, 6)])
         h = gen_path(4)
         cert = certify_rd_lex(g, h, node_budget=20000)
-        assert [part.case for _, part in cert.parts] == ["RdH3Pair", "GammaEqGammaT"]
+        assert [part.case for _, part in cert.parts] == ["RdH3Pair", "RdH3Pair"]
         assert solve_log[:2] == [("min_rainbow", h), ("_pair_search", h)]
         c4 = gen_cycle(4)
         assert sorted((name, graph.n) for name, graph in solve_log[2:]) == sorted([
-            ("min_dominating_set", 6), ("min_total_dominating_set", 6),
-            ("min_couple_cost", 6), ("_min_rainbow_lex", 6),
-            ("min_dominating_set", 4), ("min_total_dominating_set", 4),
+            ("min_dominating_set", 6), ("min_couple_cost", 6), ("_min_rainbow_lex", 6),
+            ("min_dominating_set", 4), ("min_couple_cost", 4),
         ])
         assert all(graph in (FORK6, c4) for _, graph in solve_log[2:])
 
@@ -558,14 +571,16 @@ class TestFactorMemo:
         p8 = gen_path(8)
         assert certify_rd_lex(p8, gen_path(2), node_budget=20000).case == "RdH2"
         assert certify_rd_lex(p8, gen_path(4), node_budget=20000).case == "RdH3Pair"
+        assert certify_rd_lex(p8, gen_path(6), node_budget=20000).case == "RdH4Plus"
         assert solve_log.count(("min_dominating_set", p8)) == 1
         assert solve_log.count(("min_total_dominating_set", p8)) == 1
 
     def test_equal_components_share_solves(self, solve_log):
         cert = certify_rd_lex(_two_copies(FORK6), gen_path(4), node_budget=20000)
         assert [part.case for _, part in cert.parts] == ["RdH3Pair", "RdH3Pair"]
-        for name in ("min_dominating_set", "min_total_dominating_set", "min_couple_cost"):
+        for name in ("min_dominating_set", "min_couple_cost"):
             assert solve_log.count((name, FORK6)) == 1
+        assert ("min_total_dominating_set", FORK6) not in solve_log
         # each component refines on its own
         assert solve_log.count(("_min_rainbow_lex", FORK6)) == 2
 
@@ -590,10 +605,10 @@ class TestCorpusSolveOnce:
 
     H = (gen_path(2), gen_path(4), gen_cycle(5))
     # recorded where each task classified h itself, before the path theorem's
-    # check (P2, P3 and C3 with P4) joined them
+    # check (P2, P3, C3, P4 and C4 with P4) joined them
     CHECKS = {"rainbow_vs_cartesian": 20, "general_bounds": 20, "upper_universal": 10,
               "upper_couple": 30, "case_value": 30, "upper_total_dom": 27, "lower_2gamma": 27,
-              "projection_exists": 9, "projection_all_minima": 4, "path_theorem": 3}
+              "projection_exists": 9, "projection_all_minima": 4, "path_theorem": 5}
     TRACKED = {
         "certify": ("classify_h",),
         # min_rainbow_via_cartesian so that its solve of g x K_k counts as nested
@@ -708,7 +723,7 @@ class TestComponentSum:
         assert is_k_rainbow_dominating(prod, cert.upper_labeling)
         # per-part certificates carry their own cases
         cases = {c.case for _, c in cert.parts}
-        assert cases <= {"RdH3Pair", "GammaEqGammaT", "TrivialG"}
+        assert cases <= {"RdH3Pair", "TrivialG"}
 
     # the upper labeling is merged from the components' labelings layer by
     # layer; these masks were recorded with the earlier per-vertex merge. The

@@ -34,6 +34,14 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def _src_env(**extra):
+    """os.environ plus extra, with this package's source first on PYTHONPATH."""
+    import rainbowdom
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(rainbowdom.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 class TestInvariant:
     def test_gamma(self, capsys):
         rc, out, _ = run(capsys, "invariant", "P7", "--type", "gamma")
@@ -492,6 +500,18 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "rd_2 = 3" in proc.stdout
 
+    @pytest.mark.parametrize("module", ["rainbowdom", "rainbowdom.cli"])
+    def test_run_as_module(self, module):
+        def run_module(*argv):
+            return subprocess.run([sys.executable, "-m", module, *argv],
+                                  capture_output=True, text=True, env=_src_env())
+
+        proc = run_module("invariant", "P4", "--type", "rdk")
+        assert proc.returncode == 0
+        assert "rd_2 = 3" in proc.stdout
+        # a package error keeps its exit status: 65 vertices is past the solvers' cap
+        assert run_module("certify", "P65", "P4").returncode == 3
+
     def test_closed_stdout_is_quiet(self, capsys, monkeypatch):
         class ClosedPipe(io.StringIO):
             def write(self, text):
@@ -503,14 +523,11 @@ class TestConsoleScript:
 
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_closed_pipe_ends_the_process_quietly(self, unbuffered):
-        import rainbowdom
         # the read end is closed before the process starts, so its first
         # write to stdout, or the flush of its buffer, meets a closed pipe
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(rainbowdom.__file__)),
-             os.environ.get("PYTHONPATH", "")]))
+        env = _src_env(PYTHONUNBUFFERED=unbuffered)
         try:
             proc = subprocess.run(
                 [sys.executable, "-c", "from rainbowdom.cli import entry; entry()",
