@@ -9,7 +9,8 @@ is self-checked before it is returned: the upper labeling is re-validated on
 the actual product graph and must match the claimed weight. Every exact
 outcome, the empty product's too, is built by _exact, which returns it
 through that check; the RdH3Pair interval and the ComponentSum total are
-built directly and pass the same check.
+built directly and pass the same check, and a refined interval passes it
+again.
 
 The case tags:
 
@@ -33,13 +34,14 @@ The case tags:
   2 * gamma(g) <= couple optimum <= 2 * gamma_t(g). On a path or a cycle
   the tiling is optimal by theorem (README, "The open case on paths and
   cycles"): the refined value is path_upper_bound(n), with the upper
-  labeling, and no search runs whatever refine says. Otherwise, with
-  refine=True, an open interval and a product of at most 64 vertices, the
-  interval is refined to the exact value by the layer cover
+  labeling, and no search runs. Any other open interval goes to _refine,
+  the one step after the case analysis: on a product of at most 64
+  vertices it is refined to the exact value by the layer cover
   (solvers._min_rainbow_lex), which searches only the weights in [lo, hi);
   when none is attained, the refined value is hi and the refined labeling
-  the upper one. A refine that runs out of budget keeps the interval and
-  says so in the certificate's notes, naming the cost level it was refuting
+  the upper one. An interval the refine leaves open gets one note in the
+  certificate's notes saying why: the product is over the 64-vertex limit,
+  or the refine ran out of budget, naming the cost level it was refuting
   when the cover search ran out, a proven lower bound.
 * ComponentSum: first factor disconnected; per-component sum, with the
   components' labelings copied layer by layer into the row-major product.
@@ -98,7 +100,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .couples import DominatingCouple, _lift_couple, min_couple_cost
 from .constructions import _tile_path, _universal_vertex, path_upper_bound
@@ -165,7 +167,7 @@ class Certificate:
     refined_exact: int | None = None
     refined_labeling: RainbowLabeling | None = None
     parts: tuple[tuple[tuple[int, ...], "Certificate"], ...] | None = None
-    notes: tuple[str, ...] = ()  # events worth reporting, e.g. a refine that gave up
+    notes: tuple[str, ...] = ()  # why a refine left the interval open
 
     @property
     def exact(self) -> bool:
@@ -323,9 +325,9 @@ def _certify_connected(
     h: Graph,
     hcls: HClassification,
     *,
-    refine: bool,
     node_budget: int,
 ) -> Certificate:
+    """What the case analysis of a connected g proves; _refine may tighten it."""
     if hcls.tag == "TrivialH":
         res = _min_rainbow_lex(g, h, node_budget=node_budget)
         return _exact(
@@ -386,7 +388,6 @@ def _certify_connected(
     ]
     order = _tiling_order(g)
     refined_exact = refined_labeling = None
-    notes = ()
     if order is not None:
         pub = path_upper_bound(g.n)
         if value < pub:
@@ -398,21 +399,6 @@ def _certify_connected(
         refined_exact, refined_labeling = hi, upper
         citations.append("exact value: path_upper_bound(n), by the theorem on the "
                          "open case on paths and cycles (README)")
-    elif refine and lo < hi and g.n * h.n <= SOLVER_VERTEX_CAP:
-        try:
-            res = _min_rainbow_lex(g, h, node_budget=node_budget, lo=lo, hi=hi)
-        except BudgetError as exc:
-            at = "" if exc.level is None else f" at level {exc.level}"
-            notes = (f"refine exhausted the node budget {node_budget}{at}; interval kept",)
-        else:
-            if res is None:  # no labeling lighter than the upper one
-                refined_exact, refined_labeling = hi, upper
-            elif not lo <= res.value < hi:
-                raise RainbowDomError(
-                    "internal check failed: exact solve escaped certified bounds"
-                )
-            else:
-                refined_exact, refined_labeling = res.value, res.witness
     return _self_check(g, h, Certificate(
         lo=lo,
         hi=hi,
@@ -422,8 +408,32 @@ def _certify_connected(
         lower=LowerWitness("gamma", ds.value, vertices=ds.witness),
         refined_exact=refined_exact,
         refined_labeling=refined_labeling,
-        notes=notes,
     ))
+
+
+def _refine(g: Graph, h: Graph, cert: Certificate, node_budget: int) -> Certificate:
+    """The certificate of a connected g with its open RdH3Pair interval
+    refined to the exact value by the layer cover, or with one note saying
+    why it stays open (a note changes no bound or labeling, so it needs no
+    new check); any other certificate as it is."""
+    if cert.case != "RdH3Pair" or cert.exact or cert.refined_exact is not None:
+        return cert
+    if g.n * h.n > SOLVER_VERTEX_CAP:
+        return replace(cert, notes=(f"refine not run: the product has {g.n * h.n} vertices, "
+                                    f"over the {SOLVER_VERTEX_CAP}-vertex limit; interval kept",))
+    try:
+        res = _min_rainbow_lex(g, h, node_budget=node_budget, lo=cert.lo, hi=cert.hi)
+    except BudgetError as exc:
+        at = "" if exc.level is None else f" at level {exc.level}"
+        return replace(cert, notes=(
+            f"refine exhausted the node budget {node_budget}{at}; interval kept",))
+    if res is None:  # no labeling lighter than the upper one
+        value, labeling = cert.hi, cert.upper_labeling
+    elif not cert.lo <= res.value < cert.hi:
+        raise RainbowDomError("internal check failed: exact solve escaped certified bounds")
+    else:
+        value, labeling = res.value, res.witness
+    return _self_check(g, h, replace(cert, refined_exact=value, refined_labeling=labeling))
 
 
 def _effective(cert: Certificate) -> tuple[int, int, RainbowLabeling | None]:
@@ -436,13 +446,13 @@ def certify_rd_lex(
     g: Graph,
     h: Graph,
     *,
-    refine: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Certificate:
     """Certificate for the 2-rainbow domination number of the product of g
     and h. Disconnected g is certified per component and summed; disconnected
     h admits no closed-form case, so the value is solved exactly by the
-    layer cover."""
+    layer cover. The certificate of each connected piece of g then passes
+    through _refine."""
     if g.n == 0 or h.n == 0:
         return _exact(g, h, 0, "TrivialG" if g.n == 0 else "TrivialH",
                       RainbowLabeling(2, ()), LowerWitness("exact_solve", 0), "empty product")
@@ -457,14 +467,15 @@ def certify_rd_lex(
     hcls = classify_h(h, node_budget=node_budget)
     comps = components(g)
     if len(comps) == 1:
-        return _certify_connected(g, h, hcls, refine=refine, node_budget=node_budget)
+        return _refine(g, h, _certify_connected(g, h, hcls, node_budget=node_budget), node_budget)
     nh = h.n
     parts = []
     lo = hi = 0
     masks = [0] * (g.n * nh)
     for comp in comps:
         sub, back = induced_subgraph(g, comp)
-        cert = _certify_connected(sub, h, hcls, refine=refine, node_budget=node_budget)
+        cert = _refine(sub, h, _certify_connected(sub, h, hcls, node_budget=node_budget),
+                       node_budget)
         eff_lo, eff_hi, eff_lab = _effective(cert)
         lo += eff_lo
         hi += eff_hi
@@ -620,11 +631,11 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list]:
         ds = min_dominating_set(g, node_budget=node_budget)
         if run_g_checks:
             rd = {k: min_rainbow(g, k, node_budget=node_budget).value for k in (1, 2, 3)}
-            for k in (1, 2):
-                via = min_rainbow_via_cartesian(g, k, node_budget=node_budget).value
-                bump("rainbow_vs_cartesian")
-                if rd[k] != via:
-                    violate(f"k={k}: direct {rd[k]} != cartesian route {via}")
+            # k = 2 only: g x K_1 is g, so at k = 1 the route would solve ds again
+            via = min_rainbow_via_cartesian(g, 2, node_budget=node_budget).value
+            bump("rainbow_vs_cartesian")
+            if rd[2] != via:
+                violate(f"k=2: direct {rd[2]} != cartesian route {via}")
             if rd[1] != ds.value:
                 violate("1-rainbow number differs from domination number")
             for k in (2, 3):
@@ -669,11 +680,11 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list]:
             if exact.value < 2 * ds.value:
                 violate(f"exact {exact.value} below 2*gamma {2 * ds.value}")
 
-        cert = _certify_connected(g, h, hcls, refine=False, node_budget=node_budget)
+        cert = _certify_connected(g, h, hcls, node_budget=node_budget)
         bump("case_value")
         if not (cert.lo <= exact.value <= cert.hi):
             violate(f"certificate {cert.describe()} excludes exact {exact.value}")
-        if cert.case == "RdH3Pair" and _tiling_order(g) is not None:
+        if cert.refined_exact is not None:  # only the path theorem refines here
             bump("path_theorem")
             if cert.refined_exact != exact.value:
                 violate(f"path theorem gives {cert.refined_exact}, exact {exact.value}")

@@ -137,12 +137,7 @@ def _cmd_product(args) -> int:
 def _cmd_certify(args) -> int:
     g = _load_graph(args.g, args.format)
     h = _load_graph(args.h, args.format)
-    cert = certify_mod.certify_rd_lex(
-        g,
-        h,
-        refine=not args.no_refine,
-        node_budget=args.budget,
-    )
+    cert = certify_mod.certify_rd_lex(g, h, node_budget=args.budget)
     print(f"certificate: {cert.describe()}")
     if cert.lower is not None:
         lw = cert.lower
@@ -301,8 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certificate for rd_2 of a lexicographic product")
     p.add_argument("g")
     p.add_argument("h")
-    p.add_argument("--no-refine", action="store_true",
-                   help="skip the exact search that tightens intervals")
     p.add_argument("--labeling-out", default=None,
                    help="also write the best labeling to this file")
     _add_format(p)

@@ -31,7 +31,7 @@ from rainbowdom import (
     to_graph6,
     verify_corpus,
 )
-from rainbowdom.certify import _dominating_projections, _projection_gap
+from rainbowdom.certify import _certify_connected, _dominating_projections, _projection_gap
 from rainbowdom.graphs import iter_bits
 from rainbowdom.solvers import _min_rainbow_lex, _pair_search
 
@@ -194,11 +194,14 @@ class TestCertifyCases:
         assert cert.value == 5
         assert cert.refined_labeling.weight == 5
 
-    def test_rdh3pair_no_refine(self):
-        cert = certify_rd_lex(FORK6, gen_path(4), refine=False)
+    def test_rdh3pair_no_refine(self, solve_log):
+        # the case analysis alone gives the bracket; the refine is a later step
+        h = gen_path(4)
+        cert = _certify_connected(FORK6, h, classify_h(h), node_budget=20000)
         assert cert.describe() == "interval [4,6], case RdH3Pair"
         assert cert.value is None
-        assert cert.refined_exact is None
+        assert cert.refined_exact is None and cert.notes == ()
+        assert all(name != "_min_rainbow_lex" for name, _ in solve_log)
 
     def test_cycles_get_the_path_tiling(self):
         # a spanning path of C_n carries the tiling of P_n, valid on C_n o h
@@ -206,7 +209,7 @@ class TestCertifyCases:
         tiled = []
         for n in range(3, 25):
             g = gen_cycle(n)
-            cert = certify_rd_lex(g, h, refine=False)
+            cert = certify_rd_lex(g, h)
             if cert.case != "RdH3Pair":
                 continue
             couple, _ = min_couple_cost(g, 2, 3)
@@ -218,12 +221,20 @@ class TestCertifyCases:
         assert tiled == [5, 7, *range(10, 25)]
         # the tiling is optimal (the path theorem), also past the refine's
         # 64-vertex gate; a product past the gate that is not settled by the
-        # theorem keeps its interval
+        # theorem keeps its interval, and a note says why
         cert = certify_rd_lex(gen_cycle(18), h)
         assert cert.describe() == "interval [12,16], case RdH3Pair; refined exact 16"
+        assert cert.notes == ()
         fork18 = from_edge_list(18, [(i, i + 1) for i in range(16)] + [(15, 17)])
         cert = certify_rd_lex(fork18, h)
         assert cert.describe() == "interval [12,17], case RdH3Pair"
+        note = "refine not run: the product has 72 vertices, over the 64-vertex limit; interval kept"
+        assert cert.refined_exact is None and cert.notes == (note,)
+        # the gate is on each component's product: two forks, each 72 vertices
+        cert = certify_rd_lex(_two_copies(fork18), h)
+        assert cert.describe() == "interval [24,34], case ComponentSum"
+        assert cert.notes == (f"component {list(range(18))}: {note}",
+                              f"component {list(range(18, 36))}: {note}")
 
     def test_gamma_eq_gamma_t_beats_interval(self):
         # gamma(C_4) = gamma_t(C_4) = 2: the couple optimum 2 * gamma_t meets
@@ -541,11 +552,6 @@ class TestPathTheorem:
         assert "by the theorem" in cert.citations[-1]
         assert all(name != "_min_rainbow_lex" for name, _ in solve_log)
 
-    def test_whatever_refine_says(self, solve_log):
-        cert = certify_rd_lex(gen_path(5), gen_path(4), refine=False)
-        assert cert.describe() == "interval [4,5], case RdH3Pair; refined exact 5"
-        assert all(name != "_min_rainbow_lex" for name, _ in solve_log)
-
     def test_couple_below_the_tiling_is_an_internal_fault(self, monkeypatch, solve_log):
         import rainbowdom.certify as certify_mod
 
@@ -605,8 +611,9 @@ class TestCorpusSolveOnce:
 
     H = (gen_path(2), gen_path(4), gen_cycle(5))
     # recorded where each task classified h itself, before the path theorem's
-    # check (P2, P3, C3, P4 and C4 with P4) joined them
-    CHECKS = {"rainbow_vs_cartesian": 20, "general_bounds": 20, "upper_universal": 10,
+    # check (P2, P3, C3, P4 and C4 with P4) joined them; the cartesian route
+    # is compared at k = 2 only, once per first factor (10 of them)
+    CHECKS = {"rainbow_vs_cartesian": 10, "general_bounds": 20, "upper_universal": 10,
               "upper_couple": 30, "case_value": 30, "upper_total_dom": 27, "lower_2gamma": 27,
               "projection_exists": 9, "projection_all_minima": 4, "path_theorem": 5}
     TRACKED = {

@@ -151,14 +151,6 @@ class TestCertify:
     # P4 with two leaves at one end: not a path or a cycle, so the refine searches
     FORK6 = "6 5\n0 1\n1 2\n2 3\n3 4\n3 5\n"
 
-    def test_no_refine(self, capsys, tmp_path):
-        g = tmp_path / "fork6.txt"
-        g.write_text(self.FORK6)
-        rc, out, _ = run(capsys, "certify", str(g), "P4", "--no-refine")
-        assert rc == 0
-        assert "certificate: interval [4,6], case RdH3Pair" in out
-        assert "refined" not in out
-
     def test_refine_note_printed(self, capsys, monkeypatch, tmp_path):
         import rainbowdom.certify as certify_mod
         from rainbowdom import BudgetError
@@ -406,8 +398,7 @@ class TestPairOptions:
 # Changing this list changes the command line; do it on purpose. Each entry is
 # a command path and one option (or positional) that the path reads.
 CLI_SLOTS = [
-    "certify --budget", "certify --format", "certify --labeling-out",
-    "certify --no-refine", "certify g", "certify h",
+    "certify --budget", "certify --format", "certify --labeling-out", "certify g", "certify h",
     "construct couple --budget", "construct couple --format", "construct couple --g",
     "construct couple --h", "construct couple --k", "construct couple --out",
     "construct glued --budget", "construct glued --format", "construct glued --h",
@@ -443,15 +434,16 @@ def _slots(parser, path=()):
 
 def test_cli_slots_are_pinned():
     assert sorted(_slots(_build_parser())) == CLI_SLOTS
-    assert len(CLI_SLOTS) == 58
-    assert len(UNREAD_SLOTS) == 25 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
+    assert len(CLI_SLOTS) == 57
+    assert len(UNREAD_SLOTS) == 26 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
 
 
 # One command per option that its path accepted without reading it, and one
-# for the removed certify --strict.
+# each for the removed certify --strict and certify --no-refine.
 UNREAD_SLOTS = {
     "product --budget": ["product", "P3", "P3", "--budget", "5"],
     "certify --strict": ["certify", "P3", "P4", "--strict"],
+    "certify --no-refine": ["certify", "P5", "P4", "--no-refine"],
     "validate --budget": ["validate", "f.txt", "--graph", "P4", "--budget", "5"],
     "construct tiles --g": ["construct", "tiles", "--h", "P4", "--n", "9", "--g", "P9"],
     "construct tiles --k": ["construct", "tiles", "--h", "P4", "--n", "9", "--k", "3"],
