@@ -264,8 +264,15 @@ def _add_format(p: argparse.ArgumentParser):
                    help="force the file format instead of autodetecting")
 
 
+def _node_budget(text: str) -> int:
+    """The value of --budget: a count of search nodes, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a node count of 0 or more, got {text!r}")
+    return int(text)
+
+
 def _add_budget(p: argparse.ArgumentParser):
-    p.add_argument("--budget", type=int, default=solvers.DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=_node_budget, default=solvers.DEFAULT_NODE_BUDGET,
                    help="search node budget")
 
 

@@ -10,16 +10,17 @@ iff A is a total dominating set, (empty, B) works iff B is a dominating set.
 Equivalently, (A, B) is a dominating couple iff the open neighborhoods N(u)
 of u in A and the closed neighborhoods N[u] of u in B together cover V. So
 the couple optimum min(a|A| + b|B|), the value of the RdH3NoPair case, is a
-minimum-weight cover of V by {N(u) at cost a} and {N[u] at cost b}, and
-min_couple_cost solves it with the same exact cover engine as the domination
-and total domination numbers. A 2-packing P (vertices whose closed
+minimum-weight cover of V by {N(u) at cost a} and {N[u] at cost b}: a
+labeling of G in which u takes the label "in A" or "in B" or none, and
+min_couple_cost solves it with the labeling cover of solvers, the one the
+layer reduction of the product uses. A 2-packing P (vertices whose closed
 neighborhoods are pairwise disjoint) bounds it from below: no vertex
 neighbors two of P, so no set of the cover holds two of P, and the optimum
 is at least min(a, b)|P|. As A u B dominates, it is also at least
 min(a, b) gamma, and on trees gamma is the 2-packing number (Meir & Moon,
 Pacific J. Math. 61, 1975). No optimal cover takes both N(u) and N[u]:
-N(u) lies inside N[u], so dropping N(u) would leave a cheaper cover. That is
-why A and B come out disjoint without a constraint in the search.
+N(u) lies inside N[u], so dropping N(u) would leave a cheaper cover. So A
+and B come out disjoint, and the search may let each vertex take one label.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .graphs import Graph, _vset_mask
 from .labelings import RainbowLabeling
-from .solvers import (DEFAULT_NODE_BUDGET, _check_cap, _min_weighted_cover, _undominated,
-                      min_rainbow)
+from .solvers import DEFAULT_NODE_BUDGET, _check_cap, _labeling_cover, min_rainbow
 
 
 @dataclass(frozen=True)
@@ -73,34 +73,25 @@ def min_couple_cost(
 
     (A, B) is a dominating couple exactly when the open neighborhoods N(u),
     u in A, and the closed neighborhoods N[u], u in B, cover V, so the
-    optimum is a minimum-weight cover of V by {N(u) at cost_a} and {N[u] at
-    cost_b}: one search of solvers._min_weighted_cover, under one
-    node_budget, over the 2n sets less those that another set of no higher
-    cost contains (solvers._undominated, the subset rule of exact
-    dominating-set branch and bound). Every N[u] is indexed before every
-    N(u); the subset rule, then that order, decide which of several optimal
-    couples is returned. A and B come out disjoint because N(u) lies inside
-    N[u]: a cover holding both could drop N(u) and would not be the
-    cheapest. The deepening starts at lo = min(cost_a, cost_b) times a greedy
-    2-packing (_two_packing) when that is above the engine's own bound, and
-    no level is searched when the greedy cover costs that much; the levels
-    skipped hold no cover, so the couple returned is the one the search from
-    the engine's bound returns.
+    optimum is one search of solvers._labeling_cover, under one node_budget:
+    u in B is the label (own 1, emit 1) at cost_b, u in A the label (own 0,
+    emit 1) at cost_a, and the two merge into "u in B" at less than their
+    summed cost. The subset rule there (solvers._undominated, the rule of
+    exact dominating-set branch and bound) and the bandwidth order of g
+    decide which of several optimal couples is returned. The deepening
+    starts at lo = min(cost_a, cost_b) times a greedy 2-packing
+    (_two_packing) when that is above the engine's own bound, and no level
+    is searched when the greedy cover costs that much; the levels skipped
+    hold no cover, so the couple returned is the one the search from the
+    engine's bound returns.
     """
     if cost_a < 1 or cost_b < 1:
         raise PreconditionError("costs must be at least 1")
     _check_cap(g)
-    cover = [g.closed(u) for u in range(g.n)] + list(g.adj)
-    cost = [cost_b] * g.n + [cost_a] * g.n
-    keep = _undominated(cover, cost)
-    chosen = _min_weighted_cover(g.full_mask, [cover[i] for i in keep],
-                                 [cost[i] for i in keep], [0], node_budget,
-                                 lo=min(cost_a, cost_b) * len(_two_packing(g)))
-    chosen = [keep[i] for i in chosen]
-    couple = DominatingCouple(
-        frozenset(u - g.n for u in chosen if u >= g.n),
-        frozenset(u for u in chosen if u < g.n),
-    )
+    chosen = _labeling_cover(g, 1, ((1, 1, cost_b), (0, 1, cost_a)), [0], node_budget,
+                             lo=min(cost_a, cost_b) * len(_two_packing(g)))
+    couple = DominatingCouple(frozenset(u for u, j in chosen if j),
+                              frozenset(u for u, j in chosen if not j))
     return couple.cost(cost_a, cost_b), couple
 
 

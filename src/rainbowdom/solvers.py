@@ -3,19 +3,19 @@
 Two exact engines. The weighted cover engine (_min_weighted_cover) finds the
 cheapest family of sets, each with an integer cost, whose union covers a
 given set of elements. Closed and open neighborhoods at unit cost give the
-domination and total domination numbers, and couples.min_couple_cost mixes
-both at two costs. Vertex k v + c of products.cartesian(g, K_k) is color
-c + 1 on v (_cover_labeling), and a set dominates g x K_k iff its labeling
-is k-rainbow dominating. That gives min_rainbow_via_cartesian, the minimum
-2-rainbow labelings in label order (enumerate_min_2rdfs lists these covers
-at the minimum weight with a search of its own) and, with one more element
-that only "{1,2} on u" sets cover, the pair witness.
-The 2-rainbow number of g o h (_min_rainbow_lex) is one cover of
-V(g) x {1, 2} whose set costs are twelve small covers of h (_layer_costs),
-with g numbered in bandwidth order and the 1 <-> 2 color swap broken at the
-first layer. The rainbow engine (_rainbow_fixed) assigns color sets vertex
-by vertex for min_rainbow; it stays independent of the cover engine, as the
-oracle the corpus replay checks the case values against.
+domination and total domination numbers. A labeling of g in which each
+label covers colors of its vertex and of that vertex's neighbors is one
+cover too (_labeling_cover): the couple optimum (couples.min_couple_cost)
+and the 2-rainbow number of g o h (_min_rainbow_lex, its label costs twelve
+small covers of h, _layer_costs) are such labelings. Vertex k v + c of
+products.cartesian(g, K_k) is color c + 1 on v (_cover_labeling), and a set
+dominates g x K_k iff its labeling is k-rainbow dominating. That gives
+min_rainbow_via_cartesian, the minimum 2-rainbow labelings in label order
+(enumerate_min_2rdfs lists these covers at the minimum weight with a search
+of its own) and, with one more element that only "{1,2} on u" sets cover,
+the pair witness. The rainbow engine (_rainbow_fixed) assigns color sets
+vertex by vertex for min_rainbow; it stays independent of the cover engine,
+as the oracle the corpus replay checks the case values against.
 
 Each engine runs iterative deepening on the objective, from an admissible
 bound up to, not including, a greedy solution's cost. The cover engine
@@ -270,6 +270,53 @@ def _min_weighted_cover(
     return greedy
 
 
+def _labeling_cover(
+    g: Graph, k: int, labels, stats: list[int], budget: int, *, lo: int = 0,
+    hi: int | None = None,
+) -> list[tuple[int, int]] | None:
+    """Cheapest labeling of g by `labels` in the weights [lo, hi) of
+    _min_weighted_cover: the chosen (vertex, label index) pairs, or None when
+    no labeling there covers. A label is (own, emit, cost), own and emit
+    masks of k colors; on vertex a it covers (a, c) for c in own and (b, c)
+    for each neighbor b and c in emit, and a labeling covers every (a, c).
+    With a at place i of _bandwidth_order(g), (a, c) is element k i + c, so
+    neighbors' elements sit close, and the label is the set own << k i |
+    spread(a) * emit, spread(a) one bit per neighbor. An option that another
+    of no higher cost contains is dropped (_undominated, over all options at
+    once); each option bans the other kept options of its vertex (excl).
+
+    Precondition: the labels are closed under merging: for any two labels,
+    some label covers both owns and both emits at no more than their summed
+    cost. Then every deepening level stays complete: start from a cheapest
+    labeling, replace each dropped option by the kept option that contains
+    it, and merge any two options that land on one vertex. Each merge
+    removes an option and neither step costs more, so this ends at a
+    cheapest labeling that uses kept options only, at most one per vertex.
+    Only the greedy cover (hi None, no level under its cost holding a cover)
+    may give a vertex two labels, whose merge then costs their sum.
+    """
+    order, m = _bandwidth_order(g), len(labels)
+    place = [0] * g.n
+    for i, a in enumerate(order):
+        place[a] = i
+    cover = []
+    for i, a in enumerate(order):
+        spread = 0
+        for b in iter_bits(g.adj[a]):
+            spread |= 1 << (k * place[b])
+        for own, emit, _ in labels:
+            cover.append(own << (k * i) | spread * emit)
+    cost = [c for _, _, c in labels] * g.n
+    keep = _undominated(cover, cost)
+    mine = [0] * g.n  # place -> the kept options of its vertex
+    for s, u in enumerate(keep):
+        mine[u // m] |= 1 << s
+    excl = [mine[u // m] & ~(1 << s) for s, u in enumerate(keep)]
+    chosen = _min_weighted_cover((1 << (k * g.n)) - 1, [cover[u] for u in keep],
+                                 [cost[u] for u in keep], stats, budget, lo=lo, hi=hi, excl=excl)
+    return None if chosen is None else [(order[keep[s] // m], keep[s] % m) for s in chosen]
+
+
 def _min_neighborhood_cover(g: Graph, closed: bool, node_budget: int) -> SolveResult:
     """Fewest vertices whose closed (or open) neighborhoods cover V(g): one
     search of the cover engine per component, under one node budget."""
@@ -504,36 +551,15 @@ def _min_rainbow_lex(
     its color union C(a). The layer is valid iff each of its empty vertices
     sees, inside its own copy of h, the colors missing from R(a), the union
     of C(b) over the neighbors b of a. Hence the value is the least
-    sum over a of cost_h(C(a), R(a)) (see _layer_costs): a minimum-weight
-    cover of the elements (a, c), a in V(g), c in {1, 2}, by the sets
-    S(a, C, R) = {(a, c) : c not in R} | {(b, c) : b ~ a, c in C} at cost
-    cost_h(C, R). An option whose set lies inside another's at no higher
-    cost is dropped (_undominated; on ties the first in (C, R) order stays).
-    The cover takes at most one option per layer. Two options (C1, R1) and (C2, R2) of
-    one layer merge into (C1 | C2, R1 & R2): its set is the union of theirs,
-    and its cost is at most the sum (OR the two witness labelings), so the
-    option the dominance rule keeps for it is at least as good. Hence some
-    minimum cover takes one option per layer, and each option bans the
-    others of its layer below it in the search (excl of _min_weighted_cover)
-    without making any deepening level incomplete. h need not be connected.
-
-    The layers are numbered in _bandwidth_order(g) (Cuthill-McKee; the
-    identity on a path), so the elements of neighboring layers sit close
-    together. The search branches on the lowest uncovered element and
-    remembers the sub-covers it refuted, so it then works along the order
-    much like a dynamic program over its frontier; the witness is mapped
-    back to the vertices of g.
-
-    Swapping colors 1 and 2 in every layer maps a cover to a cover of equal
-    cost, since cost_h(C, R) = cost_h(sC, sR), s the swap. So the first
-    layer drops an option whose swap is also kept there and comes earlier in
-    (C, R) order. That is sound whatever _undominated kept on ties: take a
-    minimum cover with one kept option per layer; if its first layer's
-    option was dropped, swap the colors everywhere, then trade each swapped
-    option of a later layer for the kept option that contains it at no
-    higher cost. The first layer's swapped option is kept and not dropped
-    (its own swap comes after it), so a minimum cover of the same shape
-    remains, and every deepening level below the value is still refuted.
+    sum over a of cost_h(C(a), R(a)) (see _layer_costs): a labeling of g
+    (_labeling_cover) whose label (C, R) on a owns the colors outside R,
+    emits C to the neighbors of a, and costs cost_h(C, R). Two labels
+    (C1, R1) and (C2, R2) merge into (C1 | C2, R1 & R2), at no more than
+    their summed cost (OR the two witness labelings), so the labels are
+    closed under merging. h need not be connected. The search branches on
+    the lowest uncovered element in bandwidth order and remembers the
+    sub-covers it refuted, so it works along the order much like a dynamic
+    program over its frontier.
 
     The table solves and the cover share one node budget; a BudgetError of
     the cover carries the level it was refuting (see _min_weighted_cover),
@@ -550,37 +576,13 @@ def _min_rainbow_lex(
         exc.level = None  # a level of a cover of h bounds nothing here
         raise
     keys = list(table)
-    weights = [table[key][0] for key in keys]
-    swapped = [keys.index((_swap_colors(cmask), _swap_colors(r))) for cmask, r in keys]
-    order = _bandwidth_order(g)
-    place = [0] * g.n
-    for i, a in enumerate(order):
-        place[a] = i
-    cover, cost, owner, excl = [], [], [], []
-    for i, a in enumerate(order):
-        first = len(cover)
-        # one bit per neighbor layer; times C it marks (b, c) for c in C
-        nbr = 0
-        for b in iter_bits(g.adj[a]):
-            nbr |= 1 << (2 * place[b])
-        options = [((3 & ~r) << (2 * i)) | nbr * cmask for cmask, r in keys]
-        kept = _undominated(options, weights)
-        if i == 0:  # the color swap: of an option and its kept swap, the earlier
-            kept = [j for j in kept if not (swapped[j] < j and swapped[j] in kept)]
-        for j in kept:
-            cover.append(options[j])
-            cost.append(weights[j])
-            owner.append((a, keys[j]))
-        layer = (1 << len(cover)) - (1 << first)
-        excl += [layer & ~(1 << u) for u in range(first, len(cover))]
-    chosen = _min_weighted_cover((1 << (2 * g.n)) - 1, cover, cost, stats, node_budget,
-                                 lo=lo, hi=hi, excl=excl)
+    labels = [(3 & ~r, cmask, table[cmask, r][0]) for cmask, r in keys]
+    chosen = _labeling_cover(g, 2, labels, stats, node_budget, lo=lo, hi=hi)
     if chosen is None:
         return None
     masks = [0] * (g.n * h.n)
-    for u in chosen:
-        a, key = owner[u]
-        for x, m in enumerate(table[key][1]):
+    for a, j in chosen:
+        for x, m in enumerate(table[keys[j]][1]):
             masks[a * h.n + x] |= m
     labeling = RainbowLabeling(2, tuple(masks))
     return SolveResult(labeling.weight, labeling, stats[0])

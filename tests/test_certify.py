@@ -32,6 +32,7 @@ from rainbowdom import (
     verify_corpus,
 )
 from rainbowdom.certify import _certify_connected, _dominating_projections, _projection_gap
+from rainbowdom.couples import _is_dominating_couple
 from rainbowdom.graphs import iter_bits
 from rainbowdom.solvers import _min_rainbow_lex, _pair_search
 
@@ -187,6 +188,20 @@ class TestCertifyCases:
         assert cert.lower.kind == "couple"
         assert cert.value == min_couple_cost(gen_path(7), 2, 3)[0] == 7
 
+    @pytest.mark.parametrize("n, seed, value", [(44, 1, 36), (48, 1, 41), (48, 2, 40)])
+    def test_rdh3nopair_couple_of_a_seeded_tree_within_a_small_budget(self, n, seed, value):
+        # the seeded trees of the certify-ladder benchmark, past its 14
+        # vertices: each couple search takes 774 to 1,521 nodes (in index
+        # order, with no ban of a second label per vertex, it ran out of 300,000)
+        rng = random.Random(1000 * seed + n)
+        g = from_edge_list(n, [(rng.randrange(i), i) for i in range(1, n)])
+        cost, couple = min_couple_cost(g, 2, 3, node_budget=5000)
+        assert cost == couple.cost(2, 3) == value
+        assert _is_dominating_couple(g, couple)
+        if (n, seed) == (44, 1):
+            cert = certify_rd_lex(g, gen_double_c4(), node_budget=5000)
+            assert cert.describe() == "exact 36, case RdH3NoPair"
+
     def test_rdh3pair_interval_refined(self):
         cert = certify_rd_lex(gen_path(5), gen_path(4))
         assert cert.describe() == "interval [4,5], case RdH3Pair; refined exact 5"
@@ -290,21 +305,21 @@ class TestCertifyCases:
 # the layer cover's own pins, on the paths and cycles of the benchmark ladder
 # times P4 (certify settles these by the path theorem): (g, value, nodes)
 LADDER_REFINES = {
-    "P8": (gen_path(8), 8, 72),
-    "C8": (gen_cycle(8), 8, 241),
-    "C10": (gen_cycle(10), 9, 104),
-    "P12": (gen_path(12), 11, 241),
-    "C12": (gen_cycle(12), 11, 542),
-    "P16": (gen_path(16), 15, 480),
+    "P8": (gen_path(8), 8, 71),
+    "C8": (gen_cycle(8), 8, 306),
+    "C10": (gen_cycle(10), 9, 116),
+    "P12": (gen_path(12), 11, 246),
+    "C12": (gen_cycle(12), 11, 619),
+    "P16": (gen_path(16), 15, 484),
 }
 
 
 # first factors that certify_rd_lex refines with P4, searching only its own
 # bracket [lo, hi) = [2 gamma(g), upper bound): (g, lo, hi, value, nodes)
 CERTIFY_REFINES = {
-    "tree16": (TREE16, 12, 13, 13, 288),
-    "spider16": (SPIDER16, 12, 15, 14, 965),
-    "FORK6": (FORK6, 4, 6, 5, 36),
+    "tree16": (TREE16, 12, 13, 13, 195),
+    "spider16": (SPIDER16, 12, 15, 14, 969),
+    "FORK6": (FORK6, 4, 6, 5, 39),
 }
 
 
@@ -359,7 +374,7 @@ class TestRefine:
     def test_out_of_budget_note_names_the_level(self):
         # the table of layer costs fits in the budget, the cover does not: every
         # level below 5 was refuted, so rd_2(FORK6 o P4) >= 5 (the cover is at
-        # level 5 from 26 nodes on and finishes in 36; the table takes 20)
+        # level 5 from 26 nodes on and finishes in 39; the table takes 20)
         cert = certify_rd_lex(FORK6, gen_path(4), node_budget=30)
         assert cert.describe() == "interval [4,6], case RdH3Pair"
         assert cert.notes == ("refine exhausted the node budget 30 at level 5; interval kept",)
@@ -372,17 +387,15 @@ class TestRefine:
         assert exc.value.level is None
 
     def test_one_option_per_layer_fits_a_small_budget(self):
-        # the refine of SPIDER16 o P4 in [12, 15) takes 965 nodes
-        # (CERTIFY_REFINES); without one option per layer (no excl bans), 1,152
+        # the refine of SPIDER16 o P4 in [12, 15) takes 969 nodes
+        # (CERTIFY_REFINES), one option per layer
         cert = certify_rd_lex(SPIDER16, gen_path(4), node_budget=1000)
         assert cert.describe() == "interval [12,15], case RdH3Pair; refined exact 14"
         assert cert.notes == ()
 
     def test_seeded_tree_refines_within_a_small_budget(self):
-        # a 16-vertex tree: in bandwidth order, with the color swap broken, the
-        # refine in [12, 13) takes 288 nodes (CERTIFY_REFINES; 20 of them the
-        # table of P4); from the cover's own root bound it took 511, in index
-        # order 26,637
+        # a 16-vertex tree: in bandwidth order, the refine in [12, 13) takes
+        # 195 nodes (CERTIFY_REFINES; 20 of them the table of P4)
         cert = certify_rd_lex(TREE16, gen_path(4), node_budget=300)
         assert cert.describe() == "interval [12,13], case RdH3Pair; refined exact 13"
         assert cert.notes == ()

@@ -99,6 +99,15 @@ class TestInvariant:
         # gamma_t undefined with an isolated vertex
         assert run(capsys, "invariant", "P1", "--type", "gammat")[0] == 5
 
+    def test_negative_budget_refused(self, capsys):
+        # a parse error (exit 2), not a budget exhausted before the search (4);
+        # 0 stays a budget
+        rc, out, err = run(capsys, "certify", "P4", "P4", "--budget", "-5")
+        assert rc == 2 and out == ""
+        assert "argument --budget: expected a node count of 0 or more, got '-5'" in err
+        assert run(capsys, "invariant", "P4", "--type", "gamma", "--budget", "x")[0] == 2
+        assert run(capsys, "invariant", "P1", "--type", "gamma", "--budget", "0")[0] == 0
+
     def test_each_error_class_carries_its_exit_code(self):
         assert [cls.exit_code for cls in (
             RainbowDomError, ParseError, CapacityError, CapExceededError,

@@ -189,7 +189,8 @@ class TestCoupleCoverSearch:
 
     def test_packing_bound_agrees_with_oracle(self):
         # the search starts at min(cost_a, cost_b) times a greedy 2-packing,
-        # which must be a 2-packing and never pass the optimum
+        # which must be a 2-packing and never pass the optimum; disconnected
+        # g and isolated vertices included, costs from 1 to 4
         rng = random.Random(1961)
         for _ in range(40):
             n = rng.randint(1, 9)
@@ -198,7 +199,7 @@ class TestCoupleCoverSearch:
             packing = _two_packing(g)
             for u, v in itertools.combinations(packing, 2):
                 assert not g.closed(u) & g.closed(v), (g.adj, packing)
-            for ca, cb in [(2, 3), (3, 2), (1, 1), (2, 4)]:
+            for ca, cb in [(2, 3), (3, 2), (1, 1), (2, 4), (1, 4), (4, 1)]:
                 value, couple = min_couple_cost(g, ca, cb)
                 assert value == brute_min_couple_cost(g, ca, cb), (g.adj, ca, cb)
                 assert min(ca, cb) * len(packing) <= value

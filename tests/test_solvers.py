@@ -269,7 +269,7 @@ class TestWeightedCover:
             # no refutation kept: the plain depth-first search's counts
             assert got["branchy18", "gamma"].nodes_explored == 79
             assert got["sparse16", "gamma_t"].nodes_explored == 96
-            assert got["P16", "o P4"].nodes_explored == 1933
+            assert got["P16", "o P4"].nodes_explored == 1857
 
 
 class TestMinRainbow:
@@ -546,28 +546,6 @@ class TestMinRainbowLex:
                                 seen |= masks[y]
                         assert (3 & ~r) & ~seen == 0, (h.adj, cmask, r, masks)
 
-    def test_order_and_color_swap_match_direct_search(self):
-        # the layer cover runs in _bandwidth_order and keeps one of each
-        # color-swapped pair of options at its first layer; neither may change
-        # a value, the answer to hi, or the validity of a witness
-        rng = random.Random(1975)
-        hs = [gen_complete(1), gen_path(2), gen_path(4), gen_cycle(5),
-              from_edge_list(4, [(0, 1), (1, 2)])]
-        for _ in range(60):
-            n = rng.randint(1, 7)
-            g = from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
-                                   if rng.random() < 0.35])
-            for h in hs:
-                prod = lexicographic(g, h)
-                value = min_rainbow(prod, 2).value
-                res = _min_rainbow_lex(g, h)
-                assert res.value == value, (g.adj, h.adj)
-                assert res.witness.weight == value
-                assert is_k_rainbow_dominating(prod, res.witness), (g.adj, h.adj)
-                assert _min_rainbow_lex(g, h, hi=value) is None
-                res = _min_rainbow_lex(g, h, hi=value + 1)
-                assert res.value == value and is_k_rainbow_dominating(prod, res.witness)
-
     def test_empty_and_capacity(self):
         assert _min_rainbow_lex(gen_path(3), Graph(0, ())).value == 0
         with pytest.raises(CapacityError):
@@ -580,3 +558,45 @@ class TestMinRainbowLex:
     def test_p64_path_tiling_is_optimal_within_a_small_budget(self):
         # no labeling of P64 o P4 weighs less than the path tiling's 56
         assert _min_rainbow_lex(gen_path(64), gen_path(4), node_budget=20000, hi=56) is None
+
+
+def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    return from_edge_list(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+class TestLabelingCover:
+    """_labeling_cover, the one search behind the layer cover and the couple
+    cover (whose optimum tests/test_couples.py checks by brute force): its
+    subset rule compares options of different vertices, and each vertex
+    takes at most one label, also on disconnected factors and isolated
+    vertices."""
+
+    def test_layer_cover_matches_direct_search(self, monkeypatch):
+        # values, the answer to hi and witnesses, in bandwidth order, on a
+        # fixed set of h and on random ones, disconnected ones too
+        real, searched = solvers._labeling_cover, []
+
+        def recording(g, k, labels, stats, budget, *, lo=0, hi=None):
+            pairs = real(g, k, labels, stats, budget, lo=lo, hi=hi)
+            if pairs is not None and hi is not None:  # no greedy cover
+                searched.append(pairs)
+            return pairs
+
+        monkeypatch.setattr(solvers, "_labeling_cover", recording)
+        rng = random.Random(1975)
+        hs = [gen_complete(1), gen_path(2), gen_path(4), gen_cycle(5),
+              from_edge_list(4, [(0, 1), (1, 2)])]
+        for _ in range(60):
+            g = _random_graph(rng, rng.randint(1, 7), 0.35)
+            for h in hs + [_random_graph(rng, rng.randint(1, 4), 0.5) for _ in range(2)]:
+                prod = lexicographic(g, h)
+                value = min_rainbow(prod, 2).value
+                res = _min_rainbow_lex(g, h)
+                assert res.value == res.witness.weight == value, (g.adj, h.adj)
+                assert is_k_rainbow_dominating(prod, res.witness), (g.adj, h.adj)
+                assert _min_rainbow_lex(g, h, hi=value) is None
+                res = _min_rainbow_lex(g, h, hi=value + 1)
+                assert res.value == value and is_k_rainbow_dominating(prod, res.witness)
+                pairs = searched.pop()
+                assert len({a for a, _ in pairs}) == len(pairs), (g.adj, h.adj, pairs)
+        assert not searched
