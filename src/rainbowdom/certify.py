@@ -9,8 +9,9 @@ is self-checked before it is returned: the upper labeling is re-validated on
 the actual product graph and must match the claimed weight. Every exact
 outcome, the empty product's too, is built by _exact, which returns it
 through that check; the RdH3Pair interval and the ComponentSum total are
-built directly and pass the same check, and a refined interval passes it
-again.
+built directly and pass the same check. A refine (_refine) checks only what
+it adds: a lighter labeling is validated on the product and must lie in
+the interval.
 
 The case tags:
 
@@ -51,17 +52,17 @@ The case tags:
   product is not).
 
 Each certificate solves each sub-problem once. classify_h solves the
-2-rainbow number of h, with one minimum labeling, and runs the pair search
-only when that number is 3; the HClassification is passed to every component
-of g. Within a certificate, classify_h is the only caller of the direct
-search (min_rainbow). Per component, the case code solves gamma(g),
-gamma_t(g) and the couple optimum at most once each, and builds its upper
-labeling from those witnesses without searching again: the couple labeling
-of (empty, D) for RdH2 (D a minimum dominating set), of (T, empty) for
-RdH4Plus (T a minimum total dominating set), and of the optimal couple for
-RdH3NoPair and RdH3Pair, each copying the labeling of h from the
-classification into its B-layers; and, when g is a path or a cycle, the
-path tiling laid along a spanning path of g from the pair witness. Adding
+2-rainbow number of h, with one minimum labeling, and reads the pair witness
+off the degrees of h (solvers.pair_witness, no search); the HClassification
+is passed to every component of g. Within a certificate, classify_h is the
+only caller of the direct search (min_rainbow). Per component, the case code
+solves gamma(g), gamma_t(g) and the couple optimum at most once each, and
+builds its upper labeling from those witnesses without searching again: the
+couple labeling of (empty, D) for RdH2 (D a minimum dominating set), of
+(T, empty) for RdH4Plus (T a minimum total dominating set), and of the
+optimal couple for RdH3NoPair and RdH3Pair, each copying the labeling of h
+from the classification into its B-layers; and, when g is a path or a cycle,
+the path tiling laid along a spanning path of g from the pair witness. Adding
 edges to g keeps every 2-rainbow dominating labeling of g o h valid, and
 _self_check re-validates the tiling on the product itself.
 
@@ -129,12 +130,12 @@ from .solvers import (
     _cover_labeling,
     _min_rainbow_lex,
     _min_weighted_cover,
-    _pair_search,
     _rainbow_cover,
     min_dominating_set,
     min_rainbow,
     min_rainbow_via_cartesian,
     min_total_dominating_set,
+    pair_witness,
 )
 
 
@@ -193,12 +194,12 @@ class Certificate:
 class HClassification:
     """What the case analysis needs of a connected second factor h.
 
-    Every field is set by one solve of the 2-rainbow number of h: tag
-    (TrivialH when h is one vertex, else RdH2, RdH4Plus, RdH3NoPair or
-    RdH3Pair), rd2, and labeling, one minimum 2-rainbow labeling of h, which
-    the couple labelings copy into their B-layers. pair is the pair witness
-    (u, v) that the path tiling uses; it is set only when the tag is
-    RdH3Pair, since the pair search runs only when rd2 is 3.
+    One solve of the 2-rainbow number of h sets rd2 and labeling, one
+    minimum 2-rainbow labeling of h, which the couple labelings copy into
+    their B-layers. pair is the pair witness (u, v) that the path tiling
+    uses (solvers.pair_witness, a degree condition, no search); it is set
+    exactly when the tag is RdH3Pair. tag is TrivialH when h is one vertex,
+    else RdH2, RdH4Plus, RdH3NoPair or RdH3Pair, by rd2 and pair.
     """
 
     tag: str
@@ -217,7 +218,7 @@ def general_bounds(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) 
 
 def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassification:
     """Compute the case-analysis data for the second factor: one solve of its
-    2-rainbow number, and the pair search only when that number is 3.
+    2-rainbow number, and the pair witness, which takes no search.
 
     The classification is kept in the process's factor memo (_solve_factor),
     keyed by the value of h and node_budget, so a second call with equal
@@ -233,7 +234,7 @@ def _classify(h: Graph, node_budget: int) -> HClassification:
     if not is_connected(h):
         raise DisconnectedError("classification assumes a connected second factor")
     rd = min_rainbow(h, 2, node_budget=node_budget)
-    pair = None
+    pair = pair_witness(h)  # None unless rd_2(h) = 3
     if h.n == 1:
         tag = "TrivialH"
     elif rd.value == 2:
@@ -241,7 +242,6 @@ def _classify(h: Graph, node_budget: int) -> HClassification:
     elif rd.value >= 4:
         tag = "RdH4Plus"
     else:
-        pair = _pair_search(h, rd.value, node_budget - rd.nodes_explored)
         tag = "RdH3NoPair" if pair is None else "RdH3Pair"
     return HClassification(tag, rd.value, pair, rd.witness)
 
@@ -414,8 +414,10 @@ def _certify_connected(
 def _refine(g: Graph, h: Graph, cert: Certificate, node_budget: int) -> Certificate:
     """The certificate of a connected g with its open RdH3Pair interval
     refined to the exact value by the layer cover, or with one note saying
-    why it stays open (a note changes no bound or labeling, so it needs no
-    new check); any other certificate as it is."""
+    why it stays open; any other certificate as it is. cert has passed
+    _self_check, so only what the refine adds is checked: a lighter labeling
+    must lie in [lo, hi) and validate on g o h. A note, or a refined value
+    hi with the upper labeling, needs no new check."""
     if cert.case != "RdH3Pair" or cert.exact or cert.refined_exact is not None:
         return cert
     if g.n * h.n > SOLVER_VERTEX_CAP:
@@ -427,13 +429,13 @@ def _refine(g: Graph, h: Graph, cert: Certificate, node_budget: int) -> Certific
         at = "" if exc.level is None else f" at level {exc.level}"
         return replace(cert, notes=(
             f"refine exhausted the node budget {node_budget}{at}; interval kept",))
-    if res is None:  # no labeling lighter than the upper one
-        value, labeling = cert.hi, cert.upper_labeling
-    elif not cert.lo <= res.value < cert.hi:
+    if res is None:  # no labeling lighter than the upper one, which is validated
+        return replace(cert, refined_exact=cert.hi, refined_labeling=cert.upper_labeling)
+    if not cert.lo <= res.value < cert.hi:
         raise RainbowDomError("internal check failed: exact solve escaped certified bounds")
-    else:
-        value, labeling = res.value, res.witness
-    return _self_check(g, h, replace(cert, refined_exact=value, refined_labeling=labeling))
+    if not is_k_rainbow_dominating(lexicographic(g, h), res.witness):
+        raise RainbowDomError("internal check failed: certificate witness does not validate")
+    return replace(cert, refined_exact=res.value, refined_labeling=res.witness)
 
 
 def _effective(cert: Certificate) -> tuple[int, int, RainbowLabeling | None]:

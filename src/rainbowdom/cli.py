@@ -168,13 +168,13 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _pair_for(h: Graph, args, budget: int) -> tuple[int, int]:
+def _pair_for(h: Graph, args) -> tuple[int, int]:
     if (args.u is None) != (args.v is None):
         raise ParseError("give both --u and --v, or neither")
     if args.u is not None:
         return args.u, args.v
-    pw = solvers.pair_witness(h, node_budget=budget)
-    if pw is None or pw.v is None:
+    pw = solvers.pair_witness(h)
+    if pw is None:
         raise PreconditionError(
             "h has no pair witness; pass --u and --v explicitly if you "
             "believe otherwise"
@@ -183,22 +183,20 @@ def _pair_for(h: Graph, args, budget: int) -> tuple[int, int]:
 
 
 def _cmd_construct(args) -> int:
-    budget = args.budget
     h = _load_graph(args.h, args.format)
     if args.kind == "tiles":
-        u, v = _pair_for(h, args, budget)
-        f = constructions.path_pattern_labeling(args.n, h, u, v, node_budget=budget)
+        u, v = _pair_for(h, args)
+        f = constructions.path_pattern_labeling(args.n, h, u, v)
         g = gen_path(args.n)
     elif args.kind == "glued":
-        u, v = _pair_for(h, args, budget)
-        f = constructions.glued_family_labeling(
-            args.m, args.p2, h, u, v, node_budget=budget
-        )
+        u, v = _pair_for(h, args)
+        f = constructions.glued_family_labeling(args.m, args.p2, h, u, v)
         g = gen_glued_paths(args.m, args.p2)
     elif args.kind == "totaldom":
         g = _load_graph(args.g, args.format)
-        f = constructions.total_dom_labeling(g, h, args.k, node_budget=budget)
+        f = constructions.total_dom_labeling(g, h, args.k, node_budget=args.budget)
     else:  # couple
+        budget = args.budget
         g = _load_graph(args.g, args.format)
         rdh = solvers.min_rainbow(h, args.k, node_budget=budget).value
         _, couple = couples.min_couple_cost(g, args.k, rdh, node_budget=budget)
@@ -330,10 +328,10 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--g", required=True, help="first factor")
         q.add_argument("--h", required=True, help="second factor")
         q.add_argument("--k", type=int, default=2)
+        _add_budget(q)  # the tilings take no search
     for q in kinds.choices.values():
         q.add_argument("--out", default=None, help="write the labeling here")
         _add_format(q)
-        _add_budget(q)
         q.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("validate", help="check a labeling file against a graph")

@@ -27,8 +27,8 @@ from .labelings import RainbowLabeling, _validate_k, is_k_rainbow_dominating
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     min_dominating_set,
-    min_rainbow,
     min_total_dominating_set,
+    pair_witness,
 )
 
 
@@ -67,7 +67,7 @@ def _tiling(n: int) -> list[int]:
     return [7] * t + [r]
 
 
-def _require_pair_witness(h: Graph, u: int, v: int, node_budget: int):
+def _require_pair_witness(h: Graph, u: int, v: int):
     if not (0 <= u < h.n and 0 <= v < h.n) or u == v:
         raise PreconditionError("u, v must be distinct vertices of h")
     masks = [0] * h.n
@@ -77,19 +77,17 @@ def _require_pair_witness(h: Graph, u: int, v: int, node_budget: int):
         raise PreconditionError(
             "the labeling {1,2} at u, {1} at v does not rainbow-dominate h"
         )
-    if min_rainbow(h, 2, node_budget=node_budget).value != 3:
+    if pair_witness(h) is None:
         raise PreconditionError("h must have 2-rainbow domination number 3")
 
 
-def path_pattern_labeling(
-    n: int, h: Graph, u: int, v: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> RainbowLabeling:
+def path_pattern_labeling(n: int, h: Graph, u: int, v: int) -> RainbowLabeling:
     """Tiled 2-rainbow labeling of the product of the standard path P_n
     (vertices 0..n-1 in path order) with h, of weight path_upper_bound(n).
     (u, v) must be a pair witness of h, which need not be connected."""
     if n < 2:
         raise PreconditionError("tiling needs n >= 2")
-    _require_pair_witness(h, u, v, node_budget)
+    _require_pair_witness(h, u, v)
     return _tile_path(range(n), h.n, u, v)
 
 
@@ -148,9 +146,7 @@ def universal_vertex_labeling(
     return _lift_couple(g.n, h.n, k, DominatingCouple(frozenset(), ds.witness), h_masks)
 
 
-def glued_family_labeling(
-    m: int, p2: int, h: Graph, u: int, v: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> RainbowLabeling:
+def glued_family_labeling(m: int, p2: int, h: Graph, u: int, v: int) -> RainbowLabeling:
     """2-rainbow labeling of the product of gen_glued_paths(m, p2) with h,
     of weight 4m + 2, nonempty only on the u-row and v-row.
 
@@ -159,6 +155,6 @@ def glued_family_labeling(
     v-row digits 00010 outward from the center; pendant columns are empty.
     """
     g = gen_glued_paths(m, p2)  # validates m, p2
-    _require_pair_witness(h, u, v, node_budget)
+    _require_pair_witness(h, u, v)
     return _two_rows(g.n, h.n, u, v, range(g.n),
                      _GLUED_CENTER[0] + _GLUED_ARM[0] * m, _GLUED_CENTER[1] + _GLUED_ARM[1] * m)

@@ -355,7 +355,8 @@ def _bandwidth_order(g: Graph) -> list[int]:
     is the identity on gen_path, and on gen_cycle no edge spans more than 2
     places."""
     order, seen = [], 0
-    for start in sorted(range(g.n), key=g.degree):
+    degree = [m.bit_count() for m in g.adj].__getitem__
+    for start in sorted(range(g.n), key=degree):
         if seen >> start & 1:
             continue
         seen |= 1 << start
@@ -364,7 +365,7 @@ def _bandwidth_order(g: Graph) -> list[int]:
         while head < len(order):
             v = order[head]
             head += 1
-            order.extend(sorted(iter_bits(g.adj[v] & ~seen), key=g.degree))
+            order.extend(sorted(iter_bits(g.adj[v] & ~seen), key=degree))
             seen |= g.adj[v]
     return order
 

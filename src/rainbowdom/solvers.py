@@ -10,10 +10,10 @@ and the 2-rainbow number of g o h (_min_rainbow_lex, its label costs twelve
 small covers of h, _layer_costs) are such labelings. Vertex k v + c of
 products.cartesian(g, K_k) is color c + 1 on v (_cover_labeling), and a set
 dominates g x K_k iff its labeling is k-rainbow dominating. That gives
-min_rainbow_via_cartesian, the minimum 2-rainbow labelings in label order
+min_rainbow_via_cartesian and the minimum 2-rainbow labelings in label order
 (enumerate_min_2rdfs lists these covers at the minimum weight with a search
-of its own) and, with one more element that only "{1,2} on u" sets cover,
-the pair witness. The rainbow engine (_rainbow_fixed) assigns color sets
+of its own). The pair witness needs no search: it is a degree condition
+(pair_witness). The rainbow engine (_rainbow_fixed) assigns color sets
 vertex by vertex for min_rainbow; it stays independent of the cover engine,
 as the oracle the corpus replay checks the case values against.
 
@@ -76,14 +76,11 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class PairWitness:
-    """A minimum 2-RDF that uses the label {1,2} somewhere.
-
-    u carries {1,2}. When the minimum weight is 3 the single remaining
-    nonempty vertex v is reported too, color-swapped so its label is {1}.
-    """
+    """A minimum 2-RDF of weight 3 that uses the label {1,2}: {1,2} on u,
+    {1} on v, every other vertex empty. u sees every vertex but v."""
 
     u: int
-    v: int | None
+    v: int
     labeling: RainbowLabeling
 
 
@@ -530,11 +527,6 @@ def _layer_costs(h: Graph, stats: list[int], budget: int) -> dict:
     return table
 
 
-def _swap_colors(mask: int) -> int:
-    """The color mask with colors 1 and 2 exchanged."""
-    return (mask & 1) << 1 | mask >> 1
-
-
 def _min_rainbow_lex(
     g: Graph, h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET, lo: int = 0,
     hi: int | None = None,
@@ -664,42 +656,27 @@ def enumerate_min_2rdfs(
         raise CapExceededError(f"more than {cap} minimum labelings exist")
 
 
-def pair_witness(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PairWitness | None:
-    """Search for a minimum 2-RDF of h that assigns {1,2} somewhere.
+def pair_witness(h: Graph) -> PairWitness | None:
+    """The pair witness of h: {1,2} on u and {1} on v, a minimum 2-RDF of
+    weight 3, or None when h has none. No search runs.
 
-    Solves the 2-rainbow number of h, then runs the pair search on the rest
-    of the node budget. Returns None iff no minimum 2-RDF uses the label
-    {1,2}.
+    By Proposition 1 of the README, such a labeling is a minimum 2-RDF
+    exactly when u has degree n - 2, v is its one non-neighbor, and h has
+    no 2-RDF of weight 2 or less: n <= 2, a universal vertex, or two
+    vertices that see every other vertex. Those two each have degree n - 2
+    and are each other's non-neighbor. u is the lowest-index vertex of
+    degree n - 2. So the answer is None exactly when rd_2(h) != 3 or no
+    minimum 2-RDF of h uses {1,2}.
     """
-    base = min_rainbow(h, 2, node_budget=node_budget)
-    return _pair_search(h, base.value, node_budget - base.nodes_explored)
-
-
-def _pair_search(h: Graph, rd2: int, budget: int) -> PairWitness | None:
-    """pair_witness for an h whose 2-rainbow number rd2 is already known.
-
-    One level, cost rd2, of the cover engine over the elements of
-    _rainbow_cover(h), moved up one bit, and a "pair used" element at bit 0,
-    which only the cost-2 sets "{1,2} on u" cover. Per vertex u the sets are
-    3u ({1,2}), 3u + 1 ({2}, set 2u + 1 of _rainbow_cover) and 3u + 2 ({1},
-    set 2u). The search branches on the lowest uncovered element, the pair
-    element first, so u is tried in index order. A pair exists iff some
-    cover costs rd2 (none costs less).
-    """
-    units, cover = _rainbow_cover(h), []
-    for one, two in zip(units[::2], units[1::2]):
-        cover += [(one | two) << 1 | 1, two << 1, one << 1]
-    chosen = _min_weighted_cover((2 << 2 * h.n) - 1, cover, [2, 1, 1] * h.n, [0], budget,
-                                 lo=rd2, hi=rd2 + 1)
-    if chosen is None:
+    n = h.n
+    deg = [m.bit_count() for m in h.adj]
+    if n <= 2 or n - 1 in deg:
         return None
-    masks = [0] * h.n
-    for i in chosen:
-        masks[i // 3] |= 3 - i % 3
-    u = next(i for i, m in enumerate(masks) if m == 3)
-    v = None
-    if rd2 == 3:
-        v = next(i for i, m in enumerate(masks) if m and i != u)
-        if masks[v] == 2:
-            masks = [_swap_colors(m) for m in masks]
-    return PairWitness(u, v, RainbowLabeling(2, tuple(masks)))
+    spare = {x: (h.full_mask & ~h.closed(x)).bit_length() - 1
+             for x in range(n) if deg[x] == n - 2}  # vertex -> its one non-neighbor
+    if not spare or any(deg[y] == n - 2 for y in spare.values()):
+        return None
+    u = min(spare)
+    masks = [0] * n
+    masks[u], masks[spare[u]] = 3, 1
+    return PairWitness(u, spare[u], RainbowLabeling(2, tuple(masks)))

@@ -34,7 +34,7 @@ from rainbowdom import (
 from rainbowdom.certify import _certify_connected, _dominating_projections, _projection_gap
 from rainbowdom.couples import _is_dominating_couple
 from rainbowdom.graphs import iter_bits
-from rainbowdom.solvers import _min_rainbow_lex, _pair_search
+from rainbowdom.solvers import _min_rainbow_lex
 
 from conftest import brute_min_dominating, brute_min_rainbow, projection_property
 
@@ -107,13 +107,13 @@ class TestClassifyH:
             classify_h(from_edge_list(4, [(0, 1), (2, 3)]))
 
     def test_one_budget_for_the_call(self):
-        # rd_2 = 3, so the pair search runs, on what the rd_2 solve left
-        h = gen_double_c4()
-        rd = min_rainbow(h, 2)
-        assert _pair_search(h, rd.value, rd.nodes_explored) is None
-        assert classify_h(h, node_budget=rd.nodes_explored + 100).tag == "RdH3NoPair"
-        with pytest.raises(BudgetError):
-            classify_h(h, node_budget=rd.nodes_explored)
+        # the pair witness takes no search, so the rd_2 solve's own nodes suffice
+        for h, nodes, tag in [(gen_double_c4(), 8, "RdH3NoPair"), (gen_path(4), 7, "RdH3Pair"),
+                              (gen_cycle(5), 6, "RdH3NoPair")]:
+            assert min_rainbow(h, 2).nodes_explored == nodes
+            assert classify_h(h, node_budget=nodes).tag == tag
+            with pytest.raises(BudgetError):
+                classify_h(h, node_budget=nodes - 1)
 
 
 class TestCertifyCases:
@@ -161,6 +161,14 @@ class TestCertifyCases:
         cert = certify_rd_lex(g, h)
         assert cert.refined_exact == 8 and cert.refined_labeling is cert.upper_labeling
         assert validated == [cert.upper_labeling]
+        # a search refine validates only the labeling it adds: none when it
+        # keeps the upper labeling (TREE16), the lighter one otherwise
+        for tree, refined in ((TREE16, False), (FORK6, True), (SPIDER16, True)):
+            validated.clear()
+            tcert = certify_rd_lex(tree, h)
+            assert tcert.refined_exact is not None and not tcert.exact
+            assert (tcert.refined_labeling is not tcert.upper_labeling) == refined
+            assert validated == [tcert.upper_labeling] + [tcert.refined_labeling] * refined
         # a broken labeling is refused wherever it sits, also when shared
         prod = lexicographic(g, h)
         broken = RainbowLabeling(2, (3,) * 4 + (0,) * (prod.n - 4))
@@ -269,7 +277,7 @@ class TestCertifyCases:
         assert cert.refined_exact is None and cert.notes == ()
         assert cert.lower.kind == "gamma" and cert.lower.value == 2
         assert sorted(name for name, _ in solve_log) == [
-            "_pair_search", "min_couple_cost", "min_dominating_set", "min_rainbow"]
+            "min_couple_cost", "min_dominating_set", "min_rainbow"]
 
     def test_trivial_factors(self):
         cert = certify_rd_lex(gen_path(4), gen_path(1))
@@ -457,7 +465,7 @@ class TestLayerTable:
 # every solve a certificate can make, by the module that defines it
 SOLVES = {
     "solvers": ("min_rainbow", "min_dominating_set", "min_total_dominating_set",
-                "pair_witness", "_pair_search", "_min_rainbow_lex"),
+                "_min_rainbow_lex"),
     "couples": ("min_couple_cost",),
 }
 
@@ -493,28 +501,28 @@ def solve_log(monkeypatch):
 
 
 class TestSolveOnce:
-    """One certificate solves each sub-problem once: rd_2(h) exactly once,
-    the pair search only when rd_2(h) = 3, and gamma, gamma_t and the couple
+    """One certificate solves each sub-problem once: rd_2(h) exactly once
+    (the pair witness takes no search), and gamma, gamma_t and the couple
     optimum at most once per component of g; a second certificate of equal
     factors in the same process solves none of them again."""
 
     @pytest.mark.parametrize("g, h, case, solves", [
         (gen_path(8), gen_path(2), "RdH2", {"min_dominating_set"}),
         (gen_path(8), gen_path(6), "RdH4Plus", {"min_total_dominating_set"}),
-        (gen_path(8), gen_double_c4(), "RdH3NoPair", {"_pair_search", "min_couple_cost"}),
+        (gen_path(8), gen_double_c4(), "RdH3NoPair", {"min_couple_cost"}),
         # the couple optimum 8 is the upper bound; on a path the theorem gives
         # the value and no refine runs
         (gen_path(8), gen_path(4), "RdH3Pair",
-         {"_pair_search", "min_dominating_set", "min_couple_cost"}),
+         {"min_dominating_set", "min_couple_cost"}),
         # the path tiling (11) beats the couple optimum (12), and no refine runs
         (gen_path(12), gen_path(4), "RdH3Pair",
-         {"_pair_search", "min_dominating_set", "min_couple_cost"}),
+         {"min_dominating_set", "min_couple_cost"}),
         # not a path or a cycle: the refine runs
         (FORK6, gen_path(4), "RdH3Pair",
-         {"_pair_search", "min_dominating_set", "min_couple_cost", "_min_rainbow_lex"}),
+         {"min_dominating_set", "min_couple_cost", "_min_rainbow_lex"}),
         # gamma = gamma_t = 2: the couple optimum 4 closes the bracket
         (gen_path(4), gen_path(4), "RdH3Pair",
-         {"_pair_search", "min_dominating_set", "min_couple_cost"}),
+         {"min_dominating_set", "min_couple_cost"}),
     ], ids=["P8xP2", "P8xP6", "P8xDC4", "P8xP4", "P12xP4", "FORK6xP4", "P4xP4"])
     def test_connected_g(self, solve_log, g, h, case, solves):
         cert = certify_rd_lex(g, h, node_budget=20000)
@@ -522,7 +530,7 @@ class TestSolveOnce:
         assert solve_log[0] == ("min_rainbow", h)
         rest = solve_log[1:]
         assert sorted(name for name, _ in rest) == sorted(solves)
-        assert all(graph == (h if name == "_pair_search" else g) for name, graph in rest)
+        assert all(graph == g for _, graph in rest)
         # a second certificate of equal factors, in the same process, runs
         # only the refine again
         solve_log.clear()
@@ -538,13 +546,13 @@ class TestSolveOnce:
         h = gen_path(4)
         cert = certify_rd_lex(g, h, node_budget=20000)
         assert [part.case for _, part in cert.parts] == ["RdH3Pair", "RdH3Pair"]
-        assert solve_log[:2] == [("min_rainbow", h), ("_pair_search", h)]
+        assert solve_log[:1] == [("min_rainbow", h)]
         c4 = gen_cycle(4)
-        assert sorted((name, graph.n) for name, graph in solve_log[2:]) == sorted([
+        assert sorted((name, graph.n) for name, graph in solve_log[1:]) == sorted([
             ("min_dominating_set", 6), ("min_couple_cost", 6), ("_min_rainbow_lex", 6),
             ("min_dominating_set", 4), ("min_couple_cost", 4),
         ])
-        assert all(graph in (FORK6, c4) for _, graph in solve_log[2:])
+        assert all(graph in (FORK6, c4) for _, graph in solve_log[1:])
 
 
 class TestPathTheorem:
@@ -607,14 +615,14 @@ class TestFactorMemo:
         h = gen_double_c4()
         cls = classify_h(h)
         assert classify_h(h) is cls
-        assert [name for name, _ in solve_log] == ["min_rainbow", "_pair_search"]
+        assert [name for name, _ in solve_log] == ["min_rainbow"]
         rd = min_rainbow(h, 2)
         solve_log.clear()
         # a smaller budget still raises, and a call that raised is solved again
         for _ in range(2):
             with pytest.raises(BudgetError):
-                classify_h(h, node_budget=rd.nodes_explored)
-        assert [name for name, _ in solve_log] == ["min_rainbow", "_pair_search"] * 2
+                classify_h(h, node_budget=rd.nodes_explored - 1)
+        assert [name for name, _ in solve_log] == ["min_rainbow"] * 2
 
 
 class TestCorpusSolveOnce:
@@ -787,6 +795,10 @@ class TestComponentSum:
         assert prod.n == 80
         assert cert.upper_labeling.weight == 20
         assert is_k_rainbow_dominating(prod, cert.upper_labeling)
+        # P64 o (P3 + K1), 256 vertices: exact 56 in the node count the README quotes
+        h = from_edge_list(4, [(0, 1), (1, 2)])
+        assert certify_rd_lex(gen_path(64), h).describe() == "exact 56, case ComponentSum-NA"
+        assert _min_rainbow_lex(gen_path(64), h).nodes_explored == 10_330
 
 
 class TestAgainstExactSolves:

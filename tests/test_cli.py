@@ -256,6 +256,17 @@ class TestConstruct:
     def test_no_pair_witness(self, capsys):
         assert run(capsys, "construct", "tiles", "--h", "P5", "--n", "5")[0] == 5
 
+    def test_tiles_past_the_solver_cap(self, capsys, tmp_path):
+        # the star K_{1,68} plus an isolated vertex: the pair witness (0, 69)
+        # takes no search, so the 64-vertex cap does not apply
+        h = tmp_path / "h70.txt"
+        h.write_text("70 68\n" + "".join(f"0 {i}\n" for i in range(1, 69)))
+        rc, out, _ = run(capsys, "construct", "tiles", "--h", str(h), "--n", "9")
+        assert rc == 0
+        f = parse_labeling(out, 2)
+        assert f.weight == 9 and f.n == 630
+        assert {p % 70 for p, m in enumerate(f.masks) if m} == {0, 69}
+
 
 class TestValidateRoundTrip:
     def test_valid_then_tampered(self, capsys, tmp_path):
@@ -410,10 +421,10 @@ CLI_SLOTS = [
     "certify --budget", "certify --format", "certify --labeling-out", "certify g", "certify h",
     "construct couple --budget", "construct couple --format", "construct couple --g",
     "construct couple --h", "construct couple --k", "construct couple --out",
-    "construct glued --budget", "construct glued --format", "construct glued --h",
+    "construct glued --format", "construct glued --h",
     "construct glued --m", "construct glued --out", "construct glued --p2",
     "construct glued --u", "construct glued --v",
-    "construct tiles --budget", "construct tiles --format", "construct tiles --h",
+    "construct tiles --format", "construct tiles --h",
     "construct tiles --n", "construct tiles --out", "construct tiles --u",
     "construct tiles --v",
     "construct totaldom --budget", "construct totaldom --format",
@@ -443,12 +454,13 @@ def _slots(parser, path=()):
 
 def test_cli_slots_are_pinned():
     assert sorted(_slots(_build_parser())) == CLI_SLOTS
-    assert len(CLI_SLOTS) == 57
-    assert len(UNREAD_SLOTS) == 26 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
+    assert len(CLI_SLOTS) == 55
+    assert len(UNREAD_SLOTS) == 28 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
 
 
 # One command per option that its path accepted without reading it, and one
-# each for the removed certify --strict and certify --no-refine.
+# each for the removed certify --strict, certify --no-refine and the --budget
+# of the tilings, which search nothing.
 UNREAD_SLOTS = {
     "product --budget": ["product", "P3", "P3", "--budget", "5"],
     "certify --strict": ["certify", "P3", "P4", "--strict"],
@@ -461,6 +473,8 @@ UNREAD_SLOTS = {
     "construct glued --g": ["construct", "glued", "--h", "P4", "--m", "2", "--g", "P9"],
     "construct glued --k": ["construct", "glued", "--h", "P4", "--m", "2", "--k", "3"],
     "construct glued --n": ["construct", "glued", "--h", "P4", "--m", "2", "--n", "9"],
+    "construct tiles --budget": ["construct", "tiles", "--h", "P4", "--n", "9", "--budget", "5"],
+    "construct glued --budget": ["construct", "glued", "--h", "P4", "--m", "2", "--budget", "5"],
     **{
         f"construct {kind} {opt}": ["construct", kind, "--g", "P3", "--h", "P6", opt, "1"]
         for kind in ("totaldom", "couple")

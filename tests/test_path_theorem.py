@@ -1,6 +1,6 @@
 """The open case on paths and cycles, checked as the README proves it.
 
-Proposition: every connected h with rd_2(h) = 3 and a pair witness (case
+Proposition 2: every connected h with rd_2(h) = 3 and a pair witness (case
 RdH3Pair) has the layer-cost table of P4 once dominated entries are dropped,
 so rd_2(g o h) = rd_2(g o P4) for every g. Theorem: with that table, the
 min-plus transfer matrix M of a path satisfies M^14 = M^7 + 6, so

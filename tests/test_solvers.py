@@ -26,10 +26,11 @@ from rainbowdom import (
     min_rainbow_via_cartesian,
     min_total_dominating_set,
     pair_witness,
+    path_pattern_labeling,
 )
 from rainbowdom import solvers
 from rainbowdom.graphs import iter_bits
-from rainbowdom.solvers import _layer_costs, _min_rainbow_lex, _min_weighted_cover, _pair_search
+from rainbowdom.solvers import _layer_costs, _min_rainbow_lex, _min_weighted_cover
 
 from conftest import (
     brute_layer_costs,
@@ -453,10 +454,9 @@ class TestPairWitness:
         assert (pw.u, pw.v) == (1, 3)
         assert pw.labeling.masks == (0, 3, 0, 1)
 
-    def test_k2_has_pair_without_v(self):
-        pw = pair_witness(gen_path(2))
-        assert pw is not None and pw.v is None
-        assert pw.labeling.masks[pw.u] == 3
+    def test_k2_has_no_pair(self):
+        # rd_2(K2) = 2: {1,2} on one end is minimum, but the pair case is rd_2 = 3
+        assert pair_witness(gen_path(2)) is None
 
     def test_spider_nonadjacent_pair(self, spider):
         pw = pair_witness(spider)
@@ -465,9 +465,9 @@ class TestPairWitness:
         assert not spider.has_edge(pw.u, pw.v)
 
     def test_v_normalized_to_color1(self):
-        for h in (gen_path(4), gen_path(6), gen_star(4)):
+        for h in (gen_path(4), gen_path(6), gen_star(4), from_edge_list(4, [(0, 1), (1, 2)])):
             pw = pair_witness(h)
-            if pw is not None and pw.v is not None:
+            if pw is not None:
                 assert pw.labeling.masks[pw.v] == 1
 
     def test_no_pair_cases(self, spider):
@@ -475,26 +475,51 @@ class TestPairWitness:
             assert pair_witness(h) is None
 
     def test_agrees_with_enumeration(self, corpus5):
-        # a pair witness exists iff some minimum labeling uses the full label;
-        # the brute-force list is independent of the cover engine both share
+        # a pair witness exists iff rd_2 = 3 and some minimum labeling uses the
+        # full label; the brute-force list shares no code with the degree rule
         for g in corpus5:
-            has_full = any(3 in masks for masks in brute_min_2rdfs(g))
+            minima = brute_min_2rdfs(g)
+            has_pair = brute_min_rainbow(g, 2) == 3 and any(3 in masks for masks in minima)
             pw = pair_witness(g)
-            assert (pw is not None) == has_full
+            assert (pw is not None) == has_pair
             if pw is not None:
-                assert pw.labeling.masks[pw.u] == 3
-                assert pw.labeling.weight == min_rainbow(g, 2).value
-                assert is_k_rainbow_dominating(g, pw.labeling)
+                assert pw.labeling.masks in minima
 
-    def test_one_budget_for_the_call(self):
-        # the rd_2 solve and the pair search each fit the budget alone, but the
-        # pair search runs on what the rd_2 solve left of it
-        h = gen_double_c4()
-        rd = min_rainbow(h, 2)
-        assert _pair_search(h, rd.value, rd.nodes_explored) is None
-        assert pair_witness(h, node_budget=rd.nodes_explored + 100) is None
-        with pytest.raises(BudgetError):
-            pair_witness(h, node_budget=rd.nodes_explored)
+    def test_degree_rule_on_random_graphs(self):
+        # disconnected graphs included: a pair exists iff rd_2 = 3 and some
+        # vertex has degree n - 2
+        rng = random.Random(3)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            p = rng.random()
+            g = from_edge_list(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                   if rng.random() < p])
+            pw = pair_witness(g)
+            rd2 = min_rainbow(g, 2).value
+            assert (pw is not None) == (rd2 == 3 and any(g.degree(x) == n - 2 for x in range(n)))
+            if pw is not None:
+                assert pw.labeling.weight == 3 and is_k_rainbow_dominating(g, pw.labeling)
+                assert pw.labeling.masks[pw.u] == 3 and pw.labeling.masks[pw.v] == 1
+
+    def test_one_budget_for_the_call(self, monkeypatch):
+        # the call spends no node: it takes no budget and runs no search
+        def no_search(*args, **kwargs):
+            raise AssertionError("pair_witness searched")
+
+        for name in ("min_rainbow", "_min_weighted_cover", "_rainbow_fixed"):
+            monkeypatch.setattr(solvers, name, no_search)
+        assert pair_witness(gen_double_c4()) is None
+        assert pair_witness(gen_path(4)).u == 1
+        with pytest.raises(TypeError):
+            pair_witness(gen_path(4), node_budget=10)
+
+    def test_past_the_solver_cap(self):
+        # the star K_{1,68} plus an isolated vertex: 70 vertices, no search
+        h = from_edge_list(70, [(0, i) for i in range(1, 69)])
+        pw = pair_witness(h)
+        assert (pw.u, pw.v) == (0, 69)
+        f = path_pattern_labeling(9, h, pw.u, pw.v)
+        assert f.weight == 9 and is_k_rainbow_dominating(lexicographic(gen_path(9), h), f)
 
 
 # second factors of the layer reduction tests, disconnected ones included
