@@ -723,16 +723,19 @@ def verify_corpus(
     """Replay every certified claim against exact solves: all connected first
     factors up to ng_max vertices times the connected second factors h_list.
 
-    A product_cap above SOLVER_VERTEX_CAP, the oracle's limit, is refused
-    with CapacityError before any task runs. Each second factor is
-    classified once, before the tasks; if that raises, each task of the
-    factor within product_cap records it as its own fault.
+    An ng_max below 1, which leaves nothing to check, is refused with
+    PreconditionError, and a product_cap above SOLVER_VERTEX_CAP, the
+    oracle's limit, with CapacityError, both before any task runs. Each
+    second factor is classified once, before the tasks; if that raises, each
+    task of the factor within product_cap records it as its own fault.
     Products of at most product_cap vertices are solved directly, and that
     value is the oracle for every check of the task. Products of at most
     _PROJECTION_CAP vertices also get the projection checks, which are
     complete: one-level cover searches at the oracle value decide them
     whatever the number of minimum labelings.
     """
+    if ng_max < 1:
+        raise PreconditionError(f"the corpus needs ng_max of at least 1, got {ng_max}")
     if product_cap > SOLVER_VERTEX_CAP:
         raise CapacityError(
             f"the oracle solves products of at most {SOLVER_VERTEX_CAP} vertices, "

@@ -2,9 +2,10 @@
 
 Subcommands: invariant, product, certify, construct {tiles, glued, totaldom,
 couple}, validate, enumerate {rdfs, graphs}, verify. Each command path takes
-exactly the options it reads: --format where it loads a graph, --budget where
-it searches, and argparse enforces the required ones, so anything else exits
-2 as an unrecognized argument. Every printed value is re-validated against
+exactly the options it reads: --budget where it searches, and argparse
+enforces the required ones, so anything else exits 2 as an unrecognized
+argument. A graph is a generator name or a file, whose format its content
+gives (_load_graph). Every printed value is re-validated against
 its witness first, so a zero exit status certifies the output. A package
 error prints one "error: ..." line and exits with the exit_code of its
 class, the one mapping in errors.py; an input file that cannot be read and
@@ -71,22 +72,24 @@ def _write_output(path: str, text: str):
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _load_graph(name_or_path: str, fmt: str | None = None) -> Graph:
-    """A named generator (P4, C5, K3, S4, DC4, GLUED2_1) or a file path."""
-    if fmt is None:
-        if name_or_path == "DC4":
-            return gen_double_c4()
-        m = _NAMED.match(name_or_path)
-        if m:
-            return _GENERATORS[m.group(1)](int(m.group(2)))
-        m = _GLUED.match(name_or_path)
-        if m:
-            return gen_glued_paths(int(m.group(1)), int(m.group(2)))
+def _load_graph(name_or_path: str) -> Graph:
+    """A named generator (P4, C5, K3, S4, DC4, GLUED2_1) or a file, read by
+    its content: an edge list when its first non-blank line has two or more
+    fields (the `n m` header), else graph6, which holds no whitespace. A
+    file named like a generator is reached by its path, as ./P4."""
+    if name_or_path == "DC4":
+        return gen_double_c4()
+    m = _NAMED.match(name_or_path)
+    if m:
+        return _GENERATORS[m.group(1)](int(m.group(2)))
+    m = _GLUED.match(name_or_path)
+    if m:
+        return gen_glued_paths(int(m.group(1)), int(m.group(2)))
     text = _read_input(name_or_path)
-    chosen = fmt or ("graph6" if Path(name_or_path).suffix == ".g6" else "edges")
-    if chosen == "graph6":
-        return parse_graph6(text)
-    return parse_edge_list(text)
+    first = next((line for line in text.splitlines() if line.strip()), "")
+    if len(first.split()) >= 2:
+        return parse_edge_list(text)
+    return parse_graph6(text)
 
 
 def _fmt_set(vertices) -> str:
@@ -97,7 +100,7 @@ def _cmd_invariant(args) -> int:
     if args.k is not None and args.type != "rdk":
         raise ParseError("--k is read only with --type rdk")
     k = 2 if args.k is None else args.k
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args.graph)
     budget = args.budget
     if args.type == "gamma":
         res = solvers.min_dominating_set(g, node_budget=budget)
@@ -123,8 +126,8 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    g = _load_graph(args.g, args.format)
-    h = _load_graph(args.h, args.format)
+    g = _load_graph(args.g)
+    h = _load_graph(args.h)
     build = products.lexicographic if args.kind == "lex" else products.cartesian
     prod = build(g, h)
     encoded = to_graph6(prod)
@@ -135,8 +138,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args.g, args.format)
-    h = _load_graph(args.h, args.format)
+    g = _load_graph(args.g)
+    h = _load_graph(args.h)
     cert = certify_mod.certify_rd_lex(g, h, node_budget=args.budget)
     print(f"certificate: {cert.describe()}")
     if cert.lower is not None:
@@ -168,39 +171,23 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _pair_for(h: Graph, args) -> tuple[int, int]:
-    if (args.u is None) != (args.v is None):
-        raise ParseError("give both --u and --v, or neither")
-    if args.u is not None:
-        return args.u, args.v
-    pw = solvers.pair_witness(h)
-    if pw is None:
-        raise PreconditionError(
-            "h has no pair witness; pass --u and --v explicitly if you "
-            "believe otherwise"
-        )
-    return pw.u, pw.v
-
-
 def _cmd_construct(args) -> int:
-    h = _load_graph(args.h, args.format)
+    h = _load_graph(args.h)
     if args.kind == "tiles":
-        u, v = _pair_for(h, args)
-        f = constructions.path_pattern_labeling(args.n, h, u, v)
+        f = constructions.path_pattern_labeling(args.n, h)
         g = gen_path(args.n)
     elif args.kind == "glued":
-        u, v = _pair_for(h, args)
-        f = constructions.glued_family_labeling(args.m, args.p2, h, u, v)
+        f = constructions.glued_family_labeling(args.m, args.p2, h)
         g = gen_glued_paths(args.m, args.p2)
     elif args.kind == "totaldom":
-        g = _load_graph(args.g, args.format)
+        g = _load_graph(args.g)
         f = constructions.total_dom_labeling(g, h, args.k, node_budget=args.budget)
     else:  # couple
         budget = args.budget
-        g = _load_graph(args.g, args.format)
-        rdh = solvers.min_rainbow(h, args.k, node_budget=budget).value
-        _, couple = couples.min_couple_cost(g, args.k, rdh, node_budget=budget)
-        f = couples.couple_labeling(g, h, args.k, couple, node_budget=budget)
+        g = _load_graph(args.g)
+        base = solvers.min_rainbow(h, args.k, node_budget=budget)
+        _, couple = couples.min_couple_cost(g, args.k, base.value, node_budget=budget)
+        f = couples._lift_couple(g.n, h.n, args.k, couple, base.witness.masks)
     prod = products.lexicographic(g, h)
     if not labelings.is_k_rainbow_dominating(prod, f):
         raise RainbowDomError("internal check failed: construction invalid")
@@ -214,7 +201,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args.graph)
     f = labelings.parse_labeling(_read_input(args.labeling), args.k)
     if f.n != g.n:
         raise PreconditionError(
@@ -235,7 +222,7 @@ def _cmd_enumerate_graphs(args) -> int:
 
 
 def _cmd_enumerate_rdfs(args) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args.graph)
     count = 0
     for f in solvers.enumerate_min_2rdfs(g, args.cap, node_budget=args.budget):
         sys.stdout.write(labelings.format_labeling(f))
@@ -246,7 +233,7 @@ def _cmd_enumerate_rdfs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    h_list = [_load_graph(part, args.format) for part in args.h.split(",")]
+    h_list = [_load_graph(part) for part in args.h.split(",")]
     if args.json:
         _write_output(args.json, "")  # an unwritable path fails before the replay
     report = certify_mod.verify_corpus(args.ng, h_list, args.cap,
@@ -255,11 +242,6 @@ def _cmd_verify(args) -> int:
     if args.json:
         _write_output(args.json, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0 if report.ok else 1
-
-
-def _add_format(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=["graph6", "edges"], default=None,
-                   help="force the file format instead of autodetecting")
 
 
 def _node_budget(text: str) -> int:
@@ -287,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=["gamma", "gammat", "rdk"], required=True)
     p.add_argument("--k", type=int, default=None,
                    help="colors, with --type rdk only (default 2)")
-    _add_format(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_invariant)
 
@@ -295,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("h")
     p.add_argument("--kind", choices=["lex", "cart"], default="lex")
-    _add_format(p)
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("certify", help="certificate for rd_2 of a lexicographic product")
@@ -303,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("h")
     p.add_argument("--labeling-out", default=None,
                    help="also write the best labeling to this file")
-    _add_format(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_certify)
 
@@ -319,9 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     glued.add_argument("--h", required=True, help="second factor")
     glued.add_argument("--m", type=int, required=True, help="arm count")
     glued.add_argument("--p2", type=int, default=0, help="pendant count")
-    for q in (tiles, glued):
-        q.add_argument("--u", type=int, default=None, help="pair-witness vertex u")
-        q.add_argument("--v", type=int, default=None, help="pair-witness vertex v")
     for name, what in (("totaldom", "full labels on total dominating layers of g o h"),
                        ("couple", "dominating-couple labeling of g o h")):
         q = kinds.add_parser(name, help=what)
@@ -331,14 +307,12 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_budget(q)  # the tilings take no search
     for q in kinds.choices.values():
         q.add_argument("--out", default=None, help="write the labeling here")
-        _add_format(q)
         q.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("validate", help="check a labeling file against a graph")
     p.add_argument("labeling")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=2)
-    _add_format(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("enumerate", help="minimum 2-rainbow labelings, or the graph corpus")
@@ -346,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = whats.add_parser("rdfs", help="all minimum 2-rainbow labelings of a graph")
     q.add_argument("graph")
     q.add_argument("--cap", type=int, default=1000)
-    _add_format(q)
     _add_budget(q)
     q.set_defaults(func=_cmd_enumerate_rdfs)
     q = whats.add_parser("graphs", help="the connected graphs on n vertices, graph6")
@@ -360,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest product solved exactly")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", default=None, help="write a JSON summary here")
-    _add_format(p)
     _add_budget(p)
     p.set_defaults(func=_cmd_verify)
 

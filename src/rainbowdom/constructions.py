@@ -11,11 +11,11 @@ Four constructions for labelings of the lexicographic product of g and h:
 * glued_family_labeling: the star-of-paths family, weight 4m + 2.
 
 The digit patterns encode labels per path column on two rows of the product,
-the u-row and the v-row, where (u, v) is a pair witness of h: digit 0 is the
-empty label, 1 is {1}, 2 is {2}, 3 is {1,2}. Correctness needs only that u is
-adjacent in h to every vertex except possibly v, which is forced whenever the
-weight-3 labeling {1,2}@u, {1}@v is valid: all other vertices are empty and
-must see color 2, available only at u.
+the u-row and the v-row, where (u, v) is the pair witness of h that
+solvers.pair_witness reads off its degrees: digit 0 is the empty label, 1 is
+{1}, 2 is {2}, 3 is {1,2}. Correctness needs only that u is adjacent in h to
+every vertex except v, which is what the witness is: u has degree n - 2 and
+v is its one non-neighbor (Proposition 1 of the README).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from .couples import DominatingCouple, _lift_couple
 from .errors import PreconditionError
 from .graphs import Graph, gen_glued_paths
-from .labelings import RainbowLabeling, _validate_k, is_k_rainbow_dominating
+from .labelings import RainbowLabeling, _validate_k
 from .solvers import (
     DEFAULT_NODE_BUDGET,
     min_dominating_set,
@@ -67,28 +67,25 @@ def _tiling(n: int) -> list[int]:
     return [7] * t + [r]
 
 
-def _require_pair_witness(h: Graph, u: int, v: int):
-    if not (0 <= u < h.n and 0 <= v < h.n) or u == v:
-        raise PreconditionError("u, v must be distinct vertices of h")
-    masks = [0] * h.n
-    masks[u] = 3
-    masks[v] = 1
-    if not is_k_rainbow_dominating(h, RainbowLabeling(2, tuple(masks))):
+def _pair(h: Graph) -> tuple[int, int]:
+    """The pair witness (u, v) of h, the rows that both tilings label."""
+    pw = pair_witness(h)
+    if pw is None:
         raise PreconditionError(
-            "the labeling {1,2} at u, {1} at v does not rainbow-dominate h"
+            "h has no pair witness: it needs a vertex of degree |V(h)| - 2 "
+            "and 2-rainbow number 3"
         )
-    if pair_witness(h) is None:
-        raise PreconditionError("h must have 2-rainbow domination number 3")
+    return pw.u, pw.v
 
 
-def path_pattern_labeling(n: int, h: Graph, u: int, v: int) -> RainbowLabeling:
+def path_pattern_labeling(n: int, h: Graph) -> RainbowLabeling:
     """Tiled 2-rainbow labeling of the product of the standard path P_n
-    (vertices 0..n-1 in path order) with h, of weight path_upper_bound(n).
-    (u, v) must be a pair witness of h, which need not be connected."""
+    (vertices 0..n-1 in path order) with h, of weight path_upper_bound(n),
+    on the rows of the pair witness of h (pair_witness); h need not be
+    connected."""
     if n < 2:
         raise PreconditionError("tiling needs n >= 2")
-    _require_pair_witness(h, u, v)
-    return _tile_path(range(n), h.n, u, v)
+    return _tile_path(range(n), h.n, *_pair(h))
 
 
 def _tile_path(order, nh: int, u: int, v: int) -> RainbowLabeling:
@@ -146,15 +143,16 @@ def universal_vertex_labeling(
     return _lift_couple(g.n, h.n, k, DominatingCouple(frozenset(), ds.witness), h_masks)
 
 
-def glued_family_labeling(m: int, p2: int, h: Graph, u: int, v: int) -> RainbowLabeling:
+def glued_family_labeling(m: int, p2: int, h: Graph) -> RainbowLabeling:
     """2-rainbow labeling of the product of gen_glued_paths(m, p2) with h,
-    of weight 4m + 2, nonempty only on the u-row and v-row.
+    of weight 4m + 2, nonempty only on the u-row and v-row of the pair
+    witness (u, v) of h (pair_witness).
 
     Fixed pattern, derived once and frozen: the center column carries {1} on
     the u-row and {2} on the v-row; each arm carries u-row digits 20120 and
     v-row digits 00010 outward from the center; pendant columns are empty.
     """
     g = gen_glued_paths(m, p2)  # validates m, p2
-    _require_pair_witness(h, u, v)
+    u, v = _pair(h)
     return _two_rows(g.n, h.n, u, v, range(g.n),
                      _GLUED_CENTER[0] + _GLUED_ARM[0] * m, _GLUED_CENTER[1] + _GLUED_ARM[1] * m)

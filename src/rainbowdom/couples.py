@@ -125,7 +125,7 @@ def _lift_couple(
     nonempty), of weight k|A| + weight(h_masks)|B|. h_masks need only be
     valid and use every color, not be minimum (the full set on a universal
     vertex weighs k, while rd_k(K_1) = 1); a minimum one may miss a color,
-    and then nh >= k is required.
+    and then nh >= k is required, or PreconditionError is raised.
 
     A-layers put the full color set on layer vertex 0; B-layers copy h_masks,
     recolored when it misses a color. A minimum k-RDF that misses a color has
@@ -140,6 +140,8 @@ def _lift_couple(
     for m in h_masks:
         used |= m
     if couple.b and used != fullc:
+        if nh < k:
+            raise PreconditionError(f"second factor needs at least {k} vertices, has {nh}")
         h_masks = tuple(1 << (x % k) for x in range(nh))
     masks = [0] * (ng * nh)
     for v in couple.a:

@@ -23,6 +23,7 @@ from rainbowdom import (
     min_rainbow,
     min_rainbow_via_cartesian,
     glued_family_labeling,
+    pair_witness,
     path_pattern_labeling,
     path_upper_bound,
     verify_corpus,
@@ -136,8 +137,10 @@ def test_criterion_5_tile_suite(spider, announce):
         pairs = [(gen_path(4), 1, 3), (spider, 0, 4)]
         assert not spider.has_edge(0, 4)
         for h, u, v in pairs:
+            pw = pair_witness(h)
+            assert (pw.u, pw.v) == (u, v)
             for n in range(2, 61):
-                f = path_pattern_labeling(n, h, u, v)
+                f = path_pattern_labeling(n, h)
                 assert f.weight == path_upper_bound(n), (n, h.adj)
                 prod = lexicographic(gen_path(n), h)
                 assert is_k_rainbow_dominating(prod, f), (n, h.adj)
@@ -185,7 +188,7 @@ def test_criterion_8_glued_family(announce):
         for m in (1, 2):
             for p2 in (0, 1):
                 g = gen_glued_paths(m, p2)
-                f = glued_family_labeling(m, p2, h, 1, 3)
+                f = glued_family_labeling(m, p2, h)
                 assert f.weight == 4 * m + 2
                 prod = lexicographic(g, h)
                 assert is_k_rainbow_dominating(prod, f), (m, p2)

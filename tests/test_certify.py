@@ -8,6 +8,7 @@ from rainbowdom import (
     CapacityError,
     DisconnectedError,
     Graph,
+    PreconditionError,
     RainbowDomError,
     RainbowLabeling,
     certify_rd_lex,
@@ -951,6 +952,14 @@ class TestVerifyCorpus:
         with pytest.raises(CapacityError):
             verify_corpus(2, [gen_path(2)], 65)
         assert verify_corpus(2, [gen_path(2)], 64).ok
+
+    def test_refuses_empty_corpus(self):
+        # no first factor has fewer than one vertex: refused, instead of a
+        # clean report of no checks
+        for ng_max in (0, -2):
+            with pytest.raises(PreconditionError,
+                               match=f"^the corpus needs ng_max of at least 1, got {ng_max}$"):
+                verify_corpus(ng_max, [gen_path(4)], 12)
 
     def test_refuses_disconnected_h(self):
         # refused before any task runs, instead of one violation per task

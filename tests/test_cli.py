@@ -16,8 +16,12 @@ from rainbowdom import (
     PreconditionError,
     RainbowDomError,
     SolveResult,
+    couple_labeling,
+    format_labeling,
     gen_cycle,
+    gen_double_c4,
     gen_path,
+    min_couple_cost,
     parse_graph6,
     parse_labeling,
     path_upper_bound,
@@ -79,12 +83,30 @@ class TestInvariant:
         rc, out, _ = run(capsys, "invariant", str(p), "--type", "gamma")
         assert rc == 0 and "gamma = 2" in out
 
-    def test_edge_file_with_format_override(self, capsys, tmp_path):
+    def test_edge_file_read_by_content(self, capsys, tmp_path):
         p = tmp_path / "graph.txt"
         p.write_text("3 2\n0 1\n1 2\n")
-        rc, out, _ = run(capsys, "invariant", str(p), "--type", "gamma",
-                         "--format", "edges")
+        rc, out, _ = run(capsys, "invariant", str(p), "--type", "gamma")
         assert rc == 0 and "gamma = 1" in out
+
+    @pytest.mark.parametrize("name, text, gamma", [
+        ("c5.txt", to_graph6(gen_cycle(5)) + "\n", 2),
+        ("p3.g6", "\n3 2\n0 1\n1 2\n", 1),
+        ("c5.txt", ">>graph6<<" + to_graph6(gen_cycle(5)) + "\n", 2),
+    ], ids=["graph6 named .txt", "edge list named .g6", "graph6 header"])
+    def test_file_format_from_content_not_name(self, capsys, tmp_path, name, text, gamma):
+        # an edge list's first line is its `n m` header; a graph6 line has no whitespace
+        p = tmp_path / name
+        p.write_text(text)
+        rc, out, _ = run(capsys, "invariant", str(p), "--type", "gamma")
+        assert rc == 0 and out.startswith(f"gamma = {gamma}\n")
+
+    def test_file_named_like_a_generator(self, capsys, tmp_path, monkeypatch):
+        # P4 names the generator; the file of that name, the star K_{1,3}, is ./P4
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "P4").write_text("4 3\n0 1\n0 2\n0 3\n")
+        assert run(capsys, "invariant", "P4", "--type", "gamma")[1].startswith("gamma = 2\n")
+        assert run(capsys, "invariant", "./P4", "--type", "gamma")[1].startswith("gamma = 1\n")
 
     def test_named_glued(self, capsys):
         rc, out, _ = run(capsys, "invariant", "GLUED1_0", "--type", "gamma")
@@ -215,12 +237,6 @@ class TestConstruct:
         f = parse_labeling(out, 2)
         assert f.weight == path_upper_bound(9)
 
-    def test_tiles_explicit_pair_matches(self, capsys):
-        a = run(capsys, "construct", "tiles", "--h", "P4", "--n", "9",
-                "--u", "1", "--v", "3")
-        b = run(capsys, "construct", "tiles", "--h", "P4", "--n", "9")
-        assert a == b
-
     def test_glued(self, capsys):
         rc, out, _ = run(capsys, "construct", "glued", "--h", "P4",
                          "--m", "2", "--p2", "1")
@@ -239,6 +255,32 @@ class TestConstruct:
         assert rc == 0
         assert parse_labeling(out, 2).weight == 7
 
+    def test_couple_solves_h_once(self, capsys, monkeypatch):
+        # the labeling lifts the one solve of rd_k(h) that gives the couple costs
+        import rainbowdom.couples as couples
+        import rainbowdom.solvers as solvers
+
+        g, h = gen_path(7), gen_double_c4()
+        _, couple = min_couple_cost(g, 2, 3)
+        expected = format_labeling(couple_labeling(g, h, 2, couple))
+        calls, real = [], solvers.min_rainbow
+
+        def counted(graph, k, **kwargs):
+            calls.append((graph.n, k))
+            return real(graph, k, **kwargs)
+
+        monkeypatch.setattr(solvers, "min_rainbow", counted)
+        monkeypatch.setattr(couples, "min_rainbow", counted)
+        rc, out, _ = run(capsys, "construct", "couple", "--g", "P7", "--h", "DC4")
+        assert rc == 0 and out == expected
+        assert calls == [(7, 2)]
+
+    def test_couple_h_too_small(self, capsys):
+        rc, out, err = run(capsys, "construct", "couple", "--g", "P3", "--h", "P2",
+                           "--k", "3")
+        assert rc == 5 and out == ""
+        assert err == "error: second factor needs at least 3 vertices, has 2\n"
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "lab.txt"
         rc, out, _ = run(capsys, "construct", "tiles", "--h", "P4", "--n", "5",
@@ -254,7 +296,11 @@ class TestConstruct:
         assert run(capsys, "construct", "couple", "--h", "P4")[0] == 2
 
     def test_no_pair_witness(self, capsys):
-        assert run(capsys, "construct", "tiles", "--h", "P5", "--n", "5")[0] == 5
+        for kind, size in (("tiles", "--n"), ("glued", "--m")):
+            rc, out, err = run(capsys, "construct", kind, "--h", "P5", size, "5")
+            assert rc == 5 and out == ""
+            assert err == ("error: h has no pair witness: it needs a vertex of "
+                           "degree |V(h)| - 2 and 2-rainbow number 3\n")
 
     def test_tiles_past_the_solver_cap(self, capsys, tmp_path):
         # the star K_{1,68} plus an isolated vertex: the pair witness (0, 69)
@@ -364,9 +410,15 @@ class TestVerify:
         p = tmp_path / "twok2.txt"
         p.write_text("4 2\n0 1\n2 3\n")
         rc, out, err = run(capsys, "verify", "--ng", "3", "--h", str(p),
-                           "--cap", "42", "--format", "edges")
+                           "--cap", "42")
         assert rc == 5
         assert "connected second factors" in err and out == ""
+
+    def test_empty_corpus_refused(self, capsys):
+        for ng in ("0", "-2"):
+            rc, out, err = run(capsys, "verify", "--ng", ng, "--h", "P4", "--cap", "12")
+            assert rc == 5 and out == ""
+            assert err == f"error: the corpus needs ng_max of at least 1, got {ng}\n"
 
     def test_product_cap_beyond_the_oracle_refused(self, capsys):
         rc, out, err = run(capsys, "verify", "--ng", "2", "--h", "P2", "--cap", "65")
@@ -406,38 +458,26 @@ class TestUnwritableOutput:
         assert err == f"error: cannot write {dest}: No such file or directory\n"
 
 
-class TestPairOptions:
-    def test_lone_u_or_v_refused(self, capsys):
-        for argv in (["tiles", "--n", "9", "--u", "1"], ["tiles", "--n", "9", "--v", "3"],
-                     ["glued", "--m", "2", "--u", "1"]):
-            rc, out, err = run(capsys, "construct", *argv, "--h", "P4")
-            assert rc == 2 and out == ""
-            assert err == "error: give both --u and --v, or neither\n"
-
-
 # Changing this list changes the command line; do it on purpose. Each entry is
 # a command path and one option (or positional) that the path reads.
 CLI_SLOTS = [
-    "certify --budget", "certify --format", "certify --labeling-out", "certify g", "certify h",
-    "construct couple --budget", "construct couple --format", "construct couple --g",
+    "certify --budget", "certify --labeling-out", "certify g", "certify h",
+    "construct couple --budget", "construct couple --g",
     "construct couple --h", "construct couple --k", "construct couple --out",
-    "construct glued --format", "construct glued --h",
-    "construct glued --m", "construct glued --out", "construct glued --p2",
-    "construct glued --u", "construct glued --v",
-    "construct tiles --format", "construct tiles --h",
-    "construct tiles --n", "construct tiles --out", "construct tiles --u",
-    "construct tiles --v",
-    "construct totaldom --budget", "construct totaldom --format",
+    "construct glued --h", "construct glued --m", "construct glued --out",
+    "construct glued --p2",
+    "construct tiles --h", "construct tiles --n", "construct tiles --out",
+    "construct totaldom --budget",
     "construct totaldom --g", "construct totaldom --h", "construct totaldom --k",
     "construct totaldom --out",
     "enumerate graphs --n",
-    "enumerate rdfs --budget", "enumerate rdfs --cap", "enumerate rdfs --format",
+    "enumerate rdfs --budget", "enumerate rdfs --cap",
     "enumerate rdfs graph",
-    "invariant --budget", "invariant --format", "invariant --k", "invariant --type",
+    "invariant --budget", "invariant --k", "invariant --type",
     "invariant graph",
-    "product --format", "product --kind", "product g", "product h",
-    "validate --format", "validate --graph", "validate --k", "validate labeling",
-    "verify --budget", "verify --cap", "verify --format", "verify --h", "verify --json",
+    "product --kind", "product g", "product h",
+    "validate --graph", "validate --k", "validate labeling",
+    "verify --budget", "verify --cap", "verify --h", "verify --json",
     "verify --ng", "verify --workers",
 ]
 
@@ -454,13 +494,15 @@ def _slots(parser, path=()):
 
 def test_cli_slots_are_pinned():
     assert sorted(_slots(_build_parser())) == CLI_SLOTS
-    assert len(CLI_SLOTS) == 55
-    assert len(UNREAD_SLOTS) == 28 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
+    assert len(CLI_SLOTS) == 41
+    assert len(UNREAD_SLOTS) == 42 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
 
 
 # One command per option that its path accepted without reading it, and one
 # each for the removed certify --strict, certify --no-refine and the --budget
-# of the tilings, which search nothing.
+# of the tilings, which search nothing, for the removed --format of every
+# path, since a file's content gives its format, and for the tilings' removed
+# --u and --v, since the degrees of h give the pair.
 UNREAD_SLOTS = {
     "product --budget": ["product", "P3", "P3", "--budget", "5"],
     "certify --strict": ["certify", "P3", "P4", "--strict"],
@@ -485,6 +527,26 @@ UNREAD_SLOTS = {
     "enumerate graphs --cap": ["enumerate", "graphs", "--n", "4", "--cap", "1"],
     "enumerate graphs --format": ["enumerate", "graphs", "--n", "4", "--format", "edges"],
     "enumerate graphs --budget": ["enumerate", "graphs", "--n", "4", "--budget", "1"],
+    "invariant --format": ["invariant", "P4", "--type", "gamma", "--format", "edges"],
+    "product --format": ["product", "P3", "P3", "--format", "edges"],
+    "certify --format": ["certify", "P3", "P4", "--format", "edges"],
+    "validate --format": ["validate", "f.txt", "--graph", "P4", "--format", "edges"],
+    "enumerate rdfs --format": ["enumerate", "rdfs", "K2", "--format", "edges"],
+    "verify --format": ["verify", "--ng", "2", "--h", "P2", "--cap", "8", "--format", "edges"],
+    "construct tiles --format": ["construct", "tiles", "--h", "P4", "--n", "9",
+                                 "--format", "edges"],
+    "construct glued --format": ["construct", "glued", "--h", "P4", "--m", "2",
+                                 "--format", "edges"],
+    **{
+        f"construct {kind} --format": ["construct", kind, "--g", "P3", "--h", "P6",
+                                       "--format", "edges"]
+        for kind in ("totaldom", "couple")
+    },
+    **{
+        f"construct {kind} {opt}": ["construct", kind, "--h", "P4", size, "9", opt, "1"]
+        for kind, size in (("tiles", "--n"), ("glued", "--m"))
+        for opt in ("--u", "--v")
+    },
 }
 
 

@@ -20,10 +20,9 @@ from rainbowdom.constructions import _TILES
 
 from conftest import brute_min_total_dominating
 
-# the messages of the three pair-witness preconditions
-NOT_DISTINCT = "^u, v must be distinct vertices of h$"
-NOT_DOMINATING = r"^the labeling \{1,2\} at u, \{1\} at v does not rainbow-dominate h$"
-NOT_RD3 = "^h must have 2-rainbow domination number 3$"
+# the one message of an h without a pair witness
+NO_PAIR = (r"^h has no pair witness: it needs a vertex of degree \|V\(h\)\| - 2 "
+           "and 2-rainbow number 3$")
 
 
 class TestTiles:
@@ -66,54 +65,50 @@ class TestPathPatternLabeling:
     @pytest.mark.parametrize("n", list(range(2, 26)))
     def test_valid_and_tight_on_p4(self, n):
         h = gen_path(4)
-        f = path_pattern_labeling(n, h, 1, 3)
+        f = path_pattern_labeling(n, h)
         assert f.weight == path_upper_bound(n)
         prod = lexicographic(gen_path(n), h)
         assert is_k_rainbow_dominating(prod, f)
 
     @pytest.mark.parametrize("n", [2, 5, 7, 9, 13, 17, 23])
     def test_valid_on_nonadjacent_witness(self, n, spider):
-        f = path_pattern_labeling(n, spider, 0, 4)
+        f = path_pattern_labeling(n, spider)
+        assert {p % spider.n for p, m in enumerate(f.masks) if m} == {0, 4}
         assert f.weight == path_upper_bound(n)
         prod = lexicographic(gen_path(n), spider)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_only_witness_rows_labeled(self):
         h = gen_path(4)
-        f = path_pattern_labeling(9, h, 1, 3)
+        f = path_pattern_labeling(9, h)
         for p, m in enumerate(f.masks):
             if m:
                 assert p % h.n in (1, 3)
 
-    def test_rejects_non_witness_vertices(self):
-        h = gen_path(4)
-        for u, v, msg in [(0, 3, NOT_DOMINATING), (1, 1, NOT_DISTINCT), (1, 9, NOT_DISTINCT)]:
-            with pytest.raises(PreconditionError, match=msg):
-                path_pattern_labeling(5, h, u, v)
-
     def test_rejects_wrong_rainbow_number(self):
-        # {1,2} at 0 and {1} at 2 dominates C_4, but its 2-rainbow number is 2
-        with pytest.raises(PreconditionError, match=NOT_RD3):
-            path_pattern_labeling(5, gen_cycle(4), 0, 2)
+        # every vertex of C_4 has degree 2 = |V| - 2, but its 2-rainbow number is 2
+        with pytest.raises(PreconditionError, match=NO_PAIR):
+            path_pattern_labeling(5, gen_cycle(4))
 
     def test_rejects_no_pair_graph(self):
-        with pytest.raises(PreconditionError, match=NOT_DOMINATING):
-            path_pattern_labeling(5, gen_path(5), 1, 3)
+        with pytest.raises(PreconditionError, match=NO_PAIR):
+            path_pattern_labeling(5, gen_path(5))
 
     def test_rejects_short_path(self):
         with pytest.raises(ValueError):
-            path_pattern_labeling(1, gen_path(4), 1, 3)
+            path_pattern_labeling(1, gen_path(4))
 
     def test_rejects_disconnected_h(self):
         h = from_edge_list(4, [(0, 1), (2, 3)])
-        with pytest.raises(PreconditionError, match=NOT_DOMINATING):
-            path_pattern_labeling(5, h, 0, 1)
+        with pytest.raises(PreconditionError, match=NO_PAIR):
+            path_pattern_labeling(5, h)
 
     def test_valid_on_disconnected_h_with_a_pair_witness(self):
-        # P3 + K1: vertex 1 sees all but 3, a witness glued_family_labeling accepts too
+        # P3 + K1: vertex 1 sees all but 3, the pair witness (1, 3)
         h = from_edge_list(4, [(0, 1), (1, 2)])
         for n in range(2, 30):
-            f = path_pattern_labeling(n, h, 1, 3)
+            f = path_pattern_labeling(n, h)
+            assert {p % h.n for p, m in enumerate(f.masks) if m} <= {1, 3}
             assert f.weight == path_upper_bound(n)
             assert is_k_rainbow_dominating(lexicographic(gen_path(n), h), f), n
 
@@ -187,13 +182,13 @@ class TestGluedFamilyLabeling:
     @pytest.mark.parametrize("p2", [0, 1, 2])
     def test_valid_with_frozen_weight(self, m, p2):
         h = gen_path(4)
-        f = glued_family_labeling(m, p2, h, 1, 3)
+        f = glued_family_labeling(m, p2, h)
         assert f.weight == 4 * m + 2
         prod = lexicographic(gen_glued_paths(m, p2), h)
         assert is_k_rainbow_dominating(prod, f)
 
     def test_valid_on_nonadjacent_witness(self, spider):
-        f = glued_family_labeling(2, 1, spider, 0, 4)
+        f = glued_family_labeling(2, 1, spider)
         assert f.weight == 10
         prod = lexicographic(gen_glued_paths(2, 1), spider)
         assert is_k_rainbow_dominating(prod, f)
@@ -201,24 +196,24 @@ class TestGluedFamilyLabeling:
     def test_pendant_layers_empty(self):
         h = gen_path(4)
         m, p2 = 2, 3
-        f = glued_family_labeling(m, p2, h, 1, 3)
+        f = glued_family_labeling(m, p2, h)
         idx_nh = h.n
         for pend in range(1 + 5 * m, 1 + 5 * m + p2):
             assert all(f.masks[pend * idx_nh + x] == 0 for x in range(h.n))
 
     def test_center_column(self):
         h = gen_path(4)
-        f = glued_family_labeling(1, 0, h, 1, 3)
+        f = glued_family_labeling(1, 0, h)
         assert f.masks[1] == 1  # u-row at the center carries {1}
         assert f.masks[3] == 2  # v-row at the center carries {2}
 
     def test_bad_witness_rejected(self):
-        with pytest.raises(PreconditionError, match=NOT_DOMINATING):
-            glued_family_labeling(1, 0, gen_path(5), 1, 3)
+        with pytest.raises(PreconditionError, match=NO_PAIR):
+            glued_family_labeling(1, 0, gen_path(5))
 
     def test_bad_family_args(self):
         with pytest.raises(ValueError):
-            glued_family_labeling(0, 0, gen_path(4), 1, 3)
+            glued_family_labeling(0, 0, gen_path(4))
 
 
 class TestLayerAccounting:
@@ -226,7 +221,7 @@ class TestLayerAccounting:
         # layer bookkeeping: the center column weighs 2, each arm 4
         h = gen_path(4)
         m = 3
-        f = glued_family_labeling(m, 0, h, 1, 3)
+        f = glued_family_labeling(m, 0, h)
 
         def layer_weight(a):
             return sum(x.bit_count() for x in f.masks[a * h.n:(a + 1) * h.n])

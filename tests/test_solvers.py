@@ -518,7 +518,7 @@ class TestPairWitness:
         h = from_edge_list(70, [(0, i) for i in range(1, 69)])
         pw = pair_witness(h)
         assert (pw.u, pw.v) == (0, 69)
-        f = path_pattern_labeling(9, h, pw.u, pw.v)
+        f = path_pattern_labeling(9, h)
         assert f.weight == 9 and is_k_rainbow_dominating(lexicographic(gen_path(9), h), f)
 
 
