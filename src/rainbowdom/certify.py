@@ -6,12 +6,14 @@ together with machine-checkable witnesses: a validating labeling for every
 upper bound and the defining parameter (domination number, total domination
 number, or optimal dominating couple) for every lower bound. Every certificate
 is self-checked before it is returned: the upper labeling is re-validated on
-the actual product graph and must match the claimed weight. Every exact
-outcome, the empty product's too, is built by _exact, which returns it
-through that check; the RdH3Pair interval and the ComponentSum total are
-built directly and pass the same check. A refine (_refine) checks only what
-it adds: a lighter labeling is validated on the product and must lie in
-the interval.
+g o h, layer by layer, without building the product
+(labelings._is_k_rainbow_dominating_lex), and must match the claimed weight.
+Every exact outcome, the empty product's too, is built by _exact, which
+returns it through that check; the RdH3Pair interval and the ComponentSum
+total are built directly and pass the same check. A refine (_refine) checks
+only what it adds: a lighter labeling is validated on g o h in the same way
+and must lie in the interval. The corpus replay validates its labelings on the
+product it builds for its oracle, so it checks both routes.
 
 The case tags:
 
@@ -64,7 +66,7 @@ optimal couple for RdH3NoPair and RdH3Pair, each copying the labeling of h
 from the classification into its B-layers; and, when g is a path or a cycle,
 the path tiling laid along a spanning path of g from the pair witness. Adding
 edges to g keeps every 2-rainbow dominating labeling of g o h valid, and
-_self_check re-validates the tiling on the product itself.
+_self_check re-validates the tiling on g o h itself.
 
 Certificates in one process also share these solves, since each depends on
 one factor only. The factor memo (_solve_factor, at most FACTOR_MEMO_SIZE
@@ -121,7 +123,7 @@ from .graphs import (
     iter_bits,
     to_graph6,
 )
-from .labelings import RainbowLabeling, is_k_rainbow_dominating
+from .labelings import RainbowLabeling, _is_k_rainbow_dominating_lex, is_k_rainbow_dominating
 from .products import lexicographic
 from .solvers import (
     DEFAULT_NODE_BUDGET,
@@ -292,7 +294,6 @@ def _tiling_order(g: Graph) -> list[int] | None:
 
 
 def _self_check(g: Graph, h: Graph, cert: Certificate) -> Certificate:
-    prod = lexicographic(g, h)
     validated = None
     for labeling, weight in (
         (cert.upper_labeling, cert.hi),
@@ -301,7 +302,7 @@ def _self_check(g: Graph, h: Graph, cert: Certificate) -> Certificate:
         if labeling is None:
             continue
         if labeling.weight != weight or (
-            labeling is not validated and not is_k_rainbow_dominating(prod, labeling)
+            labeling is not validated and not _is_k_rainbow_dominating_lex(g, h, labeling)
         ):
             raise RainbowDomError(
                 "internal check failed: certificate witness does not validate"
@@ -433,7 +434,7 @@ def _refine(g: Graph, h: Graph, cert: Certificate, node_budget: int) -> Certific
         return replace(cert, refined_exact=cert.hi, refined_labeling=cert.upper_labeling)
     if not cert.lo <= res.value < cert.hi:
         raise RainbowDomError("internal check failed: exact solve escaped certified bounds")
-    if not is_k_rainbow_dominating(lexicographic(g, h), res.witness):
+    if not _is_k_rainbow_dominating_lex(g, h, res.witness):
         raise RainbowDomError("internal check failed: certificate witness does not validate")
     return replace(cert, refined_exact=res.value, refined_labeling=res.witness)
 

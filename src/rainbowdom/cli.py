@@ -64,10 +64,11 @@ def _read_input(path: str) -> str:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
 
 
-def _write_output(path: str, text: str):
+def _write_output(path: str, text: str, mode: str = "w"):
     """Write an output file; a path that cannot be written is a ParseError."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -188,8 +189,7 @@ def _cmd_construct(args) -> int:
         base = solvers.min_rainbow(h, args.k, node_budget=budget)
         _, couple = couples.min_couple_cost(g, args.k, base.value, node_budget=budget)
         f = couples._lift_couple(g.n, h.n, args.k, couple, base.witness.masks)
-    prod = products.lexicographic(g, h)
-    if not labelings.is_k_rainbow_dominating(prod, f):
+    if not labelings._is_k_rainbow_dominating_lex(g, h, f):
         raise RainbowDomError("internal check failed: construction invalid")
     text = labelings.format_labeling(f)
     if args.out:
@@ -234,10 +234,18 @@ def _cmd_enumerate_rdfs(args) -> int:
 
 def _cmd_verify(args) -> int:
     h_list = [_load_graph(part) for part in args.h.split(",")]
+    made = bool(args.json) and not os.path.lexists(args.json)
     if args.json:
-        _write_output(args.json, "")  # an unwritable path fails before the replay
-    report = certify_mod.verify_corpus(args.ng, h_list, args.cap,
-                                       workers=args.workers, node_budget=args.budget)
+        # an unwritable path fails before the replay; appending nothing
+        # leaves a file that is already there as it is
+        _write_output(args.json, "", mode="a")
+    try:
+        report = certify_mod.verify_corpus(args.ng, h_list, args.cap,
+                                           workers=args.workers, node_budget=args.budget)
+    except BaseException:
+        if made:
+            os.remove(args.json)  # a refused run leaves no file behind
+        raise
     sys.stdout.write(report.to_text())
     if args.json:
         _write_output(args.json, json.dumps(report.to_json_dict(), indent=2) + "\n")

@@ -77,6 +77,50 @@ def is_k_rainbow_dominating(g: Graph, f: RainbowLabeling) -> RainbowCheck:
     return RainbowCheck(True, None)
 
 
+def _is_k_rainbow_dominating_lex(g: Graph, h: Graph, f: RainbowLabeling) -> RainbowCheck:
+    """is_k_rainbow_dominating(lexicographic(g, h), f), first violator
+    included, without building the product: f is in the product's row-major
+    order, (a, x) at a * h.n + x.
+
+    An empty (a, x) sees every vertex of each neighboring layer, so the
+    union C(b) of every b in N_g(a), and inside its own layer the labels of
+    N_h(x). A layer whose neighbors already carry every color is valid, and
+    any other is checked against the colors they miss, vertex by vertex.
+    Layers and their vertices are scanned in order, as the product's
+    vertices are."""
+    nh = h.n
+    if f.n != g.n * nh:
+        raise PreconditionError("labeling size does not match the product")
+    full, masks = (1 << f.k) - 1, f.masks
+    union = []  # union[a] = C(a), the colors on layer a
+    for a in range(g.n):
+        c = 0
+        for m in masks[a * nh:(a + 1) * nh]:
+            c |= m
+        union.append(c)
+    for a in range(g.n):
+        missing = full
+        for b in iter_bits(g.adj[a]):
+            missing &= ~union[b]
+        if not missing:
+            continue
+        layer = masks[a * nh:(a + 1) * nh]
+        supports = []  # per missing color, the vertices of the layer carrying it
+        for c in iter_bits(missing):
+            bit, support = 1 << c, 0
+            for x, m in enumerate(layer):
+                if m & bit:
+                    support |= 1 << x
+            supports.append(support)
+        for x, m in enumerate(layer):
+            if not m:
+                row = h.adj[x]
+                for support in supports:
+                    if not row & support:
+                        return RainbowCheck(False, a * nh + x)
+    return RainbowCheck(True, None)
+
+
 # ---------------------------------------------------------------------------
 # text format: one line per vertex, "v: {1,2}" or "v: -" for the empty label
 

@@ -37,13 +37,18 @@ Searches count branch nodes against an explicit budget and raise instead
 of approximating.
 
 The rainbow engine's first bound counts pairs: each (v, c) with v empty or
-unassigned and no assigned neighbor carrying c is served by v itself being
-nonempty (k pairs at most) or by color c on an unassigned neighbor u (deg(u)
-at most), so the weight W still to place satisfies T <= W (Delta_U + k),
-where T counts those pairs and Delta_U is the largest degree left. At the
-root T = k n, so the deepening starts at ceil(k n / (Delta + k)). It also
-breaks twin symmetry: a vertex whose open or closed neighborhood equals that
-of an earlier vertex carries at least as many colors as the nearest one.
+unassigned and no assigned neighbor carrying c is open. It is served by v
+itself being nonempty (k pairs at most) or by color c on an unassigned
+neighbor u, which serves at most min(deg(u), |open_c|) pairs, open_c the
+open pairs of color c. So the weight W still to place satisfies
+T <= W (min(Delta_U, max_c |open_c|) + k), where T counts the open pairs and
+Delta_U is the largest degree left. At the root T = k n, so the deepening
+starts at ceil(k n / (Delta + k)). Its second bound is per color, and each
+color that some empty vertex still lacks costs between 1 and the number of
+those vertices, so the vertices left are scanned only when that bracket
+does not decide. The engine also breaks twin symmetry: a vertex whose open
+or closed neighborhood equals that of an earlier vertex carries at least as
+many colors as the nearest one.
 
 Disconnected inputs are decomposed into components and the per-component
 results are merged, so every invariant is the sum over components.
@@ -189,17 +194,9 @@ def _min_weighted_cover(
     P4).
     """
     by_cost: dict[int, int] = {}  # cost -> mask of the sets at that cost
-    cover_by = [0] * full.bit_length()
-    for u, s in enumerate(cover):
-        bit = 1 << u
-        by_cost[cost[u]] = by_cost.get(cost[u], 0) | bit
-        for v in iter_bits(s & full):
-            cover_by[v] |= bit
+    for u, c in enumerate(cost):
+        by_cost[c] = by_cost.get(c, 0) | 1 << u
     classes = list(by_cost.items())
-    later = cover_by[:]  # later[v]: the sets that cover some element >= v
-    for v in range(len(later) - 2, -1, -1):
-        later[v] |= later[v + 1]
-    refuted: dict[tuple[int, int], int] = {}  # (rem, bans that matter) -> slack
 
     def bound(rem: int, banned: int):
         """Lower bound on the cost of covering rem without the banned sets,
@@ -256,7 +253,19 @@ def _min_weighted_cover(
         if greedy is None:
             return None
         hi = sum(cost[u] for u in greedy)
-    for cap in range(max(bound(full, 0) or 0, lo), hi):
+    start = max(bound(full, 0) or 0, lo)
+    if start >= hi:
+        return greedy  # no level to search: the tables below are not built
+    cover_by = [0] * full.bit_length()
+    for u, s in enumerate(cover):
+        bit = 1 << u
+        for v in iter_bits(s & full):
+            cover_by[v] |= bit
+    later = cover_by[:]  # later[v]: the sets that cover some element >= v
+    for v in range(len(later) - 2, -1, -1):
+        later[v] |= later[v + 1]
+    refuted: dict[tuple[int, int], int] = {}  # (rem, bans that matter) -> slack
+    for cap in range(start, hi):
         try:
             r = dfs(0, 0, 0, [], cap)
         except BudgetError as exc:
@@ -369,13 +378,20 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
     After the tentative label on vertex i, with U the vertices after i, Z
     the assigned empty ones and seen_c the vertices next to an assigned
     vertex carrying color c, a counting bound comes first. Each of the
-    T = sum_c |(Z | U) minus seen_c| pairs (v, c) is served by v itself
-    being nonempty (at most k pairs per nonempty v) or by a color c on a
-    neighbor in U (at most deg(u) <= Delta_U pairs per color on u), so the
-    weight W still to place satisfies T <= W * (Delta_U + k). Then, per
-    color, a vertex of Z that no vertex of U neighbors is a dead end, and
-    ceil(|Z minus seen_c| / maxcov_c) more vertices carry c, maxcov_c being
-    the most of those that one vertex of U neighbors.
+    T = sum_c |open_c| pairs (v, c), open_c = (Z | U) minus seen_c, is
+    served by v itself being nonempty (at most k pairs per nonempty v) or
+    by a color c on a neighbor u in U (at most min(deg(u), |open_c|) pairs),
+    so the weight W still to place satisfies
+    T <= W * (min(Delta_U, max_c |open_c|) + k), tested as a product, with
+    no division. Then, per color, a vertex of Z that no vertex of U
+    neighbors is a dead end, and ceil(|need_c| / maxcov_c) more vertices
+    carry c, need_c = Z minus seen_c and maxcov_c the most of need_c that
+    one vertex of U neighbors. Each such term lies between 1 and |need_c|
+    when need_c is not empty, so the node is cut when more colors have a
+    need than W allows, kept when sum_c |need_c| fits in W, and only
+    otherwise are the rows of U scanned, each color's scan stopping once
+    one row covers all of need_c. The bracket decides as the full sum
+    would.
     """
     n, full = g.n, g.full_mask
     fullc = (1 << k) - 1
@@ -385,6 +401,7 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
     for i in range(n - 1, -1, -1):
         supplied[i] = supplied[i + 1] | nbr[i]
         top[i] = max(top[i + 1], nbr[i].bit_count())
+    after = [tuple(nbr[i + 1:]) for i in range(n)]  # after[i] = the rows of U below vertex i
     # twin[v] = the nearest earlier vertex with v's open or closed neighborhood,
     # or -1. One dict serves both kinds: N(u) = N[v] would need u in N(u)
     twin, last = [-1] * n, {}
@@ -392,6 +409,7 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
         twin[v] = max(last.get(nbr[v], -1), last.get(nbr[v] | 1 << v, -1))
         last[nbr[v]] = last[nbr[v] | 1 << v] = v
     prefix_masks = {0} | {(1 << t) - 1 for t in range(1, k + 1)}
+    labels = [(m, m.bit_count(), tuple(iter_bits(m))) for m in range(fullc + 1)]
 
     masks = [0] * n
     seen = [0] * k  # seen[c] = vertices adjacent to an assigned vertex carrying c
@@ -404,11 +422,12 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
             return tuple(masks)
         future = supplied[i + 1]
         rest = full >> (i + 1) << (i + 1)
-        per = top[i + 1] + k
+        delta = top[i + 1]
+        rows = after[i]
         least = masks[twin[i]].bit_count() if twin[i] >= 0 else 0
-        for m in range(fullc + 1):
-            mw = m.bit_count()
-            if wt + mw > w_cap or mw < least:
+        for m, mw, mcolors in labels:
+            slack = w_cap - wt - mw
+            if slack < 0 or mw < least:
                 continue
             if not any_nonempty and m and m not in prefix_masks:
                 continue
@@ -419,29 +438,39 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
                 zero2 |= 1 << i
             else:
                 snapshot = seen.copy()
-                for c in iter_bits(m):
+                for c in mcolors:
                     seen[c] |= nbr[i]
             r = None
             open_ = zero2 | rest
-            pairs = 0
+            pairs = widest = total = lack = 0
+            needs = []
             for s in seen:
-                pairs += (open_ & ~s).bit_count()
-            if wt + mw + -(-pairs // per) <= w_cap:
+                t = (open_ & ~s).bit_count()
+                pairs += t
+                if t > widest:
+                    widest = t
+                need = zero2 & ~s
+                if need:
+                    needs.append(need)
+                    total += need.bit_count()
+                    lack |= need
+            # each color with a need costs 1 to |need| more; U is scanned
+            # only when those brackets do not decide
+            if (pairs <= slack * ((delta if delta < widest else widest) + k)
+                    and not lack & ~future and len(needs) <= slack):
                 bound = 0
-                for c in range(k):
-                    need = zero2 & ~seen[c]
-                    if need & ~future:
-                        break  # an empty vertex that no vertex left can serve
-                    if need:
-                        maxcov = 0
-                        for u in range(i + 1, n):
-                            cc = (nbr[u] & need).bit_count()
+                if total > slack:
+                    for need in needs:
+                        size, maxcov = need.bit_count(), 0
+                        for row in rows:
+                            cc = (row & need).bit_count()
                             if cc > maxcov:
                                 maxcov = cc
-                        bound += -(-need.bit_count() // maxcov)
-                else:
-                    if wt + mw + bound <= w_cap:
-                        r = dfs(i + 1, wt + mw, any_nonempty or m != 0, zero2, w_cap)
+                                if cc == size:
+                                    break
+                        bound += -(-size // maxcov)
+                if bound <= slack:
+                    r = dfs(i + 1, wt + mw, any_nonempty or m != 0, zero2, w_cap)
             if snapshot is not None:
                 seen[:] = snapshot
             if r is not None:

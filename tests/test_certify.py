@@ -150,13 +150,13 @@ class TestCertifyCases:
     def test_self_check_validates_each_labeling_once(self, monkeypatch):
         import rainbowdom.certify as certify_mod
 
-        validated, real = [], certify_mod.is_k_rainbow_dominating
+        validated, real = [], certify_mod._is_k_rainbow_dominating_lex
 
-        def counted(g, f):
+        def counted(g, h, f):
             validated.append(f)
-            return real(g, f)
+            return real(g, h, f)
 
-        monkeypatch.setattr(certify_mod, "is_k_rainbow_dominating", counted)
+        monkeypatch.setattr(certify_mod, "_is_k_rainbow_dominating_lex", counted)
         g, h = gen_path(8), gen_path(4)
         # nothing lighter than the couple labeling (8): the refine keeps it
         cert = certify_rd_lex(g, h)
@@ -171,14 +171,44 @@ class TestCertifyCases:
             assert (tcert.refined_labeling is not tcert.upper_labeling) == refined
             assert validated == [tcert.upper_labeling] + [tcert.refined_labeling] * refined
         # a broken labeling is refused wherever it sits, also when shared
-        prod = lexicographic(g, h)
-        broken = RainbowLabeling(2, (3,) * 4 + (0,) * (prod.n - 4))
-        assert not real(prod, broken)
+        broken = RainbowLabeling(2, (3,) * 4 + (0,) * (g.n * h.n - 4))
+        assert not real(g, h, broken)
         for upper, refined in ((broken, None), (cert.upper_labeling, broken), (broken, broken)):
             bad = dataclasses.replace(cert, upper_labeling=upper, refined_labeling=refined,
                                       refined_exact=None if refined is None else 8)
             with pytest.raises(RainbowDomError, match="does not validate"):
                 certify_mod._self_check(g, h, bad)
+
+    def test_no_product_is_built_to_check_a_witness(self, monkeypatch, capsys):
+        # certificates and constructions validate on g o h layer by layer:
+        # with lexicographic broken, every case still certifies, refines
+        # included, and each construction still validates
+        import rainbowdom.certify as certify_mod
+        import rainbowdom.products as products_mod
+        from rainbowdom.cli import main
+
+        def broken(g, h):
+            raise AssertionError("the product was built")
+
+        monkeypatch.setattr(certify_mod, "lexicographic", broken)
+        monkeypatch.setattr(products_mod, "lexicographic", broken)
+        firsts = [gen_path(n) for n in (1, 8, 13, 18)] + [gen_cycle(n) for n in (9, 16)]
+        firsts += [FORK6, TREE16, SPIDER16, _two_copies(gen_cycle(9))]
+        seconds = [gen_complete(1), gen_path(2), gen_path(4), gen_path(6), gen_cycle(5),
+                   gen_double_c4(), gen_cycle(4), from_edge_list(4, [(0, 1), (1, 2)])]
+        cases = set()
+        for g in firsts:
+            for h in seconds:
+                cert = certify_rd_lex(g, h)
+                cases.add(cert.case)
+                assert cert.value is not None or cert.notes, (g.n, h.n)
+        assert cases == {"TrivialG", "TrivialH", "RdH2", "RdH4Plus", "RdH3NoPair",
+                         "RdH3Pair", "ComponentSum", "ComponentSum-NA"}
+        for argv in (["tiles", "--h", "P4", "--n", "9"], ["glued", "--h", "P4", "--m", "3"],
+                     ["totaldom", "--g", "C9", "--h", "P4"],
+                     ["couple", "--g", "C9", "--h", "C5"]):
+            assert main(["construct", *argv]) == 0, argv
+        assert capsys.readouterr().err == ""
 
     def test_rdh2(self):
         cert = certify_rd_lex(gen_path(4), gen_cycle(4))

@@ -425,6 +425,28 @@ class TestVerify:
         assert rc == 3
         assert "at most 64 vertices" in err and out == ""
 
+    @pytest.mark.parametrize("argv, code", [
+        (("--ng", "0", "--h", "P4", "--cap", "12"), 5),
+        (("--ng", "2", "--h", "C4,P2", "--cap", "65"), 3),
+    ])
+    def test_refused_run_leaves_the_json_path_as_it_was(self, capsys, tmp_path, argv, code):
+        dest = tmp_path / "report.json"
+        rc, out, _ = run(capsys, "verify", *argv, "--json", str(dest))
+        assert rc == code and out == ""
+        assert not dest.exists()
+        dest.write_text("kept\n")
+        rc, out, _ = run(capsys, "verify", *argv, "--json", str(dest))
+        assert rc == code and out == ""
+        assert dest.read_text() == "kept\n"
+
+    def test_json_replaces_a_file_already_there(self, capsys, tmp_path):
+        dest = tmp_path / "report.json"
+        dest.write_text("an older, longer report than the new one\n" * 100)
+        rc, _, _ = run(capsys, "verify", "--ng", "2", "--h", "P4", "--cap", "10",
+                       "--json", str(dest))
+        assert rc == 0
+        assert json.loads(dest.read_text())["tasks"] == 2
+
     def test_projection_cap_is_not_an_option(self, capsys):
         # products up to 14 vertices always get the projection checks
         rc, _, err = run(capsys, "verify", "--ng", "2", "--h", "P2", "--cap", "10",

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rainbowdom import (
     ParseError,
     PreconditionError,
+    RainbowCheck,
     RainbowDomError,
     RainbowLabeling,
     SolveResult,
@@ -18,10 +19,12 @@ from rainbowdom import (
     gen_star,
     is_dominating_set,
     is_k_rainbow_dominating,
+    lexicographic,
     min_rainbow_via_cartesian,
     parse_labeling,
 )
 from rainbowdom import solvers
+from rainbowdom.labelings import _is_k_rainbow_dominating_lex
 from rainbowdom.solvers import _cover_labeling
 
 from conftest import brute_valid_rdf, reference_rainbow_violator
@@ -109,6 +112,50 @@ class TestValidity:
         assert (bool(chk), chk.violator) == (expected is None, expected)
         if repair:
             assert chk
+
+
+class TestLayerCheck:
+    """_is_k_rainbow_dominating_lex checks a labeling of g o h layer by
+    layer, without building the product: its verdict and first violator are
+    those of is_k_rainbow_dominating on lexicographic(g, h)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_check_as_on_the_product(self, data):
+        def graph(lo, hi):
+            n = data.draw(st.integers(lo, hi))
+            pairs = list(itertools.combinations(range(n), 2))
+            bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+            return from_edge_list(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+        g, h = graph(0, 6), graph(1, 5)  # h may be K_1 or disconnected
+        k = data.draw(st.integers(1, 3))
+        prod = lexicographic(g, h)
+        masks = list(data.draw(st.lists(st.integers(0, (1 << k) - 1),
+                                        min_size=prod.n, max_size=prod.n)))
+        if data.draw(st.booleans()):
+            # label each violator in turn: the labeling ends valid
+            while (v := reference_rainbow_violator(prod, k, tuple(masks))) is not None:
+                masks[v] = data.draw(st.integers(1, (1 << k) - 1))
+        f = RainbowLabeling(k, tuple(masks))
+        assert _is_k_rainbow_dominating_lex(g, h, f) == is_k_rainbow_dominating(prod, f)
+
+    def test_violator_in_product_order(self):
+        # P3 o P2, layers {0, 1}, {2, 3}, {4, 5}
+        g, h = gen_path(3), gen_path(2)
+        for masks, violator in (((1, 0, 1, 0, 0, 0), 1),  # vertex 1 lacks color 2
+                                # layer 1 is skipped: its neighbors carry both
+                                # colors; vertex 5 lacks color 2
+                                ((3, 0, 0, 0, 1, 0), 5),
+                                ((3, 0, 0, 0, 3, 0), None)):
+            f = RainbowLabeling(2, masks)
+            expected = RainbowCheck(violator is None, violator)
+            assert is_k_rainbow_dominating(lexicographic(g, h), f) == expected
+            assert _is_k_rainbow_dominating_lex(g, h, f) == expected
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(PreconditionError):
+            _is_k_rainbow_dominating_lex(gen_path(3), gen_path(2), RainbowLabeling(2, (3,) * 5))
 
 
 class TestConversions:

@@ -10,6 +10,7 @@ from rainbowdom import (
     Graph,
     PreconditionError,
     RainbowLabeling,
+    enumerate_connected_graphs,
     enumerate_min_2rdfs,
     from_edge_list,
     gen_complete,
@@ -148,8 +149,8 @@ RAINBOW_PINS = {
             (9, 103, (0, 1, 0, 6, 0, 1, 0, 6, 0, 1, 0, 6))),
     "DC4": ((3, 8, (1, 0, 2, 0, 0, 2, 0)), (4, 11, (3, 0, 4, 0, 0, 4, 0))),
     "K1,5": ((2, 0, (3, 0, 0, 0, 0, 0)), (3, 0, (7, 0, 0, 0, 0, 0))),
-    "dense16": ((6, 1413, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3)),
-                (7, 3583, (0, 0, 0, 3, 4, 0, 1, 0, 4, 4, 0, 0, 0, 4, 0, 0))),
+    "dense16": ((6, 1152, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 3)),
+                (7, 3236, (0, 0, 0, 3, 4, 0, 1, 0, 4, 4, 0, 0, 0, 4, 0, 0))),
     "P5+C7": ((7, 20, (1, 0, 2, 0, 1, 0, 1, 0, 2, 0, 1, 2)),
               (10, 73, (1, 0, 6, 0, 1, 0, 1, 0, 6, 0, 1, 6))),
 }
@@ -161,6 +162,58 @@ def test_pinned_rainbow_node_counts(name):
     for k, pin in zip((2, 3), RAINBOW_PINS[name]):
         res = min_rainbow(g, k)
         assert (res.value, res.nodes_explored, res.witness.masks) == pin, k
+
+
+def _first_symmetric_minimum(g: Graph, k: int) -> tuple[int, ...]:
+    """The masks of min_rainbow's witness on a connected g, by brute force.
+    It is the greedy full labeling when that is a minimum (the deepening
+    stops below its weight), else the lexicographically first minimum
+    labeling that passes both symmetry rules: the first nonempty label is
+    {1..t}, and a vertex carries at least as many colors as its nearest
+    earlier twin (equal open or equal closed neighborhoods)."""
+    n, top = g.n, (1 << k) - 1
+    closed = [g.adj[v] | 1 << v for v in range(n)]
+    twin = [next((u for u in range(v - 1, -1, -1)
+                  if g.adj[u] == g.adj[v] or closed[u] == closed[v]), -1) for v in range(n)]
+    prefixes = {(1 << t) - 1 for t in range(1, k + 1)}
+    best, first = k * n + 1, None
+    for masks in itertools.product(range(top + 1), repeat=n):
+        weight = sum(m.bit_count() for m in masks)
+        if weight >= best:
+            continue
+        lead = next((m for m in masks if m), 0)
+        if lead and lead not in prefixes:
+            continue
+        if any(t >= 0 and masks[v].bit_count() < masks[t].bit_count()
+               for v, t in enumerate(twin)):
+            continue
+        seen = [0] * n
+        for v, m in enumerate(masks):
+            for u in iter_bits(g.adj[v]):
+                seen[u] |= m
+        if all(m or seen[v] == top for v, m in enumerate(masks)):
+            best, first = weight, masks
+    # the greedy dominating set: most new vertices, lowest index on ties
+    chosen, covered = set(), 0
+    while covered != g.full_mask:
+        v = max(range(n), key=lambda u: ((closed[u] & ~covered).bit_count(), -u))
+        chosen.add(v)
+        covered |= closed[v]
+    if k * len(chosen) == best:
+        return tuple(top if v in chosen else 0 for v in range(n))
+    return first
+
+
+@pytest.mark.parametrize("k, n_max", [(1, 6), (2, 6), (3, 5)])
+def test_rainbow_witness_is_the_first_symmetric_minimum(k, n_max):
+    # the direct search's pruning is admissible: it finds the first labeling
+    # the plain enumeration in its order finds
+    for n in range(1, n_max + 1):
+        for g in enumerate_connected_graphs(n):
+            res = min_rainbow(g, k)
+            expected = _first_symmetric_minimum(g, k)
+            assert (res.value, res.witness.masks) == (sum(m.bit_count() for m in expected),
+                                                      expected), (g.adj, k)
 
 
 def random_set_system(rng: random.Random):
