@@ -1,9 +1,10 @@
 """Certification of the 2-rainbow domination number of lexicographic products.
 
 certify_rd_lex assembles exact values or intervals from case analysis on the
-second factor h (always by its 2-rainbow number and pair-witness structure),
-together with machine-checkable witnesses: a validating labeling for every
-upper bound and the defining parameter (domination number, total domination
+second factor h, connected or not, by its 2-rainbow number and pair witness
+alone (README, Proposition 3; no upper labeling uses connectivity), together
+with machine-checkable witnesses: a validating labeling for every upper
+bound and the defining parameter (domination number, total domination
 number, or optimal dominating couple) for every lower bound. Every certificate
 is self-checked before it is returned: the upper labeling is re-validated on
 g o h, layer by layer, without building the product
@@ -48,10 +49,6 @@ The case tags:
   when the cover search ran out, a proven lower bound.
 * ComponentSum: first factor disconnected; per-component sum, with the
   components' labelings copied layer by layer into the row-major product.
-* ComponentSum-NA: second factor disconnected; no closed-form case applies,
-  the value is exact by the same layer reduction, which never uses the
-  connectivity of h (the first factor is capped at 64 vertices, the
-  product is not).
 
 Each certificate solves each sub-problem once. classify_h solves the
 2-rainbow number of h, with one minimum labeling, and reads the pair witness
@@ -95,7 +92,8 @@ every minimum labeling projects onto dominating sets of the first factor
 (h = K_2). Each is a yes/no question about the minimum covers of the closed
 neighborhoods of g o h x K_2, so it is decided by searches of the cover
 engine at the one cost rd_2(g o h) (_projection_gap,
-_dominating_projections), not by listing the minimum labelings.
+_dominating_projections), not by listing the minimum labelings. All RdH3Pair
+second factors must give a first factor one value (rdh3pair_h_independent).
 """
 
 from __future__ import annotations
@@ -110,7 +108,6 @@ from .constructions import _tile_path, _universal_vertex, path_upper_bound
 from .errors import (
     BudgetError,
     CapacityError,
-    DisconnectedError,
     PreconditionError,
     RainbowDomError,
 )
@@ -119,7 +116,6 @@ from .graphs import (
     components,
     enumerate_connected_graphs,
     induced_subgraph,
-    is_connected,
     iter_bits,
     to_graph6,
 )
@@ -194,7 +190,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class HClassification:
-    """What the case analysis needs of a connected second factor h.
+    """What the case analysis needs of a second factor h, connected or not.
 
     One solve of the 2-rainbow number of h sets rd2 and labeling, one
     minimum 2-rainbow labeling of h, which the couple labelings copy into
@@ -219,8 +215,9 @@ def general_bounds(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) 
 
 
 def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassification:
-    """Compute the case-analysis data for the second factor: one solve of its
-    2-rainbow number, and the pair witness, which takes no search.
+    """Compute the case-analysis data for the second factor, connected or
+    not: one solve of its 2-rainbow number, and the pair witness, which
+    takes no search.
 
     The classification is kept in the process's factor memo (_solve_factor),
     keyed by the value of h and node_budget, so a second call with equal
@@ -233,8 +230,6 @@ def classify_h(h: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> HClassifi
 def _classify(h: Graph, node_budget: int) -> HClassification:
     if h.n == 0:
         raise PreconditionError("h must be nonempty")
-    if not is_connected(h):
-        raise DisconnectedError("classification assumes a connected second factor")
     rd = min_rainbow(h, 2, node_budget=node_budget)
     pair = pair_witness(h)  # None unless rd_2(h) = 3
     if h.n == 1:
@@ -384,7 +379,7 @@ def _certify_connected(
     upper = lift(couple.a, couple.b)
     citations = [
         "lower bound: twice the domination number of the first factor "
-        "(valid for every nontrivial connected second factor)",
+        "(valid for every second factor on at least 2 vertices)",
         "upper bound: best dominating couple, 2|A| + 3|B|",
     ]
     order = _tiling_order(g)
@@ -452,21 +447,12 @@ def certify_rd_lex(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Certificate:
     """Certificate for the 2-rainbow domination number of the product of g
-    and h. Disconnected g is certified per component and summed; disconnected
-    h admits no closed-form case, so the value is solved exactly by the
-    layer cover. The certificate of each connected piece of g then passes
-    through _refine."""
+    and h, connected or not. Disconnected g is certified per component and
+    summed; every h takes the case its classification picks. The
+    certificate of each connected piece of g then passes through _refine."""
     if g.n == 0 or h.n == 0:
         return _exact(g, h, 0, "TrivialG" if g.n == 0 else "TrivialH",
                       RainbowLabeling(2, ()), LowerWitness("exact_solve", 0), "empty product")
-    if not is_connected(h):
-        res = _min_rainbow_lex(g, h, node_budget=node_budget)
-        return _exact(
-            g, h, res.value, "ComponentSum-NA", res.witness,
-            LowerWitness("exact_solve", res.value),
-            "second factor disconnected: no closed-form case applies; "
-            "value by exact layer cover over the first factor",
-        )
     hcls = classify_h(h, node_budget=node_budget)
     comps = components(g)
     if len(comps) == 1:
@@ -615,11 +601,14 @@ def _fault(exc: Exception) -> tuple[bool, str]:
     return False, f"raised {type(exc).__name__}: {exc} (at {place})"
 
 
-def _corpus_task(args: tuple) -> tuple[dict, list, list]:
+def _corpus_task(args: tuple) -> tuple[dict, list, list, tuple[str, int] | None]:
+    """(checks, violations, skips, oracle) of one first and second factor;
+    oracle is (tag of h, rd_2(g o h)) when both are known, else None."""
     (name, g, h, hcls, hstar, run_g_checks, product_cap, node_budget) = args
     checks: dict[str, int] = {}
     violations: list[str] = []
     skips: list[str] = []
+    oracle = None
 
     def bump(key: str):
         checks[key] = checks.get(key, 0) + 1
@@ -649,13 +638,14 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list]:
 
         if g.n * h.n > product_cap:
             skips.append(f"{name}: product has {g.n * h.n} > {product_cap} vertices")
-            return checks, violations, skips
+            return checks, violations, skips, oracle
 
         prod = lexicographic(g, h)
         exact = min_rainbow(prod, 2, node_budget=node_budget)
         if not isinstance(hcls, HClassification):
             record(*hcls)  # classifying h raised
-            return checks, violations, skips
+            return checks, violations, skips, oracle
+        oracle = (hcls.tag, exact.value)
 
         def upper(key: str, what: str, bound: str, weight: int, a, b, h_masks=()):
             # the lifted couple labeling of (a, b) is valid, weighs weight, and exact <= weight
@@ -710,7 +700,7 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list]:
     except Exception as exc:
         # a fault in one task is that task's record, not the end of the run
         record(*_fault(exc))
-    return checks, violations, skips
+    return checks, violations, skips, oracle
 
 
 def verify_corpus(
@@ -722,7 +712,8 @@ def verify_corpus(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CorpusReport:
     """Replay every certified claim against exact solves: all connected first
-    factors up to ng_max vertices times the connected second factors h_list.
+    factors up to ng_max vertices times the second factors h_list, connected
+    or not.
 
     An ng_max below 1, which leaves nothing to check, is refused with
     PreconditionError, and a product_cap above SOLVER_VERTEX_CAP, the
@@ -733,7 +724,9 @@ def verify_corpus(
     value is the oracle for every check of the task. Products of at most
     _PROJECTION_CAP vertices also get the projection checks, which are
     complete: one-level cover searches at the oracle value decide them
-    whatever the number of minimum labelings.
+    whatever the number of minimum labelings. The tags and oracle values the
+    tasks return check that RdH3Pair second factors give a first factor one
+    value (README, Proposition 2).
     """
     if ng_max < 1:
         raise PreconditionError(f"the corpus needs ng_max of at least 1, got {ng_max}")
@@ -742,8 +735,6 @@ def verify_corpus(
             f"the oracle solves products of at most {SOLVER_VERTEX_CAP} vertices, "
             f"got product cap {product_cap}"
         )
-    if not all(is_connected(h) for h in h_list):
-        raise DisconnectedError("the corpus replay needs connected second factors")
     start = time.monotonic()
     corpus = []
     for n in range(1, ng_max + 1):
@@ -769,7 +760,15 @@ def verify_corpus(
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_corpus_task, tasks, chunksize=4))
-    for checks, violations, skips in results:
+    pair_value: dict[Graph, tuple[str, int]] = {}  # first RdH3Pair task per first factor
+    for (name, g, *_), (checks, violations, skips, oracle) in zip(tasks, results):
+        if oracle is not None and oracle[0] == "RdH3Pair":
+            seen, value = pair_value.setdefault(g, (name, oracle[1]))
+            if seen != name:
+                checks["rdh3pair_h_independent"] = 1
+                if value != oracle[1]:
+                    violations.append(f"{name}: RdH3Pair oracle value {oracle[1]} "
+                                      f"differs from {value} of {seen}")
         for key, count in checks.items():
             report.checks[key] = report.checks.get(key, 0) + count
         report.violations.extend(violations)

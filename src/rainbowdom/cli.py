@@ -252,15 +252,19 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _node_budget(text: str) -> int:
-    """The value of --budget: a count of search nodes, 0 or more."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a node count of 0 or more, got {text!r}")
-    return int(text)
+def _count(least: int, what: str):
+    """The argparse type of a count of least or more (--budget from 0,
+    --workers from 1); anything else is a parse error naming what it counts."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected {what} of {least} or more, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_budget(p: argparse.ArgumentParser):
-    p.add_argument("--budget", type=_node_budget, default=solvers.DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=_count(0, "a node count"),
+                   default=solvers.DEFAULT_NODE_BUDGET,
                    help="search node budget")
 
 
@@ -339,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="comma-separated second factors")
     p.add_argument("--cap", type=int, required=True,
                    help="largest product solved exactly")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count(1, "a worker count"), default=1)
     p.add_argument("--json", default=None, help="write a JSON summary here")
     _add_budget(p)
     p.set_defaults(func=_cmd_verify)

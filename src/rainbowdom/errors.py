@@ -4,7 +4,7 @@ Each class carries the exit code the CLI returns for it, so the mapping is
 stated once, here: 1 for any package error not below (an internal check
 that failed), 2 for unparseable input and unwritable output files, 3 for
 size caps and truncated enumerations, 4 for exhausted search budgets, 5 for
-violated preconditions.
+violated preconditions, each raised as PreconditionError itself.
 """
 
 
@@ -47,7 +47,3 @@ class PreconditionError(RainbowDomError, ValueError):
     """An argument violates a documented precondition."""
 
     exit_code = 5
-
-
-class DisconnectedError(PreconditionError):
-    """An operation that assumes a connected graph received a disconnected one."""

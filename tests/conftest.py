@@ -111,31 +111,28 @@ def brute_min_rainbow(g: Graph, k: int) -> int:
 def brute_layer_costs(g: Graph) -> dict[tuple[int, int], int]:
     """{(C, R): least weight} over all 4^n 2-labelings of g, C and R as color
     masks (color c is bit c-1): the labels use exactly the colors of C, and
-    every empty vertex sees each color outside R among its neighbors."""
-    nb = nbrs(g)
-
-    def mask(colors) -> int:
-        return sum(1 << (c - 1) for c in colors)
-
+    every empty vertex sees each color outside R among its neighbors. Labels
+    are the masks 0..3 too, so a labeling is a tuple of small ints."""
+    nb = [sorted(s) for s in nbrs(g)]
     best: dict[tuple[int, int], int] = {}
-    for labels in _all_labelings(g.n, 2):
-        used = set()
+    for labels in itertools.product(range(4), repeat=g.n):
+        used = 0
         for lab in labels:
             used |= lab
         if not used:
             continue
-        need = set()  # colors some empty vertex does not see
+        need = 0  # colors some empty vertex does not see
         for v in range(g.n):
             if labels[v]:
                 continue
-            seen = set()
+            seen = 0
             for w in nb[v]:
                 seen |= labels[w]
-            need |= {1, 2} - seen
-        w = sum(len(c) for c in labels)
-        for r in (set(), {1}, {2}, {1, 2}):
-            if need <= r:
-                key = (mask(used), mask(r))
+            need |= 3 & ~seen
+        w = sum(lab.bit_count() for lab in labels)
+        for r in range(4):
+            if need & ~r == 0:
+                key = (used, r)
                 best[key] = min(best.get(key, w), w)
     return best
 
@@ -234,6 +231,33 @@ def count_connected_by_edge_subsets(n: int) -> int:
         )
         seen.add(canon)
     return len(seen)
+
+
+def enumerate_graphs(n: int) -> list[Graph]:
+    """One graph per isomorphism class on n vertices, connected or not: a
+    class is a multiset of connected components, so each multiset of
+    enumerate_connected_graphs representatives over each partition of n is
+    laid out once, components in order."""
+    def partitions(rest: int, top: int):
+        if rest == 0:
+            yield []
+        for part in range(min(rest, top), 0, -1):
+            for tail in partitions(rest - part, part):
+                yield [part] + tail
+
+    out = []
+    for parts in partitions(n, n):
+        choices = [itertools.combinations_with_replacement(
+            list(enumerate_connected_graphs(size)), parts.count(size))
+            for size in sorted(set(parts), reverse=True)]
+        for pick in itertools.product(*choices):
+            comps = [c for group in pick for c in group]
+            edges, base = [], 0
+            for c in comps:
+                edges.extend((u + base, v + base) for u, v in c.edges())
+                base += c.n
+            out.append(from_edge_list(n, edges))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from rainbowdom import (
     BudgetError,
     CapacityError,
-    DisconnectedError,
     Graph,
     PreconditionError,
     RainbowDomError,
@@ -22,6 +21,7 @@ from rainbowdom import (
     gen_path,
     gen_star,
     general_bounds,
+    is_connected,
     is_k_rainbow_dominating,
     lexicographic,
     min_couple_cost,
@@ -37,7 +37,12 @@ from rainbowdom.couples import _is_dominating_couple
 from rainbowdom.graphs import iter_bits
 from rainbowdom.solvers import _min_rainbow_lex
 
-from conftest import brute_min_dominating, brute_min_rainbow, projection_property
+from conftest import (
+    brute_min_dominating,
+    brute_min_rainbow,
+    enumerate_graphs,
+    projection_property,
+)
 
 
 # P4 with two leaves at one end: a tree that is neither a path nor a cycle, so
@@ -103,9 +108,13 @@ class TestClassifyH:
             elif cls.rd2 == 3:
                 assert pair_witness(h) is None
 
-    def test_rejects_disconnected(self):
-        with pytest.raises(DisconnectedError):
-            classify_h(from_edge_list(4, [(0, 1), (2, 3)]))
+    def test_disconnected_h_takes_the_paper_cases(self):
+        # README, Proposition 3: the cases need no connected h
+        for n, edges, tag in [(2, [], "RdH2"), (4, [(0, 1), (2, 3)], "RdH4Plus"),
+                              (3, [], "RdH3NoPair"), (4, [(0, 1), (1, 2)], "RdH3Pair")]:
+            cls = classify_h(from_edge_list(n, edges))
+            assert cls.tag == tag, (n, edges)
+        assert (cls.pair.u, cls.pair.v) == (1, 3)  # P3 + K1
 
     def test_one_budget_for_the_call(self):
         # the pair witness takes no search, so the rd_2 solve's own nodes suffice
@@ -143,8 +152,8 @@ class TestCertifyCases:
             cases.setdefault(cert.case, []).append(cert.exact)
         assert cases == {
             "TrivialG": [True, True], "TrivialH": [True, True], "RdH2": [True],
-            "RdH4Plus": [True], "RdH3NoPair": [True], "RdH3Pair": [False, True],
-            "ComponentSum-NA": [True], "ComponentSum": [True],
+            "RdH4Plus": [True, True], "RdH3NoPair": [True], "RdH3Pair": [False, True],
+            "ComponentSum": [True],
         }
 
     def test_self_check_validates_each_labeling_once(self, monkeypatch):
@@ -203,7 +212,7 @@ class TestCertifyCases:
                 cases.add(cert.case)
                 assert cert.value is not None or cert.notes, (g.n, h.n)
         assert cases == {"TrivialG", "TrivialH", "RdH2", "RdH4Plus", "RdH3NoPair",
-                         "RdH3Pair", "ComponentSum", "ComponentSum-NA"}
+                         "RdH3Pair", "ComponentSum"}
         for argv in (["tiles", "--h", "P4", "--n", "9"], ["glued", "--h", "P4", "--m", "3"],
                      ["totaldom", "--g", "C9", "--h", "P4"],
                      ["couple", "--g", "C9", "--h", "C5"]):
@@ -808,28 +817,32 @@ class TestComponentSum:
         assert cert.lo == cert.hi == sum(m.bit_count() for m in masks)
         assert is_k_rainbow_dominating(lexicographic(g, h), cert.upper_labeling)
 
-    def test_disconnected_h_falls_back_to_exact(self):
+    def test_disconnected_h_is_exact_by_its_case(self):
+        # 2K2 has rd_2 = 4: 2 gamma_t(P3)
         g = gen_path(3)
         h = from_edge_list(4, [(0, 1), (2, 3)])
         cert = certify_rd_lex(g, h)
-        assert cert.case == "ComponentSum-NA"
+        assert cert.describe() == "exact 4, case RdH4Plus"
         prod = lexicographic(g, h)
         assert cert.value == min_rainbow(prod, 2).value
 
     def test_disconnected_h_beyond_product_cap(self):
-        # 80 product vertices: only the first factor is held to the 64 cap
+        # 80 product vertices, 2 gamma_t(P20) by the case, no search on g o h
         g = gen_path(20)
         h = from_edge_list(4, [(0, 1), (2, 3)])
         cert = certify_rd_lex(g, h)
-        assert cert.case == "ComponentSum-NA" and cert.value == 20
+        assert cert.case == "RdH4Plus" and cert.value == 20
         prod = lexicographic(g, h)
         assert prod.n == 80
         assert cert.upper_labeling.weight == 20
         assert is_k_rainbow_dominating(prod, cert.upper_labeling)
-        # P64 o (P3 + K1), 256 vertices: exact 56 in the node count the README quotes
+        # P64 o (P3 + K1), 256 vertices: the path theorem, which the layer
+        # cover confirms on its own in the node count the README quotes
         h = from_edge_list(4, [(0, 1), (1, 2)])
-        assert certify_rd_lex(gen_path(64), h).describe() == "exact 56, case ComponentSum-NA"
-        assert _min_rainbow_lex(gen_path(64), h).nodes_explored == 10_330
+        assert certify_rd_lex(gen_path(64), h, node_budget=200).describe() == (
+            "interval [44,56], case RdH3Pair; refined exact 56")
+        res = _min_rainbow_lex(gen_path(64), h)
+        assert res.value == 56 and res.nodes_explored == 10_330
 
 
 class TestAgainstExactSolves:
@@ -846,6 +859,21 @@ class TestAgainstExactSolves:
                 assert cert.lo <= exact <= cert.hi, (g.adj, h.adj)
                 if cert.value is not None:
                     assert cert.value == exact
+
+    def test_every_disconnected_h(self):
+        # README, Proposition 3: every disconnected h on 2 to 6 vertices takes
+        # the case classify_h picks, against the layer cover on g o h
+        hs = [h for n in range(2, 7) for h in enumerate_graphs(n) if not is_connected(h)]
+        gs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+        assert (len(hs), len(gs)) == (65, 31)
+        for h in hs:
+            tag = classify_h(h).tag
+            for g in gs:
+                cert = certify_rd_lex(g, h)
+                value = _min_rainbow_lex(g, h).value
+                assert cert.case == ("TrivialG" if g.n == 1 else tag), (g.adj, h.adj)
+                assert cert.lo <= value <= cert.hi, (g.adj, h.adj)
+                assert cert.value in (None, value), (g.adj, h.adj)
 
     def test_certificates_with_h_dc4(self):
         corpus = [g for n in range(1, 4) for g in enumerate_connected_graphs(n)]
@@ -991,10 +1019,43 @@ class TestVerifyCorpus:
                                match=f"^the corpus needs ng_max of at least 1, got {ng_max}$"):
                 verify_corpus(ng_max, [gen_path(4)], 12)
 
-    def test_refuses_disconnected_h(self):
-        # refused before any task runs, instead of one violation per task
-        with pytest.raises(DisconnectedError):
-            verify_corpus(3, [gen_path(4), from_edge_list(4, [(0, 1), (2, 3)])], 42)
+    def test_replays_disconnected_h(self):
+        # 2K2 is RdH4Plus (README, Proposition 3); its tasks run every check
+        twok2 = from_edge_list(4, [(0, 1), (2, 3)])
+        rep = verify_corpus(3, [gen_path(4), twok2], 42)
+        assert rep.ok and rep.tasks == 8 and rep.skips == []
+        assert rep.checks["case_value"] == 8 and rep.checks["projection_all_minima"] == 6
+
+    # RdH3Pair second factors: P4, P3 + K1 and K2 + K1 (README, Proposition 2)
+    PAIR_H = (gen_path(4), from_edge_list(4, [(0, 1), (1, 2)]), from_edge_list(3, [(0, 1)]))
+
+    def test_rdh3pair_h_independent(self):
+        # each of the 4 first factors compares the second and third factor
+        # with the first
+        rep = verify_corpus(3, list(self.PAIR_H), 42)
+        assert rep.ok and rep.checks["rdh3pair_h_independent"] == 8
+        assert verify_corpus(3, list(self.PAIR_H), 42, workers=2).to_text() == rep.to_text()
+        # one RdH3Pair second factor compares nothing
+        assert "rdh3pair_h_independent" not in verify_corpus(3, [gen_path(4)], 42).checks
+
+    def test_rdh3pair_h_mismatch_is_a_violation(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        real, k2k1 = certify_mod._corpus_task, self.PAIR_H[2]
+
+        def shifted(args):
+            # the oracle value of P2 o (K2 + K1) one too high
+            checks, violations, skips, (tag, value) = real(args)
+            if args[1] == gen_path(2) and args[2] == k2k1:
+                value += 1
+            return checks, violations, skips, (tag, value)
+
+        monkeypatch.setattr(certify_mod, "_corpus_task", shifted)
+        rep = verify_corpus(3, list(self.PAIR_H), 42)
+        assert rep.checks["rdh3pair_h_independent"] == 8
+        p2, p4 = to_graph6(gen_path(2)), to_graph6(self.PAIR_H[0])
+        assert rep.violations == [
+            f"{p2} o {to_graph6(k2k1)}: RdH3Pair oracle value 4 differs from 3 of {p2} o {p4}"]
 
     def test_task_fault_is_a_violation(self, monkeypatch):
         import rainbowdom.certify as certify_mod

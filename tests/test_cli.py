@@ -11,7 +11,6 @@ from rainbowdom import (
     BudgetError,
     CapExceededError,
     CapacityError,
-    DisconnectedError,
     ParseError,
     PreconditionError,
     RainbowDomError,
@@ -133,8 +132,8 @@ class TestInvariant:
     def test_each_error_class_carries_its_exit_code(self):
         assert [cls.exit_code for cls in (
             RainbowDomError, ParseError, CapacityError, CapExceededError,
-            BudgetError, PreconditionError, DisconnectedError,
-        )] == [1, 2, 3, 3, 4, 5, 5]
+            BudgetError, PreconditionError,
+        )] == [1, 2, 3, 3, 4, 5]
 
     def test_internal_check_failure_exits_1(self, capsys, monkeypatch):
         import rainbowdom.cli as cli
@@ -209,7 +208,7 @@ class TestCertify:
         p = tmp_path / "twok2.txt"
         p.write_text("4 2\n0 1\n2 3\n")
         rc, out, _ = run(capsys, "certify", "P3", str(p))
-        assert rc == 0 and "ComponentSum-NA" in out
+        assert rc == 0 and out.startswith("certificate: exact 4, case RdH4Plus\n")
 
     def test_component_sum(self, capsys, tmp_path):
         p = tmp_path / "p3_c4.txt"
@@ -406,13 +405,25 @@ class TestVerify:
         assert data["violations"] == []
         assert data["wall_seconds"] > 0
 
-    def test_disconnected_h_refused(self, capsys, tmp_path):
+    def test_disconnected_h(self, capsys, tmp_path):
         p = tmp_path / "twok2.txt"
         p.write_text("4 2\n0 1\n2 3\n")
         rc, out, err = run(capsys, "verify", "--ng", "3", "--h", str(p),
                            "--cap", "42")
-        assert rc == 5
-        assert "connected second factors" in err and out == ""
+        assert rc == 0 and err == ""
+        assert "tasks: 4" in out and "violations: 0" in out
+
+    def test_workers_below_one_refused(self, capsys):
+        # a parse error, not a silently serial run
+        for workers in ("0", "-3", "x"):
+            rc, out, err = run(capsys, "verify", "--ng", "2", "--h", "P4", "--cap", "12",
+                               "--workers", workers)
+            assert rc == 2 and out == ""
+            assert (f"argument --workers: expected a worker count of 1 or more, "
+                    f"got '{workers}'") in err
+        rc, out, _ = run(capsys, "verify", "--ng", "2", "--h", "P4", "--cap", "12",
+                         "--workers", "1")
+        assert rc == 0 and "violations: 0" in out
 
     def test_empty_corpus_refused(self, capsys):
         for ng in ("0", "-2"):

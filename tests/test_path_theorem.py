@@ -1,8 +1,14 @@
-"""The open case on paths and cycles, checked as the README proves it.
+"""The paper's cases for every second factor, and the open case on paths
+and cycles, checked as the README proves them.
 
-Proposition 2: every connected h with rd_2(h) = 3 and a pair witness (case
-RdH3Pair) has the layer-cost table of P4 once dominated entries are dropped,
-so rd_2(g o h) = rd_2(g o P4) for every g. Theorem: with that table, the
+Proposition 3: every h on n >= 2 vertices, connected or not, has the
+layer-cost table |C| at R = {1,2}, gamma(h) at one color with R the other,
+sigma(h) in {gamma, gamma + 1} at both colors with R one, rd_2(h) at R empty,
+and n on the four dominated entries, which lie at or above the entry of
+{1,2} with the same R. Once those are dropped, the table is at least that of
+K2; at least that of C5 (RdH3NoPair) or C6 (RdH4Plus); and equal to that of
+P4 for every RdH3Pair h (Proposition 2), so rd_2(g o h) = rd_2(g o P4) for
+every g. Theorem: with that table, the
 min-plus transfer matrix M of a path satisfies M^14 = M^7 + 6, so
 rd_2(P_n o h) = path_upper_bound(n) for n >= 2 and rd_2(C_n o h) =
 path_upper_bound(n) for n >= 3. The layer costs come from
@@ -13,6 +19,8 @@ cover engine; certify uses the theorem without building M.
 from __future__ import annotations
 
 import itertools
+
+import functools
 
 from rainbowdom import (
     classify_h,
@@ -25,15 +33,14 @@ from rainbowdom import (
 )
 from rainbowdom.solvers import _min_rainbow_lex
 
-from conftest import brute_layer_costs
+from conftest import brute_layer_costs, brute_min_dominating, enumerate_graphs
 
 # color sets as masks: color c is bit c - 1, so 3 is {1,2}
 COLORS = range(4)
 
 
 def rdh3pair(sizes) -> list:
-    return [h for n in sizes for h in enumerate_connected_graphs(n)
-            if classify_h(h).tag == "RdH3Pair"]
+    return [h for n in sizes for h in enumerate_graphs(n) if classify_h(h).tag == "RdH3Pair"]
 
 
 def reduced(table: dict) -> dict:
@@ -84,16 +91,45 @@ def cycle_value(mn) -> int:
 P4_TABLE = reduced(brute_layer_costs(gen_path(4)))
 
 
+@functools.cache
+def every_h() -> list:
+    """(h, its tag, its full table) for every graph on 2 to 6 vertices,
+    connected or not."""
+    return [(h, classify_h(h).tag, brute_layer_costs(h))
+            for n in range(2, 7) for h in enumerate_graphs(n)]
+
+
 def test_every_rdh3pair_h_has_the_table_of_p4():
-    hs = rdh3pair(range(4, 7))
-    assert len(hs) == 49
-    for h in hs:
-        table = brute_layer_costs(h)
+    hs = [(h, table) for h, tag, table in every_h() if tag == "RdH3Pair"]
+    # 49 connected on 4 to 6 vertices, and a graph with a universal vertex
+    # plus K1 on 3 to 6: K2 + K1, P3 + K1, ...
+    assert len(hs) == 67 and sum(h.n == 3 for h, _ in hs) == 1
+    for h, table in hs:
         assert reduced(table) == P4_TABLE, h.adj
-        for (c, r), w in table.items():
-            if (c, r) not in P4_TABLE:
-                # dominated: inside the {1,2} entry of the same R, at no less cost
-                assert table[(3, r)] <= 3 <= w, (h.adj, c, r)
+
+
+def test_every_h_table_is_at_least_that_of_its_case_graph():
+    # Proposition 3, by the tables that every labeling of h gives
+    bounds = {tag: reduced(brute_layer_costs(g)) for tag, g in (
+        ("RdH2", gen_path(2)), ("RdH3NoPair", gen_cycle(5)), ("RdH4Plus", gen_cycle(6)))}
+    assert bounds["RdH3NoPair"] == {**P4_TABLE, (3, 1): 3, (3, 2): 3}
+    assert bounds["RdH4Plus"] == {**bounds["RdH3NoPair"], (3, 0): 4}
+    tags = {}
+    for h, tag, table in every_h():
+        tags[tag] = tags.get(tag, 0) + 1
+        n, gamma = h.n, brute_min_dominating(h)
+        sigma = table[(3, 1)]
+        assert table == {**{(c, r): n for c in (1, 2) for r in range(4) if not r & (3 - c)},
+                         (1, 3): 1, (2, 3): 1, (3, 3): 2, (1, 2): gamma, (2, 1): gamma,
+                         (3, 1): sigma, (3, 2): sigma, (3, 0): classify_h(h).rd2}, h.adj
+        assert sigma in (gamma, gamma + 1)
+        assert (sigma == 2) == (gamma == 1 or any(h.degree(v) == n - 2 for v in range(n)))
+        # the dominated entries lie at or above the {1,2} entry of their R
+        assert all(n >= table[(3, r)] for r in range(4))
+        for case_tag in {"RdH2", tag} & bounds.keys():
+            assert all(w >= bounds[case_tag][key] for key, w in reduced(table).items()), h.adj
+    # of them disconnected: 2K1; 3K1, C4 + K1 and two more; 18; 42
+    assert tags == {"RdH2": 63, "RdH3NoPair": 18, "RdH3Pair": 67, "RdH4Plus": 59}
 
 
 def test_the_table_of_p4():
@@ -131,8 +167,9 @@ def test_matrix_agrees_with_the_layer_cover():
 
 def test_value_does_not_depend_on_h():
     # the direct search, which does not use the cover engine
-    hs = rdh3pair(range(4, 6))
-    assert len(hs) == 7
+    # 7 connected, and K2 + K1, P3 + K1, K3 + K1 and four on 5 vertices
+    hs = rdh3pair(range(3, 6))
+    assert len(hs) == 14
     for g in itertools.chain.from_iterable(enumerate_connected_graphs(n) for n in range(1, 5)):
         values = {min_rainbow(lexicographic(g, h), 2).value for h in hs}
         assert len(values) == 1, g.adj
