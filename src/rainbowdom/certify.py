@@ -81,11 +81,12 @@ solves in _corpus_task. The memo calls each solver by its name in this
 module when it runs, so a wrapper on that name sees every solve that runs.
 
 verify_corpus replays every claim above against brute-force-scale exact
-solves over a corpus of small first factors. It classifies each second
+solves over a corpus of small first factors, in one process, one task
+(_corpus_task) per first and second factor. It classifies each second
 factor once per run, and a task lifts its upper labelings from the gamma(g),
 gamma_t(g) and couple witnesses it solved once each; only general_bounds and
 _certify_connected, the code under test, solve them again, the latter through
-the factor memo, so once per first factor and process. On products of at
+the factor memo, so once per first factor. On products of at
 most _PROJECTION_CAP (14) vertices it also checks the projection property:
 every minimum labeling projects onto dominating sets of the first factor
 (second factors on at least 3 vertices), and some minimum labeling does
@@ -590,38 +591,29 @@ class CorpusReport:
         return asdict(self)
 
 
-def _fault(exc: Exception) -> tuple[bool, str]:
-    """(is_skip, text): how a corpus task records an exception. A BudgetError
-    is a budget skip; any other is a violation naming it and where it rose."""
-    if isinstance(exc, BudgetError):
-        return True, f"budget exhausted ({exc})"
-    import traceback  # here, not at the top: importing the package stays light
-    where = traceback.extract_tb(exc.__traceback__)[-1]
-    place = f"{os.path.basename(where.filename)}:{where.lineno}"
-    return False, f"raised {type(exc).__name__}: {exc} (at {place})"
-
-
-def _corpus_task(args: tuple) -> tuple[dict, list, list, tuple[str, int] | None]:
-    """(checks, violations, skips, oracle) of one first and second factor;
-    oracle is (tag of h, rd_2(g o h)) when both are known, else None."""
-    (name, g, h, hcls, hstar, run_g_checks, product_cap, node_budget) = args
-    checks: dict[str, int] = {}
-    violations: list[str] = []
-    skips: list[str] = []
+def _corpus_task(
+    report: CorpusReport, name: str, g: Graph, h: Graph, hcls: HClassification | Exception,
+    hstar: int | None, g_checks: bool, node_budget: int,
+) -> tuple[str, int] | None:
+    """The checks of first factor g with second factor h, written into report
+    under name: their counts, violations and skips. g_checks adds the checks
+    of g alone, and hstar is a universal vertex of h or None. hcls is the
+    classification of h, or the exception classifying h raised, which is this
+    task's fault once the oracle is solved. A budget exhausted is a skip, and
+    any other fault a violation naming where it rose. Returns (tag of h,
+    rd_2(g o h)) once both are known, a later fault notwithstanding, else
+    None."""
     oracle = None
 
     def bump(key: str):
-        checks[key] = checks.get(key, 0) + 1
+        report.checks[key] = report.checks.get(key, 0) + 1
 
     def violate(msg: str):
-        violations.append(f"{name}: {msg}")
-
-    def record(is_skip: bool, text: str):
-        (skips if is_skip else violations).append(f"{name}: {text}")
+        report.violations.append(f"{name}: {msg}")
 
     try:
         ds = min_dominating_set(g, node_budget=node_budget)
-        if run_g_checks:
+        if g_checks:
             rd = {k: min_rainbow(g, k, node_budget=node_budget).value for k in (1, 2, 3)}
             # k = 2 only: g x K_1 is g, so at k = 1 the route would solve ds again
             via = min_rainbow_via_cartesian(g, 2, node_budget=node_budget).value
@@ -636,15 +628,16 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, tuple[str, int] | None]
                 if not (lo <= rd[k] <= hi):
                     violate(f"k={k}: value {rd[k]} outside general bounds [{lo},{hi}]")
 
-        if g.n * h.n > product_cap:
-            skips.append(f"{name}: product has {g.n * h.n} > {product_cap} vertices")
-            return checks, violations, skips, oracle
+        if g.n * h.n > report.product_cap:
+            report.skips.append(f"{name}: product has {g.n * h.n} > {report.product_cap} vertices")
+            return None
 
         prod = lexicographic(g, h)
         exact = min_rainbow(prod, 2, node_budget=node_budget)
-        if not isinstance(hcls, HClassification):
-            record(*hcls)  # classifying h raised
-            return checks, violations, skips, oracle
+        if isinstance(hcls, Exception):
+            # each re-raise adds this frame at the head of its traceback; the
+            # last entry, which the record names, stays where classifying h failed
+            raise hcls
         oracle = (hcls.tag, exact.value)
 
         def upper(key: str, what: str, bound: str, weight: int, a, b, h_masks=()):
@@ -697,10 +690,15 @@ def _corpus_task(args: tuple) -> tuple[dict, list, list, tuple[str, int] | None]
             bump("projection_exists")
             if both is None:
                 violate("no minimum labeling has both projections dominating")
+    except BudgetError as exc:
+        report.skips.append(f"{name}: budget exhausted ({exc})")
     except Exception as exc:
         # a fault in one task is that task's record, not the end of the run
-        record(*_fault(exc))
-    return checks, violations, skips, oracle
+        import traceback  # here, not at the top: importing the package stays light
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        violate(f"raised {type(exc).__name__}: {exc} "
+                f"(at {os.path.basename(where.filename)}:{where.lineno})")
+    return oracle
 
 
 def verify_corpus(
@@ -708,25 +706,26 @@ def verify_corpus(
     h_list: list[Graph],
     product_cap: int,
     *,
-    workers: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CorpusReport:
-    """Replay every certified claim against exact solves: all connected first
-    factors up to ng_max vertices times the second factors h_list, connected
-    or not.
+    """Replay every certified claim against exact solves, in one process: all
+    connected first factors up to ng_max vertices times the second factors
+    h_list, connected or not.
 
-    An ng_max below 1, which leaves nothing to check, is refused with
-    PreconditionError, and a product_cap above SOLVER_VERTEX_CAP, the
-    oracle's limit, with CapacityError, both before any task runs. Each
-    second factor is classified once, before the tasks; if that raises, each
-    task of the factor within product_cap records it as its own fault.
-    Products of at most product_cap vertices are solved directly, and that
-    value is the oracle for every check of the task. Products of at most
-    _PROJECTION_CAP vertices also get the projection checks, which are
-    complete: one-level cover searches at the oracle value decide them
-    whatever the number of minimum labelings. The tags and oracle values the
-    tasks return check that RdH3Pair second factors give a first factor one
-    value (README, Proposition 2).
+    A replay that can check no product is refused with PreconditionError: an
+    ng_max below 1, an empty h_list, a second factor on 0 vertices, or a
+    product_cap below the vertex count of every second factor (K1 o h, the
+    smallest product, has as many vertices as h). A product_cap above
+    SOLVER_VERTEX_CAP, the oracle's limit, is refused with CapacityError. All
+    are refused before any task runs. Each second factor is classified once,
+    before the tasks; if that raises, each task of the factor within
+    product_cap records it as its own fault. Products of at most product_cap
+    vertices are solved directly, and that value is the oracle for every
+    check of the task. Products of at most _PROJECTION_CAP vertices also get
+    the projection checks, which are complete: one-level cover searches at
+    the oracle value decide them whatever the number of minimum labelings.
+    The tags and oracle values the tasks return check that RdH3Pair second
+    factors give a first factor one value (README, Proposition 2).
     """
     if ng_max < 1:
         raise PreconditionError(f"the corpus needs ng_max of at least 1, got {ng_max}")
@@ -734,6 +733,16 @@ def verify_corpus(
         raise CapacityError(
             f"the oracle solves products of at most {SOLVER_VERTEX_CAP} vertices, "
             f"got product cap {product_cap}"
+        )
+    if not h_list:
+        raise PreconditionError("the corpus needs at least one second factor")
+    least = min(h.n for h in h_list)
+    if least < 1:
+        raise PreconditionError("the corpus needs second factors of at least 1 vertex, got 0")
+    if product_cap < least:
+        raise PreconditionError(
+            f"the corpus needs a product cap of at least {least}, the vertex count of "
+            f"its smallest product K1 o h, got {product_cap}"
         )
     start = time.monotonic()
     corpus = []
@@ -744,35 +753,25 @@ def verify_corpus(
         try:
             hcls = classify_h(h, node_budget=node_budget)
         except Exception as exc:
-            hcls = _fault(exc)
+            hcls = exc
         classified.append((to_graph6(h), h, hcls, _universal_vertex(h)))
-    tasks = [
-        (f"{to_graph6(g)} o {g6h}", g, h, hcls, hstar, hi == 0, product_cap, node_budget)
-        for g in corpus
-        for hi, (g6h, h, hcls, hstar) in enumerate(classified)
-    ]
     report = CorpusReport(ng_max=ng_max, h_names=tuple(g6h for g6h, *_ in classified),
-                          product_cap=product_cap, tasks=len(tasks))
-    if workers <= 1:
-        results = [_corpus_task(t) for t in tasks]
-    else:
-        # imported here: the pool pulls in multiprocessing, which nothing else needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_corpus_task, tasks, chunksize=4))
-    pair_value: dict[Graph, tuple[str, int]] = {}  # first RdH3Pair task per first factor
-    for (name, g, *_), (checks, violations, skips, oracle) in zip(tasks, results):
-        if oracle is not None and oracle[0] == "RdH3Pair":
-            seen, value = pair_value.setdefault(g, (name, oracle[1]))
-            if seen != name:
-                checks["rdh3pair_h_independent"] = 1
-                if value != oracle[1]:
-                    violations.append(f"{name}: RdH3Pair oracle value {oracle[1]} "
-                                      f"differs from {value} of {seen}")
-        for key, count in checks.items():
-            report.checks[key] = report.checks.get(key, 0) + count
-        report.violations.extend(violations)
-        report.skips.extend(skips)
+                          product_cap=product_cap, tasks=len(corpus) * len(classified))
+    for g in corpus:
+        g6g, first_pair = to_graph6(g), None  # (name, value) of g's first RdH3Pair task
+        for hi, (g6h, h, hcls, hstar) in enumerate(classified):
+            name = f"{g6g} o {g6h}"
+            oracle = _corpus_task(report, name, g, h, hcls, hstar, hi == 0, node_budget)
+            if oracle is None or oracle[0] != "RdH3Pair":
+                continue
+            if first_pair is None:
+                first_pair = (name, oracle[1])
+                continue
+            report.checks["rdh3pair_h_independent"] = (
+                report.checks.get("rdh3pair_h_independent", 0) + 1)
+            if first_pair[1] != oracle[1]:
+                report.violations.append(f"{name}: RdH3Pair oracle value {oracle[1]} "
+                                         f"differs from {first_pair[1]} of {first_pair[0]}")
     report.checks = dict(sorted(report.checks.items()))
     report.wall_seconds = time.monotonic() - start
     return report

@@ -240,8 +240,7 @@ def _cmd_verify(args) -> int:
         # leaves a file that is already there as it is
         _write_output(args.json, "", mode="a")
     try:
-        report = certify_mod.verify_corpus(args.ng, h_list, args.cap,
-                                           workers=args.workers, node_budget=args.budget)
+        report = certify_mod.verify_corpus(args.ng, h_list, args.cap, node_budget=args.budget)
     except BaseException:
         if made:
             os.remove(args.json)  # a refused run leaves no file behind
@@ -252,18 +251,16 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _count(least: int, what: str):
-    """The argparse type of a count of least or more (--budget from 0,
-    --workers from 1); anything else is a parse error naming what it counts."""
-    def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < least:
-            raise argparse.ArgumentTypeError(f"expected {what} of {least} or more, got {text!r}")
-        return int(text)
-    return parse
+def _node_count(text: str) -> int:
+    """The argparse type of --budget, a node count of 0 or more; anything else
+    is a parse error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a node count of 0 or more, got {text!r}")
+    return int(text)
 
 
 def _add_budget(p: argparse.ArgumentParser):
-    p.add_argument("--budget", type=_count(0, "a node count"),
+    p.add_argument("--budget", type=_node_count,
                    default=solvers.DEFAULT_NODE_BUDGET,
                    help="search node budget")
 
@@ -343,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", required=True, help="comma-separated second factors")
     p.add_argument("--cap", type=int, required=True,
                    help="largest product solved exactly")
-    p.add_argument("--workers", type=_count(1, "a worker count"), default=1)
     p.add_argument("--json", default=None, help="write a JSON summary here")
     _add_budget(p)
     p.set_defaults(func=_cmd_verify)

@@ -305,12 +305,6 @@ def _reach_mask(g: Graph, start: int) -> int:
     return seen
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return _reach_mask(g, 0) == g.full_mask
-
-
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by smallest member."""
     out = []

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -10,8 +11,10 @@ from rainbowdom import (
     PreconditionError,
     RainbowDomError,
     RainbowLabeling,
+    SolveResult,
     certify_rd_lex,
     classify_h,
+    components,
     enumerate_connected_graphs,
     enumerate_min_2rdfs,
     from_edge_list,
@@ -21,7 +24,6 @@ from rainbowdom import (
     gen_path,
     gen_star,
     general_bounds,
-    is_connected,
     is_k_rainbow_dominating,
     lexicographic,
     min_couple_cost,
@@ -722,9 +724,9 @@ class TestCorpusSolveOnce:
                     state[key] = before
             return run
 
-        # a task's tuple holds its name, then the graphs g and h
+        # a task's arguments are the report, its name, then the graphs g and h
         monkeypatch.setattr(certify_mod, "_corpus_task",
-                            within("task", certify_mod._corpus_task, lambda args: args[0][1:3]))
+                            within("task", certify_mod._corpus_task, lambda args: args[2:4]))
         monkeypatch.setattr(certify_mod, "_certify_connected",
                             within("cert", certify_mod._certify_connected))
 
@@ -769,12 +771,11 @@ class TestCorpusSolveOnce:
             assert rep.skips == []
             assert len(rep.violations) == len(names)
             for name, violation in zip(names, rep.violations):
-                # where it was raised, in either mode
+                # where it was raised
                 assert violation.startswith(
                     f"{name}: raised RuntimeError: injected (at test_certify.py:")
         # the P2 tasks ran every check, cleanly
         assert rep.checks == verify_corpus(3, [gen_path(2)], 42).checks
-        assert verify_corpus(3, [gen_path(2), p4], 42, workers=2).to_text() == rep.to_text()
 
 
 class TestComponentSum:
@@ -863,7 +864,8 @@ class TestAgainstExactSolves:
     def test_every_disconnected_h(self):
         # README, Proposition 3: every disconnected h on 2 to 6 vertices takes
         # the case classify_h picks, against the layer cover on g o h
-        hs = [h for n in range(2, 7) for h in enumerate_graphs(n) if not is_connected(h)]
+        hs = [h for n in range(2, 7) for h in enumerate_graphs(n)
+              if len(components(h)) > 1]
         gs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
         assert (len(hs), len(gs)) == (65, 31)
         for h in hs:
@@ -975,9 +977,9 @@ class TestVerifyCorpus:
         text = rep.to_text()
         assert "violations: 0" in text
 
-    def test_text_deterministic_and_parallel_equal(self):
+    def test_text_deterministic(self):
         a = verify_corpus(3, [gen_path(4)], 16)
-        b = verify_corpus(3, [gen_path(4)], 16, workers=2)
+        b = verify_corpus(3, [gen_path(4)], 16)
         assert a.to_text() == b.to_text()
 
     def test_json_has_wall_time(self):
@@ -1019,6 +1021,34 @@ class TestVerifyCorpus:
                                match=f"^the corpus needs ng_max of at least 1, got {ng_max}$"):
                 verify_corpus(ng_max, [gen_path(4)], 12)
 
+    @pytest.mark.parametrize("h_list, cap, message", [
+        ([], 42, "the corpus needs at least one second factor"),
+        ([gen_path(4), Graph(0, ())], 42,
+         "the corpus needs second factors of at least 1 vertex, got 0"),
+        ([gen_path(4)], 3, "the corpus needs a product cap of at least 4, the vertex count "
+         "of its smallest product K1 o h, got 3"),
+        ([gen_path(4), gen_path(2)], -5, "the corpus needs a product cap of at least 2, the "
+         "vertex count of its smallest product K1 o h, got -5"),
+    ], ids=["no-h", "empty-h", "cap-3", "cap-negative"])
+    def test_refuses_a_replay_that_checks_no_product(self, monkeypatch, h_list, cap, message):
+        # each would report no product checked: refused before any task runs,
+        # instead of a clean report of skips or a violation in every task
+        import rainbowdom.certify as certify_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the refusal")
+
+        monkeypatch.setattr(certify_mod, "classify_h", never)
+        monkeypatch.setattr(certify_mod, "_corpus_task", never)
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            verify_corpus(3, h_list, cap)
+
+    def test_cap_of_the_smallest_product_runs(self):
+        # K1 o P2 is within a cap of 2, so the replay checks it and skips the rest
+        rep = verify_corpus(2, [gen_path(4), gen_path(2)], 2)
+        assert rep.ok and rep.tasks == 4 and rep.checks["case_value"] == 1
+        assert len(rep.skips) == 3
+
     def test_replays_disconnected_h(self):
         # 2K2 is RdH4Plus (README, Proposition 3); its tasks run every check
         twok2 = from_edge_list(4, [(0, 1), (2, 3)])
@@ -1034,7 +1064,6 @@ class TestVerifyCorpus:
         # with the first
         rep = verify_corpus(3, list(self.PAIR_H), 42)
         assert rep.ok and rep.checks["rdh3pair_h_independent"] == 8
-        assert verify_corpus(3, list(self.PAIR_H), 42, workers=2).to_text() == rep.to_text()
         # one RdH3Pair second factor compares nothing
         assert "rdh3pair_h_independent" not in verify_corpus(3, [gen_path(4)], 42).checks
 
@@ -1043,12 +1072,12 @@ class TestVerifyCorpus:
 
         real, k2k1 = certify_mod._corpus_task, self.PAIR_H[2]
 
-        def shifted(args):
+        def shifted(report, name, g, h, *args):
             # the oracle value of P2 o (K2 + K1) one too high
-            checks, violations, skips, (tag, value) = real(args)
-            if args[1] == gen_path(2) and args[2] == k2k1:
+            tag, value = real(report, name, g, h, *args)
+            if g == gen_path(2) and h == k2k1:
                 value += 1
-            return checks, violations, skips, (tag, value)
+            return tag, value
 
         monkeypatch.setattr(certify_mod, "_corpus_task", shifted)
         rep = verify_corpus(3, list(self.PAIR_H), 42)
@@ -1075,3 +1104,148 @@ class TestVerifyCorpus:
         assert rep.violations[0].startswith(f"{name}: raised RuntimeError: injected fault")
         # the other tasks still ran their checks
         assert rep.checks["upper_couple"] == 3
+
+
+class TestEveryCheckCanFire:
+    """Each check that guards a reported value fires on a forged result, with
+    its exact message; without the check, its test fails."""
+
+    @staticmethod
+    def _refine_returns(monkeypatch, forge):
+        import rainbowdom.certify as certify_mod
+
+        def forged(g, h, *, node_budget, lo=0, hi=None):
+            return forge(g.n * h.n, lo)
+
+        monkeypatch.setattr(certify_mod, "_min_rainbow_lex", forged)
+
+    def test_refine_escaping_the_bounds(self, monkeypatch):
+        # FORK6 o P4 refines its interval [4,6]; a value below it escapes
+        self._refine_returns(monkeypatch, lambda n, lo: SolveResult(
+            lo - 1, RainbowLabeling(2, (0,) * n), 0))
+        with pytest.raises(RainbowDomError) as exc:
+            certify_rd_lex(FORK6, gen_path(4))
+        assert str(exc.value) == "internal check failed: exact solve escaped certified bounds"
+
+    def test_refine_witness_that_does_not_validate(self, monkeypatch):
+        self._refine_returns(monkeypatch, lambda n, lo: SolveResult(
+            lo, RainbowLabeling(2, (0,) * n), 0))
+        with pytest.raises(RainbowDomError) as exc:
+            certify_rd_lex(FORK6, gen_path(4))
+        assert str(exc.value) == "internal check failed: certificate witness does not validate"
+
+    def test_crossed_bounds(self, monkeypatch):
+        # a gamma(FORK6) of 12 puts the pair case's lower bound 24 above its
+        # upper labeling's 6
+        import rainbowdom.certify as certify_mod
+
+        real = certify_mod._solve_factor
+
+        def solve(kind, g, node_budget):
+            res = real(kind, g, node_budget)
+            return dataclasses.replace(res, value=12) if kind == "gamma" else res
+
+        monkeypatch.setattr(certify_mod, "_solve_factor", solve)
+        with pytest.raises(RainbowDomError) as exc:
+            certify_rd_lex(FORK6, gen_path(4))
+        assert str(exc.value) == "internal check failed: crossed bounds"
+
+    # task names: K1 o P2 and P2 o P2 (the complete graph K4), whose oracle
+    # value is 2 each
+    K1_P2 = f"{to_graph6(gen_path(1))} o {to_graph6(gen_path(2))}"
+    P2_P2 = f"{to_graph6(gen_path(2))} o {to_graph6(gen_path(2))}"
+
+    @staticmethod
+    def _shift(monkeypatch, name, by, when):
+        """Wrap the solver name in certify so that its value moves by `by`
+        on the calls `when(args)` picks."""
+        import rainbowdom.certify as certify_mod
+
+        real = getattr(certify_mod, name)
+
+        def shifted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value + by) if when(args) else res
+
+        monkeypatch.setattr(certify_mod, name, shifted)
+
+    def test_direct_search_against_the_cartesian_route(self, monkeypatch):
+        self._shift(monkeypatch, "min_rainbow_via_cartesian", 1, lambda args: True)
+        rep = verify_corpus(1, [gen_path(2)], 42)
+        assert rep.violations == [f"{self.K1_P2}: k=2: direct 1 != cartesian route 2"]
+
+    def test_rd1_against_gamma(self, monkeypatch):
+        self._shift(monkeypatch, "min_rainbow", 1, lambda args: args[1] == 1)
+        rep = verify_corpus(1, [gen_path(2)], 42)
+        assert rep.violations == [
+            f"{self.K1_P2}: 1-rainbow number differs from domination number"]
+
+    def test_general_bounds(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        monkeypatch.setattr(certify_mod, "general_bounds", lambda g, k, **kwargs: (0, 0))
+        rep = verify_corpus(1, [gen_path(2)], 42)
+        assert rep.violations == [
+            f"{self.K1_P2}: k={k}: value 1 outside general bounds [0,0]" for k in (2, 3)]
+
+    def test_broken_upper_labeling(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        monkeypatch.setattr(certify_mod, "is_k_rainbow_dominating", lambda prod, f: False)
+        rep = verify_corpus(1, [gen_path(2)], 42)
+        assert rep.violations == [f"{self.K1_P2}: universal-vertex labeling broken",
+                                  f"{self.K1_P2}: couple labeling broken"]
+
+    def test_oracle_above_an_upper_bound(self, monkeypatch):
+        # the oracle of P2 o P2, the only 4-vertex graph solved, one too high
+        self._shift(monkeypatch, "min_rainbow", 1, lambda args: args[0].n == 4)
+        rep = verify_corpus(2, [gen_path(2)], 42)
+        # (2 gamma_t(P2) is 4)
+        assert {f"{self.P2_P2}: exact 3 above 2*gamma 2",
+                f"{self.P2_P2}: exact 3 above couple optimum 2"} <= set(rep.violations)
+
+    def test_oracle_below_twice_gamma(self, monkeypatch):
+        self._shift(monkeypatch, "min_rainbow", -1, lambda args: args[0].n == 4)
+        rep = verify_corpus(2, [gen_path(2)], 42)
+        assert f"{self.P2_P2}: exact 1 below 2*gamma 2" in rep.violations
+
+    def test_certificate_excluding_the_oracle(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        real = certify_mod._certify_connected
+
+        def raised(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            return dataclasses.replace(cert, lo=cert.lo + 1, hi=cert.hi + 1)
+
+        monkeypatch.setattr(certify_mod, "_certify_connected", raised)
+        rep = verify_corpus(2, [gen_path(2)], 42)
+        assert rep.violations == [
+            f"{self.K1_P2}: certificate exact 3, case TrivialG excludes exact 2",
+            f"{self.P2_P2}: certificate exact 3, case RdH2 excludes exact 2"]
+
+    def test_path_theorem_against_the_oracle(self, monkeypatch):
+        # the path theorem refines P2, P3 and C3 o P4, whose oracle values are 3
+        import rainbowdom.certify as certify_mod
+
+        real = certify_mod._certify_connected
+
+        def off_by_one(*args, **kwargs):
+            cert = real(*args, **kwargs)
+            if cert.refined_exact is None:
+                return cert
+            return dataclasses.replace(cert, refined_exact=cert.refined_exact + 1)
+
+        monkeypatch.setattr(certify_mod, "_certify_connected", off_by_one)
+        rep = verify_corpus(3, [gen_path(4)], 16)
+        p4 = to_graph6(gen_path(4))
+        assert rep.violations == [f"{to_graph6(g)} o {p4}: path theorem gives 4, exact 3"
+                                  for n in (2, 3) for g in enumerate_connected_graphs(n)]
+
+    def test_projection_exists(self, monkeypatch):
+        import rainbowdom.certify as certify_mod
+
+        monkeypatch.setattr(certify_mod, "_dominating_projections", lambda *args: None)
+        rep = verify_corpus(2, [gen_path(2)], 42)
+        assert rep.violations == [
+            f"{self.P2_P2}: no minimum labeling has both projections dominating"]

@@ -14,6 +14,7 @@ from rainbowdom import (
     ParseError,
     PreconditionError,
     RainbowDomError,
+    RainbowLabeling,
     SolveResult,
     couple_labeling,
     format_labeling,
@@ -145,6 +146,34 @@ class TestInvariant:
         rc, _, err = run(capsys, "invariant", "P4", "--type", "gamma")
         assert rc == 1
         assert err == "error: internal check failed: witness invalid\n"
+
+
+def _zeros(n):
+    return RainbowLabeling(2, (0,) * n)  # labels nothing, so dominates nothing
+
+
+# (module, name, forged result, argv, message): each forged result fails the
+# check that the command runs before it prints
+INTERNAL_CHECKS = {
+    "invariant gammat": ("solvers", "min_total_dominating_set",
+                         lambda g, **kw: SolveResult(1, frozenset(), 0),
+                         ["invariant", "P4", "--type", "gammat"], "witness invalid"),
+    "invariant rdk": ("solvers", "min_rainbow", lambda g, k, **kw: SolveResult(1, _zeros(g.n), 0),
+                      ["invariant", "P4", "--type", "rdk"], "witness invalid"),
+    "product": ("cli", "parse_graph6", lambda text: gen_path(1),
+                ["product", "P3", "P4"], "product round-trip"),
+    "construct": ("constructions", "path_pattern_labeling", lambda n, h: _zeros(n * h.n),
+                  ["construct", "tiles", "--h", "P4", "--n", "9"], "construction invalid"),
+}
+
+
+@pytest.mark.parametrize("name", INTERNAL_CHECKS)
+def test_internal_check_failure_exits_1_on_every_path(capsys, monkeypatch, name):
+    module, attr, forged, argv, message = INTERNAL_CHECKS[name]
+    monkeypatch.setattr(f"rainbowdom.{module}.{attr}", forged)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: internal check failed: {message}\n"
 
 
 class TestProduct:
@@ -413,23 +442,27 @@ class TestVerify:
         assert rc == 0 and err == ""
         assert "tasks: 4" in out and "violations: 0" in out
 
-    def test_workers_below_one_refused(self, capsys):
-        # a parse error, not a silently serial run
-        for workers in ("0", "-3", "x"):
-            rc, out, err = run(capsys, "verify", "--ng", "2", "--h", "P4", "--cap", "12",
-                               "--workers", workers)
-            assert rc == 2 and out == ""
-            assert (f"argument --workers: expected a worker count of 1 or more, "
-                    f"got '{workers}'") in err
-        rc, out, _ = run(capsys, "verify", "--ng", "2", "--h", "P4", "--cap", "12",
-                         "--workers", "1")
-        assert rc == 0 and "violations: 0" in out
-
     def test_empty_corpus_refused(self, capsys):
         for ng in ("0", "-2"):
             rc, out, err = run(capsys, "verify", "--ng", ng, "--h", "P4", "--cap", "12")
             assert rc == 5 and out == ""
             assert err == f"error: the corpus needs ng_max of at least 1, got {ng}\n"
+
+    @pytest.mark.parametrize("cap", ["3", "-5"])
+    def test_cap_below_every_product_refused(self, capsys, cap):
+        # a refusal (exit 5), not a clean report that skipped every task
+        rc, out, err = run(capsys, "verify", "--ng", "2", "--h", "P4", "--cap", cap)
+        assert rc == 5 and out == ""
+        assert err == ("error: the corpus needs a product cap of at least 4, the vertex "
+                       f"count of its smallest product K1 o h, got {cap}\n")
+
+    def test_empty_second_factor_refused(self, capsys, tmp_path):
+        # a refusal (exit 5), not a violation in every task of the empty factor
+        empty = tmp_path / "empty.g6"
+        empty.write_text("?\n")
+        rc, out, err = run(capsys, "verify", "--ng", "2", "--h", f"P4,{empty}", "--cap", "42")
+        assert rc == 5 and out == ""
+        assert err == "error: the corpus needs second factors of at least 1 vertex, got 0\n"
 
     def test_product_cap_beyond_the_oracle_refused(self, capsys):
         rc, out, err = run(capsys, "verify", "--ng", "2", "--h", "P2", "--cap", "65")
@@ -439,6 +472,7 @@ class TestVerify:
     @pytest.mark.parametrize("argv, code", [
         (("--ng", "0", "--h", "P4", "--cap", "12"), 5),
         (("--ng", "2", "--h", "C4,P2", "--cap", "65"), 3),
+        (("--ng", "2", "--h", "P4", "--cap", "3"), 5),
     ])
     def test_refused_run_leaves_the_json_path_as_it_was(self, capsys, tmp_path, argv, code):
         dest = tmp_path / "report.json"
@@ -511,7 +545,7 @@ CLI_SLOTS = [
     "product --kind", "product g", "product h",
     "validate --graph", "validate --k", "validate labeling",
     "verify --budget", "verify --cap", "verify --h", "verify --json",
-    "verify --ng", "verify --workers",
+    "verify --ng",
 ]
 
 
@@ -527,15 +561,16 @@ def _slots(parser, path=()):
 
 def test_cli_slots_are_pinned():
     assert sorted(_slots(_build_parser())) == CLI_SLOTS
-    assert len(CLI_SLOTS) == 41
-    assert len(UNREAD_SLOTS) == 42 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
+    assert len(CLI_SLOTS) == 40
+    assert len(UNREAD_SLOTS) == 43 and not set(UNREAD_SLOTS) & set(CLI_SLOTS)
 
 
 # One command per option that its path accepted without reading it, and one
 # each for the removed certify --strict, certify --no-refine and the --budget
 # of the tilings, which search nothing, for the removed --format of every
-# path, since a file's content gives its format, and for the tilings' removed
-# --u and --v, since the degrees of h give the pair.
+# path, since a file's content gives its format, for the tilings' removed
+# --u and --v, since the degrees of h give the pair, and for the removed
+# verify --workers, since the replay runs in one process.
 UNREAD_SLOTS = {
     "product --budget": ["product", "P3", "P3", "--budget", "5"],
     "certify --strict": ["certify", "P3", "P4", "--strict"],
@@ -566,6 +601,7 @@ UNREAD_SLOTS = {
     "validate --format": ["validate", "f.txt", "--graph", "P4", "--format", "edges"],
     "enumerate rdfs --format": ["enumerate", "rdfs", "K2", "--format", "edges"],
     "verify --format": ["verify", "--ng", "2", "--h", "P2", "--cap", "8", "--format", "edges"],
+    "verify --workers": ["verify", "--ng", "2", "--h", "P4", "--cap", "12", "--workers", "2"],
     "construct tiles --format": ["construct", "tiles", "--h", "P4", "--n", "9",
                                  "--format", "edges"],
     "construct glued --format": ["construct", "glued", "--h", "P4", "--m", "2",

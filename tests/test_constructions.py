@@ -1,7 +1,9 @@
 import pytest
 
 from rainbowdom import (
+    Graph,
     PreconditionError,
+    classify_h,
     from_edge_list,
     gen_cycle,
     gen_glued_paths,
@@ -141,6 +143,18 @@ class TestTotalDomLabeling:
         with pytest.raises(PreconditionError,
                            match="^isolated vertex 2 admits no total domination$"):
             total_dom_labeling(g, gen_path(3), 2)
+
+
+# an empty second factor is refused by each entry that needs a vertex of h:
+# the total domination labeling, and the classification of h in certify
+@pytest.mark.parametrize("call", [
+    lambda: total_dom_labeling(gen_path(3), Graph(0, ()), 2),
+    lambda: classify_h(Graph(0, ())),
+], ids=["total_dom_labeling", "classify_h"])
+def test_empty_h_refused(call):
+    with pytest.raises(PreconditionError) as exc:
+        call()
+    assert type(exc.value) is PreconditionError and str(exc.value) == "h must be nonempty"
 
 
 class TestUniversalVertexLabeling:

@@ -21,14 +21,13 @@ from rainbowdom import (
     gen_path,
     gen_star,
     induced_subgraph,
-    is_connected,
     is_dominating_set,
     is_total_dominating_set,
     parse_edge_list,
     parse_graph6,
     to_graph6,
 )
-from rainbowdom.graphs import _bandwidth_order
+from rainbowdom.graphs import _bandwidth_order, _from_rows
 
 from conftest import (
     brute_is_dominating,
@@ -106,7 +105,7 @@ class TestGenerators:
         assert (g.n, g.m) == (7, 8)
         # two 4-cycles sharing one vertex: the shared vertex has degree 4
         assert sorted(g.degree(v) for v in range(7)) == [2] * 6 + [4]
-        assert is_connected(g)
+        assert len(components(g)) == 1
 
     def test_glued_paths_shape(self):
         # m arms of five vertices from a shared center, p2 pendants on center
@@ -114,7 +113,7 @@ class TestGenerators:
             g = gen_glued_paths(m, p2)
             assert g.n == 1 + 5 * m + p2
             assert g.m == 5 * m + p2
-            assert is_connected(g)
+            assert len(components(g)) == 1
             assert g.degree(0) == m + p2
 
     def test_glued_paths_one_arm_is_path(self):
@@ -172,13 +171,20 @@ class TestEdgeListFormat:
 
 class TestPredicates:
     def test_connectivity(self, corpus6):
-        for g in corpus6:
-            assert is_connected(g)
-            assert is_connected(g) == nx.is_connected(to_nx(g))
+        gs = list(corpus6) + [Graph(0, ()), from_edge_list(5, [(0, 4), (1, 2)])]
+        rng = random.Random(5)
+        for _ in range(100):
+            n = rng.randint(1, 10)
+            gs.append(from_edge_list(n, [e for e in itertools.combinations(range(n), 2)
+                                         if rng.random() < 0.2]))
+        for g in gs:
+            comps = components(g)
+            assert sorted(map(sorted, comps)) == sorted(
+                map(sorted, nx.connected_components(to_nx(g)))), g.adj
+            assert [min(c) for c in comps] == sorted(min(c) for c in comps)
 
     def test_disconnected(self):
         g = from_edge_list(4, [(0, 1), (2, 3)])
-        assert not is_connected(g)
         assert [sorted(c) for c in components(g)] == [[0, 1], [2, 3]]
 
     def test_domination_predicates_match_oracle(self):
@@ -259,7 +265,7 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_connected_graphs(7)) == 853
 
     def test_members_connected_and_distinct(self, corpus6):
-        assert all(is_connected(g) for g in corpus6)
+        assert all(len(components(g)) == 1 for g in corpus6)
         forms = {canonical_form(g) for g in corpus6}
         assert len(forms) == len(corpus6) == 143
 
@@ -303,3 +309,48 @@ class TestBandwidthOrder:
         # each component starts again from its own least-degree vertex
         g = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
         assert _bandwidth_order(g) == [1, 0, 2, 3, 4, 5]
+
+
+# The input checks that no other test reaches: (call, class, message), each
+# raised exactly as listed.
+INPUT_CHECKS = {
+    "Graph negative n": (lambda: Graph(-1, ()), PreconditionError,
+                         "vertex count must be nonnegative"),
+    "Graph adjacency length": (lambda: Graph(2, (0,)), PreconditionError,
+                               "adjacency length does not match n"),
+    "Graph neighbor out of range": (lambda: Graph(2, (0b100, 0)), PreconditionError,
+                                    "neighbor index out of range at vertex 0"),
+    "from_edge_list negative n": (lambda: from_edge_list(-1, []), PreconditionError,
+                                  "vertex count must be nonnegative"),
+    "parse_graph6 byte": (lambda: parse_graph6("A\x7f"), ParseError,
+                          "graph6 byte out of range: '\\x7f'"),
+    "parse_graph6 long size": (lambda: parse_graph6("~~??????"), ParseError,
+                               "graph6 long-size form not supported"),
+    "parse_graph6 truncated size": (lambda: parse_graph6("~??"), ParseError,
+                                    "truncated graph6 size field"),
+    "parse_graph6 padding": (lambda: parse_graph6("A@"), ParseError,
+                             "nonzero padding bits in graph6 body"),
+    # to_graph6 reads only n before it refuses, so the rows go unchecked
+    "to_graph6 too large": (lambda: to_graph6(_from_rows(258_048, (0,) * 258_048)),
+                            CapacityError,
+                            "graph6 encoding beyond 258047 vertices not supported"),
+    "parse_edge_list header": (lambda: parse_edge_list("3 x\n"), ParseError,
+                               "edge-list header must contain two integers"),
+    "parse_edge_list three fields": (lambda: parse_edge_list("3 1\n0 1 2\n"), ParseError,
+                                     "bad edge line: '0 1 2'"),
+    "parse_edge_list endpoint": (lambda: parse_edge_list("3 1\n0 x\n"), ParseError,
+                                 "bad edge line: '0 x'"),
+    "gen_path(0)": (lambda: gen_path(0), PreconditionError, "path needs at least one vertex"),
+    "gen_complete(0)": (lambda: gen_complete(0), PreconditionError,
+                        "complete graph needs at least one vertex"),
+    "enumerate_connected_graphs(0)": (lambda: next(enumerate_connected_graphs(0)),
+                                      PreconditionError, "need at least one vertex"),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_CHECKS)
+def test_input_checks(name):
+    call, cls, message = INPUT_CHECKS[name]
+    with pytest.raises(cls) as exc:
+        call()
+    assert type(exc.value) is cls and str(exc.value) == message

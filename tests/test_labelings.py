@@ -231,3 +231,13 @@ class TestFormatParse:
     def test_parse_rejects_missing_vertex(self):
         with pytest.raises(ParseError):
             parse_labeling("0: {1}\n2: {2}", 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 {1}", "bad labeling line: '0 {1}'"),
+    ("0: {1}\n1: {x}", "bad color in line: '1: {x}'"),
+], ids=["no colon", "non-integer color"])
+def test_parse_labeling_input_checks(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_labeling(text, 2)
+    assert type(exc.value) is ParseError and str(exc.value) == message

@@ -14,7 +14,6 @@ from rainbowdom import (
     gen_complete,
     general_bounds,
     induced_subgraph,
-    is_connected,
     is_k_rainbow_dominating,
     lexicographic,
     min_couple_cost,
