@@ -114,9 +114,8 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    components,
+    _component_subgraphs,
     enumerate_connected_graphs,
-    induced_subgraph,
     iter_bits,
     to_graph6,
 )
@@ -455,15 +454,14 @@ def certify_rd_lex(
         return _exact(g, h, 0, "TrivialG" if g.n == 0 else "TrivialH",
                       RainbowLabeling(2, ()), LowerWitness("exact_solve", 0), "empty product")
     hcls = classify_h(h, node_budget=node_budget)
-    comps = components(g)
-    if len(comps) == 1:
+    pieces = _component_subgraphs(g)
+    if len(pieces) == 1:
         return _refine(g, h, _certify_connected(g, h, hcls, node_budget=node_budget), node_budget)
     nh = h.n
     parts = []
     lo = hi = 0
     masks = [0] * (g.n * nh)
-    for comp in comps:
-        sub, back = induced_subgraph(g, comp)
+    for sub, back in pieces:
         cert = _refine(sub, h, _certify_connected(sub, h, hcls, node_budget=node_budget),
                        node_budget)
         eff_lo, eff_hi, eff_lab = _effective(cert)

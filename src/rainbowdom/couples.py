@@ -59,10 +59,11 @@ def _two_packing(g: Graph) -> list[int]:
     ones'. No vertex neighbors two kept ones, so no set N(u) or N[u] holds
     two of them, and every couple cover takes a set per kept vertex."""
     kept, taken = [], 0
-    for v in sorted(range(g.n), key=g.degree):
-        if not g.closed(v) & taken:
+    for v in sorted(range(g.n), key=[row.bit_count() for row in g.adj].__getitem__):
+        closed = g.adj[v] | 1 << v
+        if not closed & taken:
             kept.append(v)
-            taken |= g.closed(v)
+            taken |= closed
     return kept
 
 

@@ -134,8 +134,12 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line; tolerates the optional >>graph6<< header."""
-    s = text.strip()
+    """Decode one graph6 line; tolerates the optional >>graph6<< header.
+
+    Only ASCII whitespace around the line is stripped (a trailing newline or
+    CRLF): str.strip() would also drop characters such as U+001F and U+00A0,
+    which lie outside graph6's bytes 63-126 and must be refused."""
+    s = text.strip(" \t\n\r\x0b\x0c")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
@@ -293,28 +297,38 @@ def is_total_dominating_set(g: Graph, vertices) -> bool:
     return cov == g.full_mask
 
 
-def _reach_mask(g: Graph, start: int) -> int:
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
+def _component_masks(g: Graph) -> list[int]:
+    """The connected components of g as vertex masks, ordered by smallest
+    member: breadth first from the lowest vertex not yet reached."""
+    adj, out, left = g.adj, [], g.full_mask
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & ~comp
+            comp |= frontier
+        out.append(comp)
+        left &= ~comp
+    return out
 
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by smallest member."""
-    out = []
-    left = g.full_mask
-    while left:
-        start = (left & -left).bit_length() - 1
-        comp = _reach_mask(g, start)
-        out.append(frozenset(iter_bits(comp)))
-        left &= ~comp
-    return out
+    return [frozenset(iter_bits(comp)) for comp in _component_masks(g)]
+
+
+def _component_subgraphs(g: Graph) -> list[tuple[Graph, range | list[int]]]:
+    """induced_subgraph(g, comp) for each component comp, in the order of
+    components(g). A one-component g is g itself with range(g.n) as its map
+    back: neither a copy nor a vertex list is built."""
+    comps = _component_masks(g)
+    if len(comps) == 1:
+        return [(g, range(g.n))]
+    return [induced_subgraph(g, iter_bits(comp)) for comp in comps]
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
@@ -348,8 +362,8 @@ def _bandwidth_order(g: Graph) -> list[int]:
     index on every tie). Neighbors then sit close together in the order: it
     is the identity on gen_path, and on gen_cycle no edge spans more than 2
     places."""
-    order, seen = [], 0
-    degree = [m.bit_count() for m in g.adj].__getitem__
+    adj, order, seen = g.adj, [], 0
+    degree = [row.bit_count() for row in adj].__getitem__
     for start in sorted(range(g.n), key=degree):
         if seen >> start & 1:
             continue
@@ -357,10 +371,13 @@ def _bandwidth_order(g: Graph) -> list[int]:
         head = len(order)
         order.append(start)
         while head < len(order):
-            v = order[head]
+            new = adj[order[head]] & ~seen
             head += 1
-            order.extend(sorted(iter_bits(g.adj[v] & ~seen), key=degree))
-            seen |= g.adj[v]
+            if new & (new - 1):
+                order.extend(sorted(iter_bits(new), key=degree))
+            elif new:
+                order.append(new.bit_length() - 1)
+            seen |= new
     return order
 
 

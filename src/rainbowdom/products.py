@@ -40,9 +40,9 @@ def cartesian(g: Graph, h: Graph) -> Graph:
     rows = []
     for a in range(g.n):
         shift = a * nh
+        spread = 0  # vertex (b, 0) of each neighbor b of a
+        for b in iter_bits(g.adj[a]):
+            spread |= 1 << (b * nh)
         for x in range(nh):
-            m = h.adj[x] << shift
-            for b in iter_bits(g.adj[a]):
-                m |= 1 << (b * nh + x)
-            rows.append(m)
+            rows.append(h.adj[x] << shift | spread << x)
     return _from_rows(g.n * nh, tuple(rows))

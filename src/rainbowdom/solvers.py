@@ -51,16 +51,20 @@ or closed neighborhood equals that of an earlier vertex carries at least as
 many colors as the nearest one.
 
 Disconnected inputs are decomposed into components and the per-component
-results are merged, so every invariant is the sum over components.
+results are merged, so every invariant is the sum over components. A
+one-component input is solved as it is, without a copy
+(graphs._component_subgraphs), and what depends on k alone (the rainbow
+engine's label table, K_k of the Cartesian route) is built once per k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (BudgetError, CapExceededError, CapacityError, PreconditionError,
                      RainbowDomError)
-from .graphs import (Graph, _bandwidth_order, components, gen_complete, induced_subgraph,
+from .graphs import (Graph, _bandwidth_order, _component_subgraphs, gen_complete,
                      is_dominating_set, iter_bits)
 from .labelings import RainbowLabeling, _validate_k
 from .products import cartesian
@@ -104,18 +108,18 @@ def _check_cap(g: Graph):
 def _greedy_cover(full: int, cover: list[int], cost: list[int]):
     """Repeatedly take the set with the best new-coverage/cost ratio, lowest
     index on ties. Returns the chosen set indices, or None when infeasible."""
-    covered = 0
+    left = full
     chosen = []
-    while covered & full != full:
+    while left:
         best_u, best_c, best_w = -1, 0, 1
         for u, s in enumerate(cover):
-            c = (s & full & ~covered).bit_count()
+            c = (s & left).bit_count()
             if c * best_w > best_c * cost[u]:
                 best_u, best_c, best_w = u, c, cost[u]
         if best_u < 0:
             return None
         chosen.append(best_u)
-        covered |= cover[best_u]
+        left &= ~cover[best_u]
     return chosen
 
 
@@ -252,15 +256,17 @@ def _min_weighted_cover(
         greedy = _greedy_cover(full, cover, cost)
         if greedy is None:
             return None
-        hi = sum(cost[u] for u in greedy)
+        hi = sum(map(cost.__getitem__, greedy))
     start = max(bound(full, 0) or 0, lo)
     if start >= hi:
         return greedy  # no level to search: the tables below are not built
     cover_by = [0] * full.bit_length()
     for u, s in enumerate(cover):
-        bit = 1 << u
-        for v in iter_bits(s & full):
-            cover_by[v] |= bit
+        bit, s = 1 << u, s & full
+        while s:
+            low = s & -s
+            cover_by[low.bit_length() - 1] |= bit
+            s ^= low
     later = cover_by[:]  # later[v]: the sets that cover some element >= v
     for v in range(len(later) - 2, -1, -1):
         later[v] |= later[v + 1]
@@ -327,15 +333,12 @@ def _min_neighborhood_cover(g: Graph, closed: bool, node_budget: int) -> SolveRe
     """Fewest vertices whose closed (or open) neighborhoods cover V(g): one
     search of the cover engine per component, under one node budget."""
     _check_cap(g)
-    if not closed:
-        for v in range(g.n):
-            if g.adj[v] == 0:
-                raise PreconditionError(f"isolated vertex {v} admits no total domination")
+    if not closed and 0 in g.adj:
+        raise PreconditionError(f"isolated vertex {g.adj.index(0)} admits no total domination")
     stats = [0]
     witness: set[int] = set()
-    for comp in components(g):
-        sub, back = induced_subgraph(g, comp)
-        cover = [sub.closed(v) for v in range(sub.n)] if closed else list(sub.adj)
+    for sub, back in _component_subgraphs(g):
+        cover = [row | 1 << v for v, row in enumerate(sub.adj)] if closed else list(sub.adj)
         chosen = _min_weighted_cover(sub.full_mask, cover, [1] * sub.n, stats, node_budget)
         witness.update(back[u] for u in chosen)
     return SolveResult(len(witness), frozenset(witness), stats[0])
@@ -353,6 +356,19 @@ def min_total_dominating_set(g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET
 
 # ---------------------------------------------------------------------------
 # rainbow labeling engine
+
+
+@lru_cache(maxsize=8)  # one entry per k in 1..8
+def _label_table(k: int) -> tuple[tuple[tuple[int, int, tuple[int, ...]], ...], frozenset[int]]:
+    """_rainbow_fixed's labels at k, the same for every graph: each color
+    mask with its weight and colors, in ascending mask order, and the masks
+    a first nonempty label may take ({1}, {1,2}, ...), with 0."""
+    labels = tuple((m, m.bit_count(), tuple(iter_bits(m))) for m in range(1 << k))
+    return labels, frozenset({0} | {(1 << t) - 1 for t in range(1, k + 1)})
+
+
+# K_k for the products g x K_k, built and checked once per k in 1..8
+_complete = lru_cache(maxsize=8)(gen_complete)
 
 
 def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tuple[int, ...]:
@@ -399,17 +415,19 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
     supplied = [0] * (n + 1)  # supplied[i] = vertices with a neighbor of index >= i
     top = [0] * (n + 1)  # top[i] = the largest degree among vertices i..n-1
     for i in range(n - 1, -1, -1):
+        d, below = nbr[i].bit_count(), top[i + 1]
         supplied[i] = supplied[i + 1] | nbr[i]
-        top[i] = max(top[i + 1], nbr[i].bit_count())
-    after = [tuple(nbr[i + 1:]) for i in range(n)]  # after[i] = the rows of U below vertex i
+        top[i] = d if d > below else below
+    after = [g.adj[i + 1:] for i in range(n)]  # after[i] = the rows of U below vertex i
     # twin[v] = the nearest earlier vertex with v's open or closed neighborhood,
     # or -1. One dict serves both kinds: N(u) = N[v] would need u in N(u)
     twin, last = [-1] * n, {}
-    for v in range(n):
-        twin[v] = max(last.get(nbr[v], -1), last.get(nbr[v] | 1 << v, -1))
-        last[nbr[v]] = last[nbr[v] | 1 << v] = v
-    prefix_masks = {0} | {(1 << t) - 1 for t in range(1, k + 1)}
-    labels = [(m, m.bit_count(), tuple(iter_bits(m))) for m in range(fullc + 1)]
+    for v, row in enumerate(nbr):
+        closed = row | 1 << v
+        u, w = last.get(row, -1), last.get(closed, -1)
+        twin[v] = u if u > w else w
+        last[row] = last[closed] = v
+    labels, prefix_masks = _label_table(k)
 
     masks = [0] * n
     seen = [0] * k  # seen[c] = vertices adjacent to an assigned vertex carrying c
@@ -478,7 +496,7 @@ def _rainbow_fixed(g: Graph, k: int, stats: list[int], node_budget: int) -> tupl
         return None
 
     # the full label on a greedy dominating set is always valid
-    chosen = _greedy_cover(full, [g.closed(v) for v in range(n)], [1] * n)
+    chosen = _greedy_cover(full, [row | 1 << v for v, row in enumerate(nbr)], [1] * n)
     # the counting bound at the root: T = k * n
     for w_cap in range(-(-k * n // (top[0] + k)), len(chosen) * k):
         r = dfs(0, 0, False, 0, w_cap)
@@ -496,8 +514,7 @@ def min_rainbow(g: Graph, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET) -> 
     _validate_k(k)
     _check_cap(g)
     stats, masks = [0], [0] * g.n
-    for comp in components(g):
-        sub, back = induced_subgraph(g, comp)
+    for sub, back in _component_subgraphs(g):
         for i, m in enumerate(_rainbow_fixed(sub, k, stats, node_budget)):
             masks[back[i]] = m
     labeling = RainbowLabeling(k, tuple(masks))
@@ -515,7 +532,7 @@ def min_rainbow_via_cartesian(
         raise CapacityError(
             f"product with K_{k} exceeds the {SOLVER_VERTEX_CAP}-vertex solver cap"
         )
-    prod = cartesian(g, gen_complete(k))
+    prod = cartesian(g, _complete(k))
     res = min_dominating_set(prod, node_budget=node_budget)
     if not is_dominating_set(prod, res.witness):
         raise RainbowDomError("internal check failed: the witness does not dominate g x K_k")
@@ -613,8 +630,8 @@ def _rainbow_cover(g: Graph) -> list[int]:
     """The closed neighborhoods of the Cartesian product g x K_2: a choice of
     them is a 2-labeling of its size (_cover_labeling; set 2v + c is color
     c + 1 on v), valid iff the sets cover every element."""
-    prod = cartesian(g, gen_complete(2))
-    return [prod.closed(x) for x in range(prod.n)]
+    prod = cartesian(g, _complete(2))
+    return [row | 1 << x for x, row in enumerate(prod.adj)]
 
 
 def _cover_labeling(n: int, chosen, k: int) -> RainbowLabeling:

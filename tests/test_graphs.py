@@ -148,9 +148,19 @@ class TestGraph6:
         assert parse_graph6(">>graph6<<C~") == gen_complete(4)
 
     def test_parse_errors(self):
-        for bad in ["", "C", "C~~", "\x1fA"]:
+        for bad in ["", "C", "C~~"]:
             with pytest.raises(ParseError):
                 parse_graph6(bad)
+        # control and Unicode space characters are bytes out of range, not
+        # whitespace to strip: each of these would otherwise parse as K2
+        for bad in ["\x1fA", "\x1fA_", "A_\x85", "\xa0A_"]:
+            with pytest.raises(ParseError, match="graph6 byte out of range"):
+                parse_graph6(bad)
+
+    def test_ascii_whitespace_stripped(self):
+        k2 = gen_complete(2)
+        for text in ["A_\n", "A_\r\n", " A_\t", ">>graph6<<A_\n"]:
+            assert parse_graph6(text) == k2
 
     def test_large_n_round_trip(self):
         g = gen_path(70)  # exercises the multi-byte size encoding

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from rainbowdom import (
     Graph,
     PreconditionError,
     RainbowLabeling,
+    components,
     enumerate_connected_graphs,
     enumerate_min_2rdfs,
     from_edge_list,
@@ -18,10 +20,12 @@ from rainbowdom import (
     gen_double_c4,
     gen_path,
     gen_star,
+    induced_subgraph,
     is_dominating_set,
     is_k_rainbow_dominating,
     is_total_dominating_set,
     lexicographic,
+    min_couple_cost,
     min_dominating_set,
     min_rainbow,
     min_rainbow_via_cartesian,
@@ -40,6 +44,7 @@ from conftest import (
     brute_min_dominating,
     brute_min_rainbow,
     brute_min_total_dominating,
+    enumerate_graphs,
 )
 
 # a fixed graph dense enough to make the cover engine branch
@@ -162,6 +167,69 @@ def test_pinned_rainbow_node_counts(name):
     for k, pin in zip((2, 3), RAINBOW_PINS[name]):
         res = min_rainbow(g, k)
         assert (res.value, res.nodes_explored, res.witness.masks) == pin, k
+
+
+def _record(res):
+    """(value, witness, nodes_explored) of a SolveResult, the witness as a
+    sorted tuple of vertices or the labeling's masks."""
+    w = res.witness
+    return (res.value, tuple(sorted(w)) if isinstance(w, frozenset) else w.masks,
+            res.nodes_explored)
+
+
+# sha256 of repr(rows) in test_small_solves_are_pinned, recorded at commit
+# f679953, before the per-call set-up of the solvers was cut. Each of these
+# solves visits few nodes, so most of its time was set-up: a cheaper set-up
+# must leave every value, witness and node count of them as it was
+SMALL_SOLVES_DIGEST = "04dc85123f38e9bd255128c4cc2ac994ff96cf48e0bb2123c040ad51093cc616"
+
+
+def test_small_solves_are_pinned(corpus6):
+    rows = []
+    for g in corpus6:
+        row = [_record(min_dominating_set(g))]
+        if g.n >= 2:  # K1's vertex is isolated: no total dominating set
+            row.append(_record(min_total_dominating_set(g)))
+        row += [_record(min_rainbow(g, k)) for k in (1, 2, 3)]
+        row.append(_record(min_rainbow_via_cartesian(g, 2)))
+        cost, couple = min_couple_cost(g, 2, 3)
+        row.append((cost, tuple(sorted(couple.a)), tuple(sorted(couple.b))))
+        rows.append(row)
+    assert len(rows) == 143
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SMALL_SOLVES_DIGEST
+
+
+def test_component_loop_sums_the_components():
+    # a one-component input is solved as it is, a disconnected one component
+    # by component: its value and node count are the sums over its
+    # components, and its witness on each component is that component's own
+    solves = [
+        ("gamma", min_dominating_set),
+        ("gamma_t", min_total_dominating_set),
+        *((f"rd_{k}", lambda g, k=k: min_rainbow(g, k)) for k in (1, 2, 3)),
+        ("cartesian rd_2", lambda g: min_rainbow_via_cartesian(g, 2)),
+    ]
+    checks = 0
+    for n in range(2, 7):
+        for g in enumerate_graphs(n):
+            parts = [induced_subgraph(g, comp) for comp in components(g)]
+            if len(parts) == 1:
+                continue
+            for name, solve in solves:
+                if name == "gamma_t" and 0 in g.adj:
+                    continue
+                whole, own = solve(g), [solve(sub) for sub, _ in parts]
+                assert whole.value == sum(r.value for r in own), (name, g.adj)
+                assert whole.nodes_explored == sum(r.nodes_explored for r in own), (name, g.adj)
+                for (sub, back), r in zip(parts, own):
+                    if isinstance(whole.witness, frozenset):
+                        mine = frozenset(i for i, v in enumerate(back) if v in whole.witness)
+                        assert mine == r.witness, (name, g.adj)
+                    else:
+                        mine = tuple(whole.witness.masks[v] for v in back)
+                        assert mine == r.witness.masks, (name, g.adj)
+                checks += 1
+    assert checks == 338
 
 
 def _first_symmetric_minimum(g: Graph, k: int) -> tuple[int, ...]:
